@@ -395,8 +395,6 @@ def _axis_rule(cfg, alpha_lo=None, alpha_hi=None):
     """
     edges_lo = [0.5 * cfg.outer_ratio ** (cfg.outer_lo - 1 - k) for k in range(cfg.outer_lo)]
     edges_hi = [1.0 - 0.5 * cfg.outer_ratio ** (cfg.outer_hi - 1 - k) for k in range(cfg.outer_hi)]
-    edges = np.asarray([0.0] + edges_lo + list(reversed(edges_hi[:-1] if False else edges_hi[:0:-1])) + [])
-    # build explicitly: [0] + edges_lo + reversed tail of edges_hi + [1]
     edges = [0.0] + edges_lo + sorted(edges_hi) + [1.0]
     # drop a duplicated midpoint if both sides meet exactly at 0.5
     cleaned = [edges[0]]

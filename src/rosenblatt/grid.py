@@ -234,13 +234,14 @@ def build_grid(
         far.append(x)
     edges = np.concatenate([np.array(far[::-1]), core_edges]) if far else core_edges
 
+    s_nodes, s_weights = s_rule(0.0, t, s_panels, s_order)
     return GridSpec(
         edges=edges,
         core_left=core_left,
         mesh=h,
         horizon=t,
-        s_nodes=s_rule(0.0, t, s_panels, s_order)[0],
-        s_weights=s_rule(0.0, t, s_panels, s_order)[1],
+        s_nodes=s_nodes,
+        s_weights=s_weights,
         s_panels=s_panels,
         s_order=s_order,
         tail_tolerance=tail_tolerance,

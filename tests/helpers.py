@@ -183,3 +183,41 @@ def tiny_hat_tensor(ker, grid) -> np.ndarray:
             acc = acc * avgs[i][c]
         out[idx] = ker.constant * acc.sum()
     return out
+
+
+def _set_partitions(items: list):
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[head]] + part
+        for k in range(len(part)):
+            yield part[:k] + [[head] + part[k]] + part[k + 1 :]
+
+
+def dense_chaos_reference(ker, grid, xi, interval=None) -> np.ndarray:
+    """Sampled-estimator values for the noise rows `xi` (realizations x
+    cells), by the plain Moebius sum over dense factor matrices at every
+    s-node: each set partition of the coordinates contributes
+    prod_B (-1)^(|B|-1) (|B|-1)! (xi^|B| @ prod_{i in B} b_i), summed with
+    the s-weights.  No stacking, folding or far-field compression."""
+    from rosenblatt.grid import s_rule
+    from rosenblatt.sampler import factor_matrix
+
+    if interval is None:
+        nodes, weights = grid.s_nodes, grid.s_weights
+    else:
+        nodes, weights = s_rule(interval[0], interval[1], grid.s_panels, grid.s_order)
+    b = [factor_matrix(grid.edges, g, nodes) for g in ker.gamma.entries]
+    total = np.zeros((len(xi), len(nodes)))
+    for part in _set_partitions(list(range(len(b)))):
+        term = np.ones_like(total)
+        for block in part:
+            prod = np.ones_like(b[0])
+            for i in block:
+                prod = prod * b[i]
+            term = term * ((xi ** len(block)) @ prod)
+            term = term * (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
+        total += term
+    return ker.constant * (total @ weights)

@@ -11,6 +11,7 @@ from rosenblatt.grid import GridSpec, build_grid, s_rule
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
     ChaosSampleBatch,
+    _chunk_normals,
     batch_to_csv,
     discrete_second_moment,
     load_csv,
@@ -21,7 +22,7 @@ from rosenblatt.sampler import (
 )
 from rosenblatt.wick import offdiag_expression, wick_moment
 
-from helpers import tiny_grid, tiny_hat_tensor
+from helpers import dense_chaos_reference, tiny_grid, tiny_hat_tensor
 
 
 def variance_se(values):
@@ -62,6 +63,35 @@ class TestExactEngineVsWickOracle:
         b = factor_matrix(grid.edges, -0.6, grid.s_nodes)
         direct = ker.constant**2 * float(np.sum((b @ grid.s_weights) ** 2))
         assert discrete_second_moment(ker, grid) == pytest.approx(direct, rel=1e-12)
+
+
+class TestAssemblyVsDenseReference:
+    # the stacked, folded, far-field-compressed assembly against the plain
+    # Moebius sum over dense factor matrices, on the same noise rows; the
+    # tiny grid's far block is empty for the full interval only
+    @pytest.mark.parametrize("gamma", [
+        (-0.8,), (-0.7, -0.65), (-0.7, -0.7), (-0.7, -0.65, -0.6), (-0.65, -0.65, -0.6),
+    ])
+    @pytest.mark.parametrize("interval", [None, (0.0, 0.25), (0.75, 1.0)])
+    @pytest.mark.parametrize("default_grid", [True, False])
+    def test_matches_dense_reference(self, gamma, interval, default_grid):
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker) if default_grid else tiny_grid(n_cells=6, left=0.5, horizon=1.0)
+        n, seed = 64, 31
+        batch = sample_chaos(ker, grid, n, seed, interval=interval, with_second_moment=False)
+        xi = _chunk_normals(np.random.SeedSequence(seed).spawn(n), grid.n_cells)
+        ref = dense_chaos_reference(ker, grid, xi, interval)
+        assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
+
+    def test_s_node_on_a_chebyshev_point(self):
+        # 3 panels of order 5 put an s-node at 1/2, which is also the middle
+        # Chebyshev point of the far-field interpolation
+        ker = KernelSpec((-0.7, -0.65))
+        grid = tiny_grid(n_cells=12, left=3.0, horizon=1.0, s_panels=3, s_order=5)
+        batch = sample_chaos(ker, grid, 32, 3, with_second_moment=False)
+        xi = _chunk_normals(np.random.SeedSequence(3).spawn(32), grid.n_cells)
+        ref = dense_chaos_reference(ker, grid, xi)
+        assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
 
 
 class TestSampleMoments:
@@ -132,13 +162,20 @@ class TestReproducibility:
         np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-14)
 
     def test_noise_streams_chunk_invariant_bitwise(self):
-        from rosenblatt.sampler import _chunk_normals
-
         children = np.random.SeedSequence(9).spawn(20)
         whole = _chunk_normals(children, 50)
         parts = np.vstack([_chunk_normals(children[:13], 50),
                            _chunk_normals(children[13:], 50)])
         assert np.array_equal(whole, parts)
+
+    def test_noise_stream_is_sfc64_per_realization(self):
+        # pins the generator: replacing it changes every same-seed value
+        n, n_cells, seed = 6, 40, 2024
+        rows = _chunk_normals(np.random.SeedSequence(seed).spawn(n), n_cells)
+        for k in range(n):
+            child = np.random.SeedSequence(seed).spawn(n)[k]
+            want = np.random.Generator(np.random.SFC64(child)).standard_normal(n_cells)
+            assert np.array_equal(rows[k], want)
 
     def test_prefix_stability(self):
         # first k realizations of a longer batch equal the shorter batch
@@ -236,6 +273,10 @@ class TestErrorsAndValidation:
             sample_chaos(ker, grid, 10, seed=-3)
         with pytest.raises(InvalidInputError):
             sample_chaos(ker, grid, 10, seed=1.5)
+        # a non-positive chunk size would leave the values array unwritten
+        for bad in (0, -2, 2.5):
+            with pytest.raises(InvalidInputError):
+                sample_chaos(ker, grid, 4, seed=1, chunk_size=bad)
 
     def test_grid_too_small_enforced(self):
         # near face 1 the required window exceeds any modest cap
