@@ -13,6 +13,7 @@ from .errors import (
     GridTooSmallError,
     InvalidInputError,
     PathInfeasibleError,
+    QuadratureError,
     RosenblattError,
     SizeError,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "SizeError",
     "DivergentIntegralError",
     "PathInfeasibleError",
+    "QuadratureError",
     "GridTooSmallError",
     "FitError",
 ]

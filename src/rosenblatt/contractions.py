@@ -17,13 +17,21 @@ error rather than evaluated.
 The quadrature rewrites the cycle exactly in difference coordinates: the
 two one-sided gaps u, w become outer variables with pure power weights,
 and the remaining double integral reduces to a single overlap integral
-with an explicit piecewise-linear length factor.  Every singular
-location is then a known endpoint, so tensorized graded meshes apply:
-panel chains shrink geometrically into each singular point, the corner
-panels switch to Gauss-Jacobi rules that absorb the local power weight
-exactly, and everything else uses per-cell Gauss-Legendre.  Cells are
-independent; accumulation always runs over fixed-shape arrays in a fixed
-order, so repeated evaluations are bit-identical.
+over a gap z with an explicit piecewise-linear length factor.  Every
+singular location is then a known end of a segment in z, and each
+segment is integrated in its own coordinate f in (0,1).  A power whose
+singular point sits at a segment end is h^alpha f^alpha; every other
+power is (off + h f)^alpha with the offset taken exactly from the cell's
+parametrization, so no distance is a difference of absolute coordinates.
+
+One cached graded rule, `_graded_rule`, serves every axis: panel chains
+shrink geometrically into both ends, the corner panels use Gauss-Jacobi
+rules that absorb the end power exactly, and the f-part of every end
+power is folded into the weights (Schwab, Computing 53, 1994).  The
+inner sums over a block of cells are one product of a (cells x nodes)
+power table with the cached weights.  Cells run in fixed-size blocks
+and every sum runs over fixed-shape arrays in a fixed order, so repeated
+evaluations are bit-identical.
 """
 from __future__ import annotations
 
@@ -38,7 +46,7 @@ import numpy as np
 from scipy import special as sp
 
 from .domain import BoundaryPath, Face, GammaVector, path_points
-from .errors import DivergentIntegralError, InvalidInputError, SizeError
+from .errors import DivergentIntegralError, InvalidInputError, QuadratureError, SizeError
 from .kernel import MAX_ORDER, normalizing_constant_sq
 from .special import log_beta
 
@@ -322,6 +330,11 @@ class _MeshConfig:
 
 _DEFAULT_MESH = _MeshConfig()
 
+# Entries per block of the (cells x nodes) power tables.  One block's
+# tables (256 KB) stay in cache; blocks of 2^16 entries ran about twice as
+# slow.  Blocks depend only on the mesh, so repeated calls are bit-identical.
+_BLOCK = 1 << 14
+
 
 @functools.lru_cache(maxsize=64)
 def _rule_gl(p: int):
@@ -336,195 +349,163 @@ def _rule_jacobi(p: int, exponent: float):
     return x, w
 
 
-@functools.lru_cache(maxsize=64)
-def _graded_fractions(side: int, ratio: float):
-    """Edges in [0,1] of 2*side panels shrinking geometrically into 0 and 1."""
-    left = [0.5 * ratio ** (side - 1 - k) for k in range(side)]
-    edges = [0.0] + left + [1.0 - v for v in reversed(left[:-1])] + [1.0]
-    return np.asarray(edges)
-
-
-def _segment_contrib(e0, e1, absorb_lo, absorb_hi, a2, a3, c, overlap, cfg) -> np.ndarray:
-    """Integrate |z|^a2 |z-c|^a3 L(z) over [e0, e1] for a batch of cells.
-
-    absorb_lo / absorb_hi name the factor (2 or 3) whose singular point
-    sits exactly at that end of the segment; the adjacent corner panel
-    then uses a Jacobi rule with that power folded into the weights.
-    """
-    fr = _graded_fractions(cfg.z_side, cfg.z_ratio)
-    h = e1 - e0
-    acc = np.zeros_like(h)
-    last = len(fr) - 2
-    for k in range(last + 1):
-        f0, f1 = fr[k], fr[k + 1]
-        hp = h * (f1 - f0)
-        half = 0.5 * hp
-        absorbed = None
-        if k == 0 and absorb_lo is not None:
-            e = a2 if absorb_lo == 2 else a3
-            x, wj = _rule_jacobi(cfg.order, e)
-            z = (e0 + h * f0)[:, None] + half[:, None] * (1.0 + x)
-            wt = half[:, None] ** (e + 1.0) * wj
-            absorbed = absorb_lo
-        elif k == last and absorb_hi is not None:
-            e = a2 if absorb_hi == 2 else a3
-            x, wj = _rule_jacobi(cfg.order, e)
-            z = (e0 + h * f1)[:, None] - half[:, None] * (1.0 + x)
-            wt = half[:, None] ** (e + 1.0) * wj
-            absorbed = absorb_hi
-        else:
-            x, wg = _rule_gl(cfg.order)
-            z = (e0 + h * (0.5 * (f0 + f1)))[:, None] + half[:, None] * x
-            wt = half[:, None] * wg
-        f = overlap(z)
-        if absorbed != 2:
-            f = f * np.abs(z) ** a2
-        if absorbed != 3:
-            f = f * np.abs(z - c[:, None]) ** a3
-        part = (wt * f).sum(axis=1)
-        acc += np.where(hp > 0.0, part, 0.0)
-    return acc
-
-
-def _axis_rule(cfg, alpha_lo=None, alpha_hi=None):
+@functools.lru_cache(maxsize=256)
+def _graded_rule(n_lo: int, n_hi: int, ratio: float, order: int,
+                 alpha_lo=None, alpha_hi=None):
     """Composite rule on (0,1) with the edge powers folded into the weights.
 
-    Approximates int_0^1 x^alpha_lo (1-x)^alpha_hi f(x) dx as sum(w f(x)).
-    Corner panels absorb their own edge power through a Jacobi rule; the
-    opposite edge power, being smooth there, is evaluated explicitly.
+    Approximates int_0^1 x^alpha_lo (1-x)^alpha_hi f(x) dx as sum(w f(x));
+    None means no power at that edge.  n_lo panels shrink geometrically
+    by `ratio` from 1/2 into 0 and n_hi into 1.  A corner panel absorbs
+    its own edge power through a Jacobi rule; every other power is
+    evaluated explicitly.  Nodes are built as distances from their own
+    edge, so the returned (x, 1 - x, w) keeps both x and 1 - x accurate.
     """
-    edges_lo = [0.5 * cfg.outer_ratio ** (cfg.outer_lo - 1 - k) for k in range(cfg.outer_lo)]
-    edges_hi = [1.0 - 0.5 * cfg.outer_ratio ** (cfg.outer_hi - 1 - k) for k in range(cfg.outer_hi)]
-    edges = [0.0] + edges_lo + sorted(edges_hi) + [1.0]
-    # drop a duplicated midpoint if both sides meet exactly at 0.5
-    cleaned = [edges[0]]
-    for v in edges[1:]:
-        if v > cleaned[-1]:
-            cleaned.append(v)
-    edges = np.asarray(cleaned)
-    nodes, weights = [], []
-    last = len(edges) - 2
-    for k in range(last + 1):
-        p0, p1 = edges[k], edges[k + 1]
-        hp = p1 - p0
-        half = 0.5 * hp
-        if k == 0 and alpha_lo is not None:
-            x, wj = _rule_jacobi(cfg.order, alpha_lo)
-            xs = p0 + half * (1.0 + x)
-            ws = half ** (alpha_lo + 1.0) * wj
-            if alpha_hi is not None:
-                ws = ws * (1.0 - xs) ** alpha_hi
-        elif k == last and alpha_hi is not None:
-            x, wj = _rule_jacobi(cfg.order, alpha_hi)
-            xs = p1 - half * (1.0 + x)
-            ws = half ** (alpha_hi + 1.0) * wj
-            if alpha_lo is not None:
-                ws = ws * xs ** alpha_lo
-        else:
-            x, wg = _rule_gl(cfg.order)
-            xs = p0 + half * (1.0 + x)
-            ws = half * wg
-            if alpha_lo is not None:
-                ws = ws * xs ** alpha_lo
-            if alpha_hi is not None:
-                ws = ws * (1.0 - xs) ** alpha_hi
-        nodes.append(xs)
-        weights.append(ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    xg, wg = _rule_gl(order)
+    sides = []
+    for n, own, other in ((n_lo, alpha_lo, alpha_hi), (n_hi, alpha_hi, alpha_lo)):
+        edges = np.concatenate(([0.0], 0.5 * ratio ** np.arange(n - 1, -1, -1.0)))
+        half = 0.5 * np.diff(edges)[:, None]
+        d = edges[:-1, None] + half * (1.0 + xg)
+        w = half * wg
+        if own is not None:
+            xj, wj = _rule_jacobi(order, own)
+            d[0] = half[0] * (1.0 + xj)
+            w[0] = half[0] ** (own + 1.0) * wj
+            w[1:] *= d[1:] ** own
+        d, w = d.ravel(), w.ravel()
+        if other is not None:
+            w = w * (1.0 - d) ** other
+        sides.append((d, w))
+    (d_lo, w_lo), (d_hi, w_hi) = sides
+    rule = (
+        np.concatenate((d_lo, 1.0 - d_hi)),
+        np.concatenate((1.0 - d_lo, d_hi)),
+        np.concatenate((w_lo, w_hi)),
+    )
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
-def _pair_grid(x1, w1, x2, w2):
+def _segment(h, len0, len1, alpha_lo, alpha_hi, cfg, below=(), above=()) -> np.ndarray:
+    """One gap segment of width h, integrated in its local coordinate f.
+
+    The overlap length is len0 + (len1 - len0) f.  A power whose singular
+    point sits at the low (high) end is h^alpha f^alpha (h^alpha (1-f)^alpha);
+    alpha_lo (alpha_hi) names it and its f-part lives in the cached
+    weights.  Every other power comes as a pair (off, alpha): its singular
+    point lies off below the low end, giving (off + h f)^alpha, or off
+    above the high end, giving (off + h (1-f))^alpha.  No absolute
+    coordinates are differenced, so narrow segments stay finite.
+    """
+    x, xc, w = _graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha_lo, alpha_hi)
+    moments = np.stack((w, w * x), axis=1)
+    if below or above:
+        # the power table is exp(sum alpha log(off + h node)), built in place
+        table, base = np.zeros((len(h), len(x))), np.empty((len(h), len(x)))
+        for nodes, factors in ((x, below), (xc, above)):
+            for off, alpha in factors:
+                np.multiply.outer(h, nodes, out=base)
+                base += off[:, None]
+                np.log(base, out=base)
+                base *= alpha
+                table += base
+        s0, s1 = (np.exp(table, out=table) @ moments).T
+    else:
+        s0, s1 = moments.sum(axis=0)
+    power = 1.0 + (alpha_lo or 0.0) + (alpha_hi or 0.0)
+    return h ** power * (len0 * s0 + (len1 - len0) * s1)
+
+
+def _gap_same(u, uc, tc, a2, a3, cfg) -> np.ndarray:
+    """Overlap integral for same-orientation gaps u and w = u t < u.
+
+    The a3 point z = w - u and the a2 point z = 0 split (w - 1, 1 - u)
+    into three segments.  The other triangle, w > u, is the mirror image
+    z -> (w - u) - z of this one with a2 and a3 swapped.
+    """
+    d = u * tc  # u - w
+    return (
+        _segment(uc, 0.0, uc, None, a3, cfg, above=((d, a2),))
+        + _segment(d, uc, uc, a3, a2, cfg)
+        + _segment(uc, uc, 0.0, a2, None, cfg, below=((d, a3),))
+    )
+
+
+def _gap_opposed_inner(u, uc, v, vc, a2, a3, cfg) -> np.ndarray:
+    """Overlap integral for opposed gaps u and w = (1 - u) v, so u + w < 1.
+
+    Both singular points, z = -(u + w) and z = 0, lie inside (-1, 1-u-w);
+    the kinks of the length factor at -max(u,w) and -min(u,w) make five
+    segments.
+    """
+    w = uc * v
+    span = uc * vc  # 1 - u - w
+    shorter, longer, total = np.minimum(u, w), np.maximum(u, w), u + w
+    end = span + shorter  # 1 - max(u, w)
+    return (
+        _segment(span, 0.0, span, None, a3, cfg, above=((total, a2),))
+        + _segment(shorter, span, end, a3, None, cfg, above=((longer, a2),))
+        + _segment(longer - shorter, end, end, None, None, cfg,
+                   below=((shorter, a3),), above=((shorter, a2),))
+        + _segment(shorter, end, span, None, a2, cfg, below=((longer, a3),))
+        + _segment(span, span, 0.0, a2, None, cfg, below=((total, a3),))
+    )
+
+
+def _gap_opposed_outer(u, uc, v, vc, a2, a3, cfg) -> np.ndarray:
+    """Overlap integral for opposed gaps u and w = 1 - u v, so u + w > 1.
+
+    The a3 point z = -(u + w) has left the window (-1, 1-u-w), u(1-v)
+    below it; three graded segments between the kinks remain.
+    """
+    w = uc + u * vc
+    shorter, longer = np.minimum(u, w), np.maximum(u, w)
+    end = np.minimum(uc, u * v)  # 1 - max(u, w)
+    excess = u * vc  # u + w - 1
+    return (
+        _segment(end, 0.0, end, None, None, cfg, below=((excess, a3),), above=((longer, a2),))
+        + _segment(longer - shorter, end, end, None, None, cfg,
+                   below=((shorter, a3),), above=((shorter, a2),))
+        + _segment(end, end, 0.0, None, None, cfg, below=((longer, a3),), above=((excess, a2),))
+    )
+
+
+def _outer_rule(cfg, alpha_lo=None, alpha_hi=None):
+    return _graded_rule(cfg.outer_lo, cfg.outer_hi, cfg.outer_ratio, cfg.order, alpha_lo, alpha_hi)
+
+
+def _tensor_sum(gap, rule_1, rule_2, cfg) -> float:
+    """Sum of gap(x1, 1-x1, x2, 1-x2) over the tensor grid of two rules.
+
+    Cells go through `gap` in blocks of fixed size, and the weighted sum
+    runs once over the full array in a fixed order.
+    """
+    x1, c1, w1 = rule_1
+    x2, c2, w2 = rule_2
     n1, n2 = len(x1), len(x2)
-    a = np.repeat(x1, n2)
-    b = np.tile(x2, n1)
-    w = np.multiply.outer(w1, w2).ravel()
-    return a, b, w
-
-
-def _gap_overlap_same(u, w):
-    """Length factor for gaps of the same orientation."""
-    def overlap(z):
-        val = np.minimum((1.0 - u)[:, None], z + (1.0 - w)[:, None]) - np.maximum(0.0, z)
-        return np.maximum(val, 0.0)
-    return overlap
-
-
-def _gap_overlap_opposed(u, w):
-    """Length factor for gaps of opposed orientation."""
-    def overlap(z):
-        val = np.minimum((1.0 - u)[:, None], z + 1.0) - np.maximum(0.0, z + w[:, None])
-        return np.maximum(val, 0.0)
-    return overlap
-
-
-def _gap_integral_same(u, w, a2, a3, cfg) -> np.ndarray:
-    """Overlap integral for same-orientation gaps u, w (elementwise batch)."""
-    c = w - u
-    lo = -(1.0 - w)
-    hi = 1.0 - u
-    zero = np.zeros_like(u)
-    overlap = _gap_overlap_same(u, w)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if np.all(c <= 0.0):
-            segs = ((lo, c, None, 3), (c, zero, 3, 2), (zero, hi, 2, None))
-        elif np.all(c >= 0.0):
-            segs = ((lo, zero, None, 2), (zero, c, 2, 3), (c, hi, 3, None))
-        else:
-            raise InvalidInputError("batch mixes gap orderings")
-        out = np.zeros_like(u)
-        for e0, e1, alo, ahi in segs:
-            out += _segment_contrib(e0, e1, alo, ahi, a2, a3, c, overlap, cfg)
-    return out
-
-
-def _gap_integral_opposed(u, w, a2, a3, cfg) -> np.ndarray:
-    """Overlap integral for opposed-orientation gaps (two layout regimes)."""
-    c = -(u + w)
-    hi = 1.0 - u - w
-    lo = np.full_like(u, -1.0)
-    overlap = _gap_overlap_opposed(u, w)
-    hi_max = -np.maximum(u, w)
-    hi_min = -np.minimum(u, w)
-    zero = np.zeros_like(u)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = np.zeros_like(u)
-        if np.all(u + w < 1.0):
-            # both singular points interior: five segments, four absorbed corners
-            segs = (
-                (lo, c, None, 3),
-                (c, hi_max, 3, None),
-                (hi_max, hi_min, None, None),
-                (hi_min, zero, None, 2),
-                (zero, hi, 2, None),
-            )
-        elif np.all(u + w >= 1.0):
-            # singular points outside the window: graded ends, no absorption
-            segs = (
-                (lo, hi_max, None, None),
-                (hi_max, hi_min, None, None),
-                (hi_min, hi, None, None),
-            )
-        else:
-            raise InvalidInputError("batch mixes overlap regimes")
-        for e0, e1, alo, ahi in segs:
-            out += _segment_contrib(e0, e1, alo, ahi, a2, a3, c, overlap, cfg)
-    return out
+    cols = (np.repeat(x1, n2), np.repeat(c1, n2), np.tile(x2, n1), np.tile(c2, n1))
+    wgt = np.multiply.outer(w1, w2).ravel()
+    vals = np.empty_like(wgt)
+    step = max(1, _BLOCK // (2 * cfg.z_side * cfg.order))
+    for i in range(0, len(wgt), step):
+        vals[i:i + step] = gap(*(col[i:i + step] for col in cols))
+    return float(np.sum(wgt * vals))
 
 
 def _cycle_same_orientation(a1, a2, a3, cfg, exploit_symmetry=True) -> float:
     """Integral of u^a1 w^a1 G(u,w) over the unit square, same orientation.
 
     The integrand is symmetric in (u, w); the collapsed triangle doubles
-    unless the caller wants both triangles evaluated independently.
+    unless the caller wants both triangles evaluated.  The triangle w > u
+    (w - u > 0) runs through _gap_same's mirror image of its gap integral.
     """
-    xu, wu = _axis_rule(cfg, alpha_lo=2.0 * a1 + 1.0)
-    xt, wt = _axis_rule(cfg, alpha_lo=a1)
-    u, t, wgt = _pair_grid(xu, wu, xt, wt)
-    lower = float(np.sum(wgt * _gap_integral_same(u, u * t, a2, a3, cfg)))
+    rules = _outer_rule(cfg, 2.0 * a1 + 1.0), _outer_rule(cfg, a1)
+    lower = _tensor_sum(lambda u, uc, t, tc: _gap_same(u, uc, tc, a2, a3, cfg), *rules, cfg)
     if exploit_symmetry:
         return 2.0 * lower
-    upper = float(np.sum(wgt * _gap_integral_same(u * t, u, a2, a3, cfg)))
-    return lower + upper
+    return lower + _tensor_sum(lambda u, uc, t, tc: _gap_same(u, uc, tc, a3, a2, cfg), *rules, cfg)
 
 
 def _cycle_opposed_orientation(a1, a2, a3, cfg) -> float:
@@ -532,19 +513,20 @@ def _cycle_opposed_orientation(a1, a2, a3, cfg) -> float:
 
     Split along u + w = 1, where the short-gap singular point leaves the
     overlap window; each side maps onto the unit square with the kink on
-    an edge.
+    an edge, so the regime of a cell is fixed by its parametrization.
     """
-    # u + w < 1: w = (1-u) v
-    xu, wu = _axis_rule(cfg, alpha_lo=a1, alpha_hi=a1 + 1.0)
-    xv, wv = _axis_rule(cfg, alpha_lo=a1)
-    u, v, wgt = _pair_grid(xu, wu, xv, wv)
-    inner = float(np.sum(wgt * _gap_integral_opposed(u, (1.0 - u) * v, a2, a3, cfg)))
-    # u + w > 1: w = 1 - u v'
-    xu2, wu2 = _axis_rule(cfg, alpha_lo=a1 + 1.0)
-    xv2, wv2 = _axis_rule(cfg)
-    u2, v2, wgt2 = _pair_grid(xu2, wu2, xv2, wv2)
-    w2 = 1.0 - u2 * v2
-    outer = float(np.sum(wgt2 * w2 ** a1 * _gap_integral_opposed(u2, w2, a2, a3, cfg)))
+    inner = _tensor_sum(
+        lambda u, uc, v, vc: _gap_opposed_inner(u, uc, v, vc, a2, a3, cfg),
+        _outer_rule(cfg, a1, a1 + 1.0),
+        _outer_rule(cfg, a1),
+        cfg,
+    )
+    outer = _tensor_sum(
+        lambda u, uc, v, vc: (uc + u * vc) ** a1 * _gap_opposed_outer(u, uc, v, vc, a2, a3, cfg),
+        _outer_rule(cfg, a1 + 1.0),
+        _outer_rule(cfg),
+        cfg,
+    )
     return inner + outer
 
 
@@ -552,7 +534,14 @@ def phi_cycle_integral(factors: PhiFactors, *, exploit_symmetry: bool = True,
                        mesh_scale: float = 1.0) -> float:
     """The bare cycle integral of phi1 phi1 phi2 phi3 over [0,1]^4.
 
-    No normalizing constant is applied; divergent exponents raise.
+    No normalizing constant is applied; divergent exponents raise
+    DivergentIntegralError and a non-finite result QuadratureError.
+
+    Known gap: for the empty matching (r = 0) the same-orientation
+    segment between the two singular points carries (u(1-t))^(1+a2+a3),
+    whose (1-t) part no weight absorbs at t -> 1; at gamma = (-0.7, -0.65)
+    this path is off by 4.5e-4 relative.  contraction_norm_sq uses the
+    closed form for r = 0 instead.
     """
     _check_integrable(factors)
     cfg = _DEFAULT_MESH.scaled(mesh_scale)
@@ -560,7 +549,13 @@ def phi_cycle_integral(factors: PhiFactors, *, exploit_symmetry: bool = True,
     j_same = _cycle_same_orientation(a1, a2, a3, cfg, exploit_symmetry=exploit_symmetry)
     j_opp = _cycle_opposed_orientation(a1, a2, a3, cfg)
     cp, cm = factors.c_plus, factors.c_minus
-    return factors.b2 * factors.b3 * ((cp * cp + cm * cm) * j_same + 2.0 * cp * cm * j_opp)
+    value = factors.b2 * factors.b3 * ((cp * cp + cm * cm) * j_same + 2.0 * cp * cm * j_opp)
+    if not math.isfinite(value):
+        raise QuadratureError(
+            f"cycle quadrature gave {value!r} for exponents "
+            f"({a1:.6g}, {a2:.6g}, {a3:.6g}) at mesh_scale={mesh_scale}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -751,73 +746,43 @@ def condition_i_indicator_norm(gamma, a: float, b: float, *,
     p = g[0] + 1.0
 
     def window(s):
-        out = np.zeros_like(s)
-        da = s - a
-        db = s - b
-        out = np.where(da > 0, np.where(da > 0, da, 1.0) ** p, 0.0)
-        out = out - np.where(db > 0, np.where(db > 0, db, 1.0) ** p, 0.0)
-        return out / p
+        return (np.maximum(s - a, 0.0) ** p - np.maximum(s - b, 0.0) ** p) / p
 
-    def correlation(z: float) -> float:
-        # int T(s) T(s-z) ds over the overlap of (0,1) and (z, 1+z)
-        lo = max(0.0, z)
-        hi = min(1.0, 1.0 + z)
-        if hi <= lo:
-            return 0.0
-        cuts = {lo, hi}
-        for point in (a, b, a + z, b + z):
-            if lo < point < hi:
-                cuts.add(point)
-        edges = sorted(cuts)
-        fr = _graded_fractions(cfg.z_side, cfg.z_ratio)
-        xg, wg = _rule_gl(cfg.order)
-        total = 0.0
-        for e0, e1 in zip(edges, edges[1:]):
-            seg = e1 - e0
-            sub = e0 + seg * fr
-            mids = 0.5 * (sub[:-1] + sub[1:])
-            halves = 0.5 * np.diff(sub)
-            s = mids[:, None] + halves[:, None] * xg
-            vals = window(s) * window(s - z)
-            total += float(np.sum(halves[:, None] * wg * vals))
-        return total
-
-    # gap integral over z in (-1, 1) with an even power weight at 0 and
-    # window-width kinks at +-(b - a)
+    # The gap integral over z in (-1, 1) has an even power weight at 0 and
+    # window-width kinks at +-(b - a).  The correlation int T(s) T(s-z) ds
+    # is even in z and the graded rule mirrors, so z in (0, 1) is doubled.
     width = b - a
-    cuts = [-1.0, 0.0, 1.0]
-    for point in (-width, width):
-        if -1.0 < point < 1.0 and point != 0.0:
-            cuts.append(point)
-    edges = sorted(set(cuts))
-    fr = _graded_fractions(cfg.z_side, cfg.z_ratio)
-    double_integral = 0.0
-    for e0, e1 in zip(edges, edges[1:]):
-        seg = e1 - e0
-        sub = e0 + seg * fr
-        for k in range(len(sub) - 1):
-            p0, p1 = sub[k], sub[k + 1]
-            half = 0.5 * (p1 - p0)
-            if half <= 0:
-                continue
-            if p1 <= 0.0 and k == len(sub) - 2 and e1 == 0.0:
-                x, wj = _rule_jacobi(cfg.order, beta_exp)
-                zs = p1 - half * (1.0 + x)
-                ws = half ** (beta_exp + 1.0) * wj
-                weighted = ws
-            elif p0 >= 0.0 and k == 0 and e0 == 0.0:
-                x, wj = _rule_jacobi(cfg.order, beta_exp)
-                zs = p0 + half * (1.0 + x)
-                ws = half ** (beta_exp + 1.0) * wj
-                weighted = ws
-            else:
-                x, wg = _rule_gl(cfg.order)
-                zs = 0.5 * (p0 + p1) + half * x
-                ws = half * wg
-                weighted = ws * np.abs(zs) ** beta_exp
-            double_integral += float(
-                np.sum(weighted * np.asarray([correlation(z) for z in zs]))
-            )
+    z_pieces = [(0.0, min(width, 1.0), beta_exp)]
+    if width < 1.0:
+        z_pieces.append((width, 1.0, None))
+    zs, wz = [], []
+    for e0, e1, alpha in z_pieces:
+        x, _, w = _graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha)
+        h = e1 - e0
+        zs.append(e0 + h * x)
+        # explicit |z|^beta only on the piece away from z = 0
+        wz.append(h * w * zs[-1] ** beta_exp if alpha is None else h ** (1.0 + beta_exp) * w)
+    z = np.concatenate(zs)
+    x, _, w = _graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order)
+
+    def correlation(zb):
+        # int T(s) T(s-z) ds over (z, 1), cut at the kinks a, b, a+z, b+z
+        # of the two window factors; kinks outside give zero-width pieces
+        kinks = np.stack(np.broadcast_arrays(a, b, a + zb, b + zb), axis=1)
+        edges = np.column_stack([zb, np.sort(np.clip(kinks, zb[:, None], 1.0), axis=1), np.ones_like(zb)])
+        h = np.diff(edges, axis=1)[:, :, None]
+        s = edges[:, :-1, None] + h * x
+        return np.sum(h * w * window(s) * window(s - zb[:, None, None]), axis=(1, 2))
+
+    # z in blocks, so that the (z x pieces x nodes) tables stay as small
+    # as the cycle's power tables
+    step = max(1, _BLOCK // (5 * len(x)))
+    corr = np.concatenate([correlation(z[i:i + step]) for i in range(0, len(z), step)])
+    double_integral = 2.0 * float(np.sum(np.concatenate(wz) * corr))
+    if not math.isfinite(double_integral):
+        raise QuadratureError(
+            f"indicator quadrature gave {double_integral!r} at mesh_scale={mesh_scale}"
+        )
 
     amp_sq = normalizing_constant_sq(g)
     coeff = math.exp(sum(log_beta(gj + 1.0, -2.0 * gj - 1.0) for gj in g[1:]))

@@ -30,6 +30,10 @@ class DivergentIntegralError(RosenblattError):
         self.exponents = dict(exponents) if exponents else {}
 
 
+class QuadratureError(RosenblattError):
+    """A quadrature produced a non-finite value for integrable input."""
+
+
 class PathInfeasibleError(RosenblattError):
     """A boundary-path step would leave the admissible region."""
 
