@@ -1,15 +1,13 @@
 """Generalized Rosenblatt process toolkit.
 
 Kernels and their exact normalizing constant, discretized multiple
-Wiener-Ito integral sampling with exact small-instance oracles,
-contraction integrals, and the statistical experiments for the two
-boundary limit theorems.
+Wiener-Ito integral sampling with exact small-instance oracles, and the
+contraction integrals behind the two boundary limit theorems.
 """
 from .domain import BoundaryPath, DomainReport, Face, GammaVector, path_points, validate
 from .errors import (
     DivergentIntegralError,
     DomainError,
-    FitError,
     GridTooSmallError,
     InvalidInputError,
     PathInfeasibleError,
@@ -95,5 +93,4 @@ __all__ = [
     "PathInfeasibleError",
     "QuadratureError",
     "GridTooSmallError",
-    "FitError",
 ]

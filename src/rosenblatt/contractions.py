@@ -24,31 +24,29 @@ singular point sits at a segment end is h^alpha f^alpha; every other
 power is (off + h f)^alpha with the offset taken exactly from the cell's
 parametrization, so no distance is a difference of absolute coordinates.
 
-One cached graded rule, `_graded_rule`, serves every axis: panel chains
-shrink geometrically into both ends, the corner panels use Gauss-Jacobi
-rules that absorb the end power exactly, and the f-part of every end
-power is folded into the weights (Schwab, Computing 53, 1994).  The
-inner sums over a block of cells are one product of a (cells x nodes)
-power table with the cached weights.  Cells run in fixed-size blocks
-and every sum runs over fixed-shape arrays in a fixed order, so repeated
-evaluations are bit-identical.
+The package's cached graded rule, `quadrature.graded_rule`, serves every
+axis: panel chains shrink geometrically into both ends, the corner panels
+use Gauss-Jacobi rules that absorb the end power exactly, and the f-part
+of every end power is folded into the weights.  The inner sums over a
+block of cells are one product of a (cells x nodes) power table with the
+cached weights.  Cells run in fixed-size blocks and every sum runs over
+fixed-shape arrays in a fixed order, so repeated evaluations are
+bit-identical.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy import special as sp
 
 from .domain import BoundaryPath, Face, GammaVector, path_points
 from .errors import DivergentIntegralError, InvalidInputError, QuadratureError, SizeError
 from .kernel import MAX_ORDER, normalizing_constant_sq
-from .special import log_beta
+from .quadrature import graded_rule
+from .special import pairing_weights
 
 __all__ = [
     "ContractionSpec",
@@ -183,7 +181,7 @@ def specs_to_json(specs, path=None) -> str:
 
 @dataclass(eq=False)
 class PhiFactors:
-    """The three bivariate factors of the cycle integrand.
+    """Exponents and coefficients of the three bivariate cycle factors.
 
     phi1 couples the matched pairs: a one-sided power of the gap in each
     direction, with direction-dependent Beta coefficients c_plus and
@@ -199,9 +197,6 @@ class PhiFactors:
     c_minus: float
     b2: float
     b3: float
-    phi1: Callable
-    phi2: Callable
-    phi3: Callable
     gamma: tuple
     spec: ContractionSpec
 
@@ -244,31 +239,9 @@ def phi_factors(gamma, spec: ContractionSpec) -> PhiFactors:
     a2 = 2.0 * sum(g[j - 1] for j in rest_first) + (spec.q - spec.r)
     a3 = 2.0 * sum(g[k - 1] for k in rest_second) + (spec.m - spec.r)
 
-    c_plus = math.exp(
-        sum(log_beta(g[i - 1] + 1.0, -g[i - 1] - g[j - 1] - 1.0) for i, j in pairs)
-    )
-    c_minus = math.exp(
-        sum(log_beta(g[j - 1] + 1.0, -g[i - 1] - g[j - 1] - 1.0) for i, j in pairs)
-    )
-    b2 = math.exp(sum(log_beta(g[j - 1] + 1.0, -2.0 * g[j - 1] - 1.0) for j in rest_first))
-    b3 = math.exp(sum(log_beta(g[k - 1] + 1.0, -2.0 * g[k - 1] - 1.0) for k in rest_second))
-
-    def phi1(s1, s2):
-        d = np.asarray(s2, dtype=float) - np.asarray(s1, dtype=float)
-        out = np.zeros_like(d, dtype=float)
-        pos = d > 0
-        neg = d < 0
-        out = np.where(pos, c_plus * np.where(pos, d, 1.0) ** a1, out)
-        out = np.where(neg, c_minus * np.where(neg, -d, 1.0) ** a1, out)
-        return out
-
-    def phi2(s1, s3):
-        d = np.abs(np.asarray(s3, dtype=float) - np.asarray(s1, dtype=float))
-        return b2 * np.where(d > 0, d, np.nan) ** a2 if a2 != 0.0 else b2 * np.ones_like(d)
-
-    def phi3(s2, s4):
-        d = np.abs(np.asarray(s4, dtype=float) - np.asarray(s2, dtype=float))
-        return b3 * np.where(d > 0, d, np.nan) ** a3 if a3 != 0.0 else b3 * np.ones_like(d)
+    c_plus, c_minus = pairing_weights(g, [(i - 1, j - 1) for i, j in pairs])
+    b2, _ = pairing_weights(g, [(j - 1, j - 1) for j in rest_first])
+    b3, _ = pairing_weights(g, [(k - 1, k - 1) for k in rest_second])
 
     return PhiFactors(
         alpha1=a1,
@@ -278,9 +251,6 @@ def phi_factors(gamma, spec: ContractionSpec) -> PhiFactors:
         c_minus=c_minus,
         b2=b2,
         b3=b3,
-        phi1=phi1,
-        phi2=phi2,
-        phi3=phi3,
         gamma=g,
         spec=spec,
     )
@@ -336,58 +306,6 @@ _DEFAULT_MESH = _MeshConfig()
 _BLOCK = 1 << 14
 
 
-@functools.lru_cache(maxsize=64)
-def _rule_gl(p: int):
-    x, w = sp.roots_legendre(p)
-    return x, w
-
-
-@functools.lru_cache(maxsize=512)
-def _rule_jacobi(p: int, exponent: float):
-    # weight (1+x)^exponent on [-1, 1]; exponent 0 degenerates to Legendre
-    x, w = sp.roots_jacobi(p, 0.0, exponent)
-    return x, w
-
-
-@functools.lru_cache(maxsize=256)
-def _graded_rule(n_lo: int, n_hi: int, ratio: float, order: int,
-                 alpha_lo=None, alpha_hi=None):
-    """Composite rule on (0,1) with the edge powers folded into the weights.
-
-    Approximates int_0^1 x^alpha_lo (1-x)^alpha_hi f(x) dx as sum(w f(x));
-    None means no power at that edge.  n_lo panels shrink geometrically
-    by `ratio` from 1/2 into 0 and n_hi into 1.  A corner panel absorbs
-    its own edge power through a Jacobi rule; every other power is
-    evaluated explicitly.  Nodes are built as distances from their own
-    edge, so the returned (x, 1 - x, w) keeps both x and 1 - x accurate.
-    """
-    xg, wg = _rule_gl(order)
-    sides = []
-    for n, own, other in ((n_lo, alpha_lo, alpha_hi), (n_hi, alpha_hi, alpha_lo)):
-        edges = np.concatenate(([0.0], 0.5 * ratio ** np.arange(n - 1, -1, -1.0)))
-        half = 0.5 * np.diff(edges)[:, None]
-        d = edges[:-1, None] + half * (1.0 + xg)
-        w = half * wg
-        if own is not None:
-            xj, wj = _rule_jacobi(order, own)
-            d[0] = half[0] * (1.0 + xj)
-            w[0] = half[0] ** (own + 1.0) * wj
-            w[1:] *= d[1:] ** own
-        d, w = d.ravel(), w.ravel()
-        if other is not None:
-            w = w * (1.0 - d) ** other
-        sides.append((d, w))
-    (d_lo, w_lo), (d_hi, w_hi) = sides
-    rule = (
-        np.concatenate((d_lo, 1.0 - d_hi)),
-        np.concatenate((1.0 - d_lo, d_hi)),
-        np.concatenate((w_lo, w_hi)),
-    )
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
-
-
 def _segment(h, len0, len1, alpha_lo, alpha_hi, cfg, below=(), above=()) -> np.ndarray:
     """One gap segment of width h, integrated in its local coordinate f.
 
@@ -399,7 +317,7 @@ def _segment(h, len0, len1, alpha_lo, alpha_hi, cfg, below=(), above=()) -> np.n
     above the high end, giving (off + h (1-f))^alpha.  No absolute
     coordinates are differenced, so narrow segments stay finite.
     """
-    x, xc, w = _graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha_lo, alpha_hi)
+    x, xc, w = graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha_lo, alpha_hi)
     moments = np.stack((w, w * x), axis=1)
     if below or above:
         # the power table is exp(sum alpha log(off + h node)), built in place
@@ -473,7 +391,7 @@ def _gap_opposed_outer(u, uc, v, vc, a2, a3, cfg) -> np.ndarray:
 
 
 def _outer_rule(cfg, alpha_lo=None, alpha_hi=None):
-    return _graded_rule(cfg.outer_lo, cfg.outer_hi, cfg.outer_ratio, cfg.order, alpha_lo, alpha_hi)
+    return graded_rule(cfg.outer_lo, cfg.outer_hi, cfg.outer_ratio, cfg.order, alpha_lo, alpha_hi)
 
 
 def _tensor_sum(gap, rule_1, rule_2, cfg) -> float:
@@ -757,13 +675,13 @@ def condition_i_indicator_norm(gamma, a: float, b: float, *,
         z_pieces.append((width, 1.0, None))
     zs, wz = [], []
     for e0, e1, alpha in z_pieces:
-        x, _, w = _graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha)
+        x, _, w = graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha)
         h = e1 - e0
         zs.append(e0 + h * x)
         # explicit |z|^beta only on the piece away from z = 0
         wz.append(h * w * zs[-1] ** beta_exp if alpha is None else h ** (1.0 + beta_exp) * w)
     z = np.concatenate(zs)
-    x, _, w = _graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order)
+    x, _, w = graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order)
 
     def correlation(zb):
         # int T(s) T(s-z) ds over (z, 1), cut at the kinks a, b, a+z, b+z
@@ -785,5 +703,5 @@ def condition_i_indicator_norm(gamma, a: float, b: float, *,
         )
 
     amp_sq = normalizing_constant_sq(g)
-    coeff = math.exp(sum(log_beta(gj + 1.0, -2.0 * gj - 1.0) for gj in g[1:]))
+    coeff, _ = pairing_weights(g, [(j, j) for j in range(1, len(g))])
     return math.sqrt(amp_sq * coeff * double_integral)

@@ -48,7 +48,3 @@ class GridTooSmallError(RosenblattError):
     def __init__(self, message: str, required_window: float | None = None):
         super().__init__(message)
         self.required_window = required_window
-
-
-class FitError(RosenblattError):
-    """Degenerate input to a regression (zero spread, identical points)."""

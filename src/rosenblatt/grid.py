@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import GridTooSmallError, InvalidInputError
 from .kernel import KernelSpec
-from .special import log_beta
+from .quadrature import gauss_legendre
+from .special import pairing_weights
 
 __all__ = [
     "GridSpec",
@@ -89,25 +89,13 @@ def s_rule(a: float, b: float, panels: int, order: int):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     if not b > a:
         raise InvalidInputError(f"empty s-interval [{a}, {b}]")
-    xi, wi = sp.roots_legendre(order)
+    xi, wi = gauss_legendre(order)
     edges = np.linspace(a, b, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     nodes = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
     weights = (half[:, None] * wi[None, :]).ravel()
     return nodes, weights
-
-
-def _pair_term(g: tuple, sigma, skip: int | None):
-    """log of prod_{j != skip} B(g_j+1, -g_j-g_sigma(j)-1) and the exponent sum."""
-    logs = 0.0
-    alpha = 0.0
-    for j in range(len(g)):
-        if j == skip:
-            continue
-        logs += log_beta(g[j] + 1.0, -g[j] - g[sigma[j]] - 1.0)
-        alpha += 1.0 + g[j] + g[sigma[j]]
-    return logs, alpha
 
 
 def tail_fraction(gamma, window: float, horizon: float = 1.0) -> float:
@@ -127,20 +115,17 @@ def tail_fraction(gamma, window: float, horizon: float = 1.0) -> float:
     total = 0.0
     tail = 0.0
     for sigma in itertools.permutations(range(q)):
-        inv = tuple(sigma.index(j) for j in range(q))
-        log_c, alpha = _pair_term(g, sigma, None)
+        pairs = tuple(zip(range(q), sigma))
+        alpha = sum(1.0 + g[i] + g[j] for i, j in pairs)
         # both orientations of the double integral carry the same exponent
-        log_cm, _ = _pair_term(g, inv, None)
-        full = (math.exp(log_c) + math.exp(log_cm)) / ((alpha + 1.0) * (alpha + 2.0))
+        full = sum(pairing_weights(g, pairs)) / ((alpha + 1.0) * (alpha + 2.0))
         total += full * t ** (alpha + 2.0)
-        for i in range(q):
-            a_i = 1.0 + g[i] + g[sigma[i]]
+        for i, j in pairs:
+            a_i = 1.0 + g[i] + g[j]
             tail_i = window**a_i / (-a_i)
-            log_rest, alpha_rest = _pair_term(g, sigma, i)
-            log_rest_m, _ = _pair_term(g, inv, sigma[i])
-            rest = (math.exp(log_rest) + math.exp(log_rest_m)) / (
-                (alpha_rest + 1.0) * (alpha_rest + 2.0)
-            )
+            others = pairs[:i] + pairs[i + 1:]
+            alpha_rest = sum(1.0 + g[k] + g[m] for k, m in others)
+            rest = sum(pairing_weights(g, others)) / ((alpha_rest + 1.0) * (alpha_rest + 2.0))
             tail += tail_i * rest * t ** (alpha_rest + 2.0)
     return min(tail / total, 1.0)
 
@@ -148,6 +133,8 @@ def tail_fraction(gamma, window: float, horizon: float = 1.0) -> float:
 def required_window(gamma, tolerance: float, horizon: float = 1.0, cap: float = FAR_CAP) -> float:
     """Smallest window with estimated tail fraction <= tolerance.
 
+    Bisects the log-window, on which the fraction is monotone, until the
+    midpoint no longer moves (about 60 steps), and returns the upper end.
     Returns inf when even the cap misses the tolerance (near-face
     exponents make the requirement leave the float64 range).
     """
@@ -156,8 +143,7 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0, cap: float = 
     if tail_fraction(gamma, cap, horizon) > tolerance:
         return math.inf
     lo, hi = math.log(max(horizon, 1e-6)), math.log(cap)
-    for _ in range(200):  # log-window bisection; fraction is monotone
-        mid = (lo + hi) / 2.0
+    while lo < (mid := (lo + hi) / 2.0) < hi:
         if tail_fraction(gamma, math.exp(mid), horizon) > tolerance:
             lo = mid
         else:

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy import special as sp
 
 from .domain import GammaVector, validate
 from .errors import DomainError, InvalidInputError, SizeError
-from .special import log_beta
+from .quadrature import graded_rule
+from .special import pairing_weights
 
 __all__ = [
     "MAX_ORDER",
@@ -65,9 +65,7 @@ def normalizing_constant_sq(gamma) -> float:
     gb = gamma.gamma_bar
     denom = 0.0
     for sigma in itertools.permutations(range(q)):
-        denom += math.exp(
-            sum(log_beta(g[j] + 1.0, -g[j] - g[sigma[j]] - 1.0) for j in range(q))
-        )
+        denom += pairing_weights(g, zip(range(q), sigma))[0]
     return (2.0 * gb + q + 1.0) * (2.0 * gb + q + 2.0) / (2.0 * denom)
 
 
@@ -104,38 +102,14 @@ class KernelSpec:
         return cls(GammaVector(tuple(data["gamma"])), data["t"], data.get("A"))
 
 
-def _graded_rule(s0: float, t: float, g_sing: float, n_first: int, gl_order: int, octaves: int):
-    """Nodes and weights for int_{s0}^t F(s) (s-s0)^g_sing ds.
-
-    First panel carries the power weight through a Gauss-Jacobi rule; the
-    rest of the range is covered by doubling panels with Gauss-Legendre,
-    the weight evaluated explicitly.  Caller evaluates only F at the nodes.
-    """
-    span = t - s0
-    delta = span * 2.0 ** (-octaves)
-    xi, wi = sp.roots_jacobi(n_first, 0.0, g_sing)
-    nodes = [s0 + delta * (xi + 1.0) / 2.0]
-    weights = [wi * (delta / 2.0) ** (1.0 + g_sing)]
-    xl, wl = sp.roots_legendre(gl_order)
-    for k in range(octaves):
-        a = s0 + delta * 2.0**k
-        b = s0 + delta * 2.0 ** (k + 1)
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        s = mid + half * xl
-        nodes.append(s)
-        weights.append(wl * half * (s - s0) ** g_sing)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _s_integral(gammas, x, t: float, rule: str, n_first: int, gl_order: int, octaves: int) -> float:
+def _s_integral(gammas, x, t: float, rule: str) -> float:
     """int_0^t prod_i (s - x_i)_+^{g_i} ds without the constant."""
     x = np.asarray(x, dtype=float)
     s0 = max(0.0, float(np.max(x)))
     if s0 >= t:
         return 0.0
-    xmax = float(np.max(x))
-    tied = (x == xmax) if xmax >= 0.0 else np.zeros(len(x), dtype=bool)
-    g_sing = float(np.sum(np.asarray(gammas)[tied])) if tied.any() else 0.0
+    tied = x == s0  # none when every coordinate is negative
+    g_sing = float(np.sum(np.asarray(gammas)[tied]))
     if g_sing <= -1.0:
         # two or more coordinates tie at the lower integration limit and
         # their combined exponent makes the integral blow up
@@ -143,11 +117,13 @@ def _s_integral(gammas, x, t: float, rule: str, n_first: int, gl_order: int, oct
     free = [(g, xi) for g, xi, is_tied in zip(gammas, x, tied) if not is_tied]
 
     if rule == "fixed":
-        nodes, weights = _graded_rule(s0, t, g_sing, n_first, gl_order, octaves)
-        vals = np.ones_like(nodes)
+        # s = s0 + span f, with the tied power span^g_sing f^g_sing in the weights
+        span = t - s0
+        f, _, weights = graded_rule(9, 1, 0.3, 8, g_sing or None)
+        vals = np.ones_like(f)
         for g, xi in free:
-            vals *= (nodes - xi) ** g
-        return float(np.dot(weights, vals))
+            vals *= ((s0 - xi) + span * f) ** g
+        return span ** (1.0 + g_sing) * float(np.dot(weights, vals))
     if rule == "adaptive":
         p = 1.0 + g_sing
 
@@ -165,22 +141,16 @@ def _s_integral(gammas, x, t: float, rule: str, n_first: int, gl_order: int, oct
     raise InvalidInputError(f"unknown rule {rule!r}")
 
 
-def eval_kernel(
-    spec: KernelSpec,
-    x,
-    mode: str = "raw",
-    rule: str = "fixed",
-    n_first: int = 8,
-    gl_order: int = 4,
-    octaves: int = 14,
-) -> float:
+def eval_kernel(spec: KernelSpec, x, mode: str = "raw", rule: str = "fixed") -> float:
     """Value of the kernel at a point of R^q.
 
     mode="raw" evaluates the kernel as defined (coordinate i against
     exponent i); mode="symmetrized" averages over all argument orders.
-    The fixed rule uses n_first Jacobi nodes plus octaves*gl_order graded
-    Legendre nodes (64 total at the defaults); "adaptive" substitutes the
-    singular power away and lets adaptive quadrature meet ~1e-10.
+    The fixed rule is the cycle quadrature's graded rule on (s0, t), s0 =
+    max(0, x): nine 8-node panels shrinking by 0.3 into s0, the corner one
+    absorbing the power of the coordinates tied at s0, and one panel next
+    to t (80 nodes).  "adaptive" substitutes the singular power away and
+    lets adaptive quadrature meet ~1e-10.
     """
     x = np.asarray(x, dtype=float)
     q = spec.q
@@ -196,7 +166,7 @@ def eval_kernel(
         raise InvalidInputError(f"unknown mode {mode!r}")
     total = 0.0
     for perm in orders:
-        total += _s_integral(g, x[list(perm)], t, rule, n_first, gl_order, octaves)
+        total += _s_integral(g, x[list(perm)], t, rule)
     return spec.constant * total / len(orders)
 
 

@@ -23,6 +23,7 @@ from .errors import DivergentIntegralError, DomainError, InvalidInputError
 __all__ = [
     "beta",
     "log_beta",
+    "pairing_weights",
     "cross_integral",
     "beta_small_alpha_probe",
 ]
@@ -38,6 +39,20 @@ def log_beta(a: float, b: float) -> float:
 def beta(a: float, b: float) -> float:
     """B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b), positive arguments only."""
     return math.exp(log_beta(a, b))
+
+
+def pairing_weights(g, pairs) -> tuple[float, float]:
+    """Beta products of the cross integrals of the slot pairs (i, j).
+
+    Returns (up, down) = (prod B(g_i+1, -g_i-g_j-1), prod B(g_j+1, -g_i-g_j-1)),
+    the coefficients of the two orientations s_i < s_j and s_i > s_j of
+    each pair's cross integral, multiplied over the pairs.  Each is the
+    exp of a log-Beta sum taken in the order of `pairs`; no pairs give 1.
+    """
+    pairs = tuple(pairs)
+    up = math.exp(sum(log_beta(g[i] + 1.0, -g[i] - g[j] - 1.0) for i, j in pairs))
+    down = math.exp(sum(log_beta(g[j] + 1.0, -g[i] - g[j] - 1.0) for i, j in pairs))
+    return up, down
 
 
 def _check_exponent(g: float, name: str) -> None:

@@ -135,7 +135,7 @@ def test_nonfinite_indicator_raises(monkeypatch):
         x, xc, w = rule(*args)
         return x, xc, np.full_like(w, math.nan)
 
-    rule = rc._graded_rule
-    monkeypatch.setattr(rc, "_graded_rule", nan_weights)
+    rule = rc.graded_rule
+    monkeypatch.setattr(rc, "graded_rule", nan_weights)
     with pytest.raises(QuadratureError):
         rc.condition_i_indicator_norm(Q2, 0.2, 0.6)

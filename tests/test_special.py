@@ -13,6 +13,7 @@ from rosenblatt import (
     cross_integral,
     log_beta,
 )
+from rosenblatt.special import pairing_weights
 
 from helpers import beta_quadrature, cross_integral_quadrature
 
@@ -66,6 +67,28 @@ class TestBeta:
                 beta(a, b)
             with pytest.raises(DomainError):
                 log_beta(a, b)
+
+
+class TestPairingWeights:
+    def test_two_pair_matching(self):
+        # slots 0 -> 2 and 1 -> 0 of an order-3 vector
+        g = (-0.7, -0.65, -0.6)
+        up, down = pairing_weights(g, [(0, 2), (1, 0)])
+        with mpmath.workdps(30):
+            want_up = mpmath.beta(0.3, 0.3) * mpmath.beta(0.35, 0.35)
+            want_down = mpmath.beta(0.4, 0.3) * mpmath.beta(0.3, 0.35)
+        assert rel_err(up, float(want_up)) < 1e-13
+        assert rel_err(down, float(want_down)) < 1e-13
+
+    def test_self_pair(self):
+        up, down = pairing_weights((-0.7, -0.65), [(1, 1)])
+        with mpmath.workdps(30):
+            want = float(mpmath.beta(0.35, 0.3))
+        assert up == down
+        assert rel_err(up, want) < 1e-13
+
+    def test_no_pairs(self):
+        assert pairing_weights((-0.7,), []) == (1.0, 1.0)
 
 
 class TestCrossIntegral:
