@@ -27,9 +27,7 @@ from .kernel import (
 )
 from .sampler import (
     ChaosSampleBatch,
-    batch_to_csv,
     discrete_second_moment,
-    load_csv,
     load_npz,
     sample_chaos,
     sample_process_increment,
@@ -75,8 +73,6 @@ __all__ = [
     "sample_chaos",
     "sample_process_increment",
     "discrete_second_moment",
-    "batch_to_csv",
-    "load_csv",
     "save_npz",
     "load_npz",
     "WickExpression",

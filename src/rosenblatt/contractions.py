@@ -36,7 +36,6 @@ bit-identical.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -61,8 +60,6 @@ __all__ = [
     "ncl_condition_iii_limit",
     "clt_norm_bound",
     "condition_i_indicator_norm",
-    "specs_to_json",
-    "trend_to_csv",
 ]
 
 
@@ -166,15 +163,6 @@ def enumerate_contractions(q: int, m: int, r: int) -> list:
     return specs
 
 
-def specs_to_json(specs, path=None) -> str:
-    """Serialize a list of contraction specifications; optionally write it."""
-    text = json.dumps([s.to_dict() for s in specs], indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
-
-
 # ---------------------------------------------------------------------------
 # the cycle factors
 
@@ -198,7 +186,6 @@ class PhiFactors:
     b2: float
     b3: float
     gamma: tuple
-    spec: ContractionSpec
 
 
 def _coerce_gamma(gamma) -> tuple:
@@ -252,7 +239,6 @@ def phi_factors(gamma, spec: ContractionSpec) -> PhiFactors:
         b2=b2,
         b3=b3,
         gamma=g,
-        spec=spec,
     )
 
 
@@ -523,19 +509,6 @@ class TrendTable:
     def strictly_decreasing(self) -> bool:
         vals = self.values()
         return all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def trend_to_csv(table: TrendTable, path, extra_header=None) -> None:
-    """Write a trend table as comment-headed delimited text."""
-    lines = [f"# kind={table.kind}"]
-    if extra_header:
-        for key in sorted(extra_header):
-            lines.append(f"# {key}={json.dumps(extra_header[key])}")
-    lines.append(",".join(TrendTable.columns))
-    for row in table.rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _require_face1(path: BoundaryPath) -> None:

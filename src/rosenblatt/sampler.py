@@ -29,7 +29,10 @@ not lower it).  Cells entirely right of hi have zero factors and are
 skipped.  No cells x s-nodes matrix over the whole grid is formed.
 
 The estimator's exact discrete second moment is available in closed form
-via Gaussian pairings plus the same Moebius inversion.
+via Gaussian pairings plus the same Moebius inversion.  It reads the same
+near and far tables: each block Gram over the s-nodes is the near cells'
+product plus the far cells' R x R product mapped by the interpolation
+matrix on both sides.
 
 Randomness: one child stream per realization, spawned from the master seed
 with SeedSequence.spawn and drawn with Generator(SFC64(child)), so
@@ -45,6 +48,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +62,6 @@ __all__ = [
     "sample_chaos",
     "sample_process_increment",
     "discrete_second_moment",
-    "batch_to_csv",
-    "load_csv",
     "save_npz",
     "load_npz",
 ]
@@ -125,15 +128,71 @@ def _partitions_with_weight(q: int):
     return out
 
 
-def _s_rule_for(grid: GridSpec, interval):
+class _Factors(NamedTuple):
+    """Block-product tables of one kernel on one grid and s-interval.
+
+    near[k] (near cells x s-nodes) and far[k] (far cells x Chebyshev
+    points) hold prod_{e in k} b_e for every exponent multiset k of a
+    block; cells [0, n_far) are far, cells from n_live on lie right of hi.
+    """
+
+    s_w: np.ndarray
+    interp: np.ndarray
+    n_far: int
+    n_live: int
+    near: dict
+    far: dict
+
+
+def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
+    """The factor tables both estimator paths read; None for an empty interval."""
+    q = kernel.q
+    if q > 3:
+        raise SizeError(f"the sampler supports orders 1..3, got {q}")
     if interval is None:
-        return grid.s_nodes, grid.s_weights
-    a, b = float(interval[0]), float(interval[1])
-    if not (0.0 <= a <= b <= grid.horizon + 1e-12):
-        raise InvalidInputError(f"interval {interval} not inside [0, {grid.horizon}]")
-    if a == b:
-        return None, None
-    return s_rule(a, b, grid.s_panels, grid.s_order)
+        lo, hi, s_nodes, s_w = 0.0, grid.horizon, grid.s_nodes, grid.s_weights
+    else:
+        lo, hi = float(interval[0]), float(interval[1])
+        if not (0.0 <= lo <= hi <= grid.horizon + 1e-12):
+            raise InvalidInputError(f"interval {interval} not inside [0, {grid.horizon}]")
+        if lo == hi:
+            return None
+        s_nodes, s_w = s_rule(lo, hi, grid.s_panels, grid.s_order)
+    edges = grid.edges
+    n_far = int(np.searchsorted(edges[1:], lo - (hi - lo), side="right"))
+    n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
+    cheb, interp = _chebyshev_interpolation(lo, hi, s_nodes)
+    g = kernel.gamma.entries
+    near = {e: factor_matrix(edges[n_far : n_live + 1], e, s_nodes) for e in set(g)}
+    far = {e: factor_matrix(edges[: n_far + 1], e, cheb) for e in set(g)}
+    keys = {tuple(sorted(c)) for size in range(1, q + 1) for c in itertools.combinations(g, size)}
+    return _Factors(
+        s_w, interp, n_far, n_live,
+        near={k: reduce(np.multiply, [near[e] for e in k]) for k in keys},
+        far={k: reduce(np.multiply, [far[e] for e in k]) for k in keys},
+    )
+
+
+def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
+    """E[Z_hat^2] from the factor tables; far Grams are formed in R x R."""
+    g = kernel.gamma.entries
+    grams: dict = {}
+
+    def gram(left: tuple, right: tuple) -> np.ndarray:
+        if (left, right) not in grams:
+            far = fac.interp.T @ (fac.far[left].T @ fac.far[right]) @ fac.interp
+            grams[left, right] = fac.near[left].T @ fac.near[right] + far
+            grams[right, left] = grams[left, right].T
+        return grams[left, right]
+
+    total = 0.0
+    parts = _partitions_with_weight(kernel.q)
+    for sigma in itertools.permutations(range(kernel.q)):
+        for part, mu in parts:
+            m = reduce(np.multiply, [gram(tuple(sorted(g[i] for i in block)),
+                                          tuple(sorted(g[sigma[i]] for i in block))) for block in part])
+            total += mu * float(fac.s_w @ m @ fac.s_w)
+    return kernel.constant**2 * total
 
 
 def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) -> float:
@@ -145,46 +204,8 @@ def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) ->
     s-nodes.  No Monte Carlo, no continuum approximation: this is the
     estimator's own variance to float precision.
     """
-    q = kernel.q
-    if q > 3:
-        raise SizeError(f"second moment engine supports orders 1..3, got {q}")
-    s_nodes, s_w = _s_rule_for(grid, interval)
-    if s_nodes is None:
-        return 0.0
-    g = kernel.gamma.entries
-    mats = {e: factor_matrix(grid.edges, e, s_nodes) for e in sorted(set(g))}
-
-    prod_cache: dict = {}
-
-    def block_product(exps: tuple) -> np.ndarray:
-        if exps not in prod_cache:
-            out = mats[exps[0]].copy()
-            for e in exps[1:]:
-                out *= mats[e]
-            prod_cache[exps] = out
-        return prod_cache[exps]
-
-    gram_cache: dict = {}
-
-    def gram(left: tuple, right: tuple) -> np.ndarray:
-        key = (left, right)
-        if key not in gram_cache:
-            k = block_product(left).T @ block_product(right)
-            gram_cache[key] = k
-            gram_cache[(right, left)] = k.T
-        return gram_cache[key]
-
-    total = 0.0
-    parts = _partitions_with_weight(q)
-    for sigma in itertools.permutations(range(q)):
-        for part, mu in parts:
-            m = np.ones((len(s_nodes), len(s_nodes)))
-            for block in part:
-                left = tuple(sorted(g[i] for i in block))
-                right = tuple(sorted(g[sigma[i]] for i in block))
-                m = m * gram(left, right)
-            total += mu * float(s_w @ m @ s_w)
-    return kernel.constant**2 * total
+    fac = _factorize(kernel, grid, interval)
+    return 0.0 if fac is None else _second_moment(kernel, fac)
 
 
 @dataclass(eq=False)
@@ -251,48 +272,26 @@ def sample_chaos(
     grid reuses the same underlying noise, so functionals sampled with
     equal seeds are coupled pathwise.
     """
-    q = kernel.q
-    if q > 3:
-        raise SizeError(f"sampling supports orders 1..3, got {q}")
-    if n_samples < 0:
-        raise InvalidInputError("n_samples must be nonnegative")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
+        raise InvalidInputError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
         raise InvalidInputError(f"chunk_size must be a positive integer, got {chunk_size!r}")
     check_tail_bound(grid, kernel)
 
-    s_nodes, s_w = _s_rule_for(grid, interval)
-    lo = 0.0 if interval is None else float(interval[0])
-    hi = grid.horizon if interval is None else float(interval[1])
-    n_cells = grid.n_cells
-    a_const = kernel.constant
-
-    if s_nodes is None:  # degenerate interval: the functional is 0
-        empty = np.zeros(n_samples)
-        bw = np.zeros(n_samples) if return_brownian else None
+    fac = _factorize(kernel, grid, interval)
+    lo, hi = (0.0, grid.horizon) if interval is None else (float(interval[0]), float(interval[1]))
+    if fac is None:  # degenerate interval: the functional is 0
         return ChaosSampleBatch(
-            values=empty, seed=int(seed), kernel=kernel, grid=grid,
-            interval=(lo, hi), second_moment=0.0,
-            tail_estimate=grid.tail_estimate, brownian=bw,
+            values=np.zeros(n_samples), seed=int(seed), kernel=kernel, grid=grid,
+            interval=(lo, hi), second_moment=0.0, tail_estimate=grid.tail_estimate,
+            brownian=np.zeros(n_samples) if return_brownian else None,
         )
 
+    q = kernel.q
     g = kernel.gamma.entries
-    edges = grid.edges
-    # cells [0, n_far) are far from [lo, hi]; cells from n_live on lie right of hi
-    n_far = int(np.searchsorted(edges[1:], lo - (hi - lo), side="right"))
-    n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
-    cheb, interp = _chebyshev_interpolation(lo, hi, s_nodes)
-    near = {e: factor_matrix(edges[n_far : n_live + 1], e, s_nodes) for e in set(g)}
-    far = {e: factor_matrix(edges[: n_far + 1], e, cheb) for e in set(g)}
-
-    def product(tables: dict, key) -> np.ndarray:
-        """Elementwise product of the tables named by the entries of key."""
-        out = tables[key[0]]
-        for e in key[1:]:
-            out = out * tables[e]
-        return out
-
+    s_w, interp, n_far, n_live, near, far = fac
     terms = []
     for part, mu in _partitions_with_weight(q):
         keys = [tuple(sorted(g[i] for i in b)) for b in part]
@@ -305,14 +304,13 @@ def sample_chaos(
     stacks = []
     for size in range(1, q):
         keys = sorted({k for _, ks in terms for k in ks if len(k) == size})
-        stacks.append((keys, np.hstack([product(near, k) for k in keys]),
-                       np.hstack([product(far, k) for k in keys])))
-    folded = np.concatenate([product(far, whole) @ (interp @ s_w), product(near, whole) @ s_w])
+        stacks.append((keys, np.hstack([near[k] for k in keys]), np.hstack([far[k] for k in keys])))
+    folded = np.concatenate([far[whole] @ (interp @ s_w), near[whole] @ s_w])
 
     # cells inside [0, horizon] carry the terminal Brownian value
-    sqrt_w_pos = np.sqrt(grid.widths) * (edges[:-1] >= -1e-12)
+    sqrt_w_pos = np.sqrt(grid.widths) * (grid.edges[:-1] >= -1e-12)
 
-    n_s = len(s_nodes)
+    n_s = len(s_w)
     # powers of the noise go to one reused buffer, not to per-chunk temporaries
     buf = np.empty((min(chunk_size, n_samples), n_live)) if q > 1 else None
 
@@ -330,7 +328,7 @@ def sample_chaos(
             proj.update((key, p[:, j]) for j, key in enumerate(keys))
         acc = np.zeros((m, n_s))
         for mu, keys in terms:
-            acc += mu * product(proj, keys)
+            acc += mu * reduce(np.multiply, [proj[k] for k in keys])
         if q > 1:
             power = np.multiply(power, xi, out=buf[:m])
         return acc @ s_w + mu_whole * (power @ folded)
@@ -340,13 +338,13 @@ def sample_chaos(
     brownian = np.empty(n_samples) if return_brownian else None
     for start in range(0, n_samples, chunk_size):
         stop = min(start + chunk_size, n_samples)
-        xi = _chunk_normals(children[start:stop], n_cells)
-        values[start:stop] = a_const * assemble(xi[:, :n_live])
+        xi = _chunk_normals(children[start:stop], grid.n_cells)
+        values[start:stop] = kernel.constant * assemble(xi[:, :n_live])
         if return_brownian:
             brownian[start:stop] = xi @ sqrt_w_pos
         del xi  # free this chunk's noise before the next one is drawn
 
-    m2 = discrete_second_moment(kernel, grid, interval) if with_second_moment else math.nan
+    m2 = _second_moment(kernel, fac) if with_second_moment else math.nan
     return ChaosSampleBatch(
         values=values, seed=int(seed), kernel=kernel, grid=grid,
         interval=(lo, hi), second_moment=m2,
@@ -367,38 +365,6 @@ def sample_process_increment(
     if not (0.0 <= a <= b <= kernel.horizon + 1e-12):
         raise InvalidInputError(f"span {span} not inside [0, {kernel.horizon}]")
     return sample_chaos(kernel, grid, n_samples, seed, interval=(a, b), **kwargs)
-
-
-def batch_to_csv(batch: ChaosSampleBatch, path, extra_header: dict | None = None) -> None:
-    """One value per line; metadata and content hash in comment headers."""
-    lines = [f"# hash={batch.content_hash()}"]
-    for key, val in batch.meta().items():
-        lines.append(f"# {key}={json.dumps(val, sort_keys=True)}")
-    for key, val in (extra_header or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.append("value")
-    lines.extend(repr(float(v)) for v in batch.values)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_csv(path) -> dict:
-    header: dict = {}
-    vals = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "value":
-                continue
-            if line.startswith("#"):
-                key, _, raw = line[1:].strip().partition("=")
-                try:
-                    header[key] = json.loads(raw)
-                except (json.JSONDecodeError, ValueError):
-                    header[key] = raw
-            else:
-                vals.append(float(line))
-    return {"values": np.array(vals), "header": header}
 
 
 def save_npz(batch: ChaosSampleBatch, path) -> None:

@@ -7,6 +7,7 @@ to near machine precision and share no code with what they check.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -196,12 +197,8 @@ def _set_partitions(items: list):
             yield part[:k] + [[head] + part[k]] + part[k + 1 :]
 
 
-def dense_chaos_reference(ker, grid, xi, interval=None) -> np.ndarray:
-    """Sampled-estimator values for the noise rows `xi` (realizations x
-    cells), by the plain Moebius sum over dense factor matrices at every
-    s-node: each set partition of the coordinates contributes
-    prod_B (-1)^(|B|-1) (|B|-1)! (xi^|B| @ prod_{i in B} b_i), summed with
-    the s-weights.  No stacking, folding or far-field compression."""
+def _dense_factors(ker, grid, interval):
+    """s-rule and whole-grid factor matrices b_i (cells x s-nodes)."""
     from rosenblatt.grid import s_rule
     from rosenblatt.sampler import factor_matrix
 
@@ -209,7 +206,16 @@ def dense_chaos_reference(ker, grid, xi, interval=None) -> np.ndarray:
         nodes, weights = grid.s_nodes, grid.s_weights
     else:
         nodes, weights = s_rule(interval[0], interval[1], grid.s_panels, grid.s_order)
-    b = [factor_matrix(grid.edges, g, nodes) for g in ker.gamma.entries]
+    return nodes, weights, [factor_matrix(grid.edges, g, nodes) for g in ker.gamma.entries]
+
+
+def dense_chaos_reference(ker, grid, xi, interval=None) -> np.ndarray:
+    """Sampled-estimator values for the noise rows `xi` (realizations x
+    cells), by the plain Moebius sum over dense factor matrices at every
+    s-node: each set partition of the coordinates contributes
+    prod_B (-1)^(|B|-1) (|B|-1)! (xi^|B| @ prod_{i in B} b_i), summed with
+    the s-weights.  No stacking, folding or far-field compression."""
+    nodes, weights, b = _dense_factors(ker, grid, interval)
     total = np.zeros((len(xi), len(nodes)))
     for part in _set_partitions(list(range(len(b)))):
         term = np.ones_like(total)
@@ -221,3 +227,24 @@ def dense_chaos_reference(ker, grid, xi, interval=None) -> np.ndarray:
             term = term * (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
         total += term
     return ker.constant * (total @ weights)
+
+
+def dense_second_moment_reference(ker, grid, interval=None) -> float:
+    """Exact E[Z_hat^2] by the plain Gram engine over dense factor matrices:
+    for each permutation sigma and set partition of the coordinates, the
+    product over blocks B of (prod_{i in B} b_i)^T (prod_{i in B} b_sigma(i))
+    with the Moebius weight, contracted with the s-weights on both sides.
+    Every cell of the grid enters every Gram; no far-field compression."""
+    nodes, weights, b = _dense_factors(ker, grid, interval)
+    q = len(b)
+    total = 0.0
+    for sigma in itertools.permutations(range(q)):
+        for part in _set_partitions(list(range(q))):
+            term = np.ones((len(nodes), len(nodes)))
+            for block in part:
+                left = np.prod([b[i] for i in block], axis=0)
+                right = np.prod([b[sigma[i]] for i in block], axis=0)
+                term = term * (left.T @ right)
+                term = term * (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
+            total += float(weights @ term @ weights)
+    return ker.constant**2 * total

@@ -4,15 +4,21 @@ The references share no code with the quadrature: closed forms of full
 matchings, a plain Monte Carlo estimate of the cycle integral built from
 the cross-integral closed form, mesh refinement, and default-mesh values
 of the earlier quadrature, which took distances to the singular points
-as differences of absolute coordinates.
+as differences of absolute coordinates.  The public enumeration,
+condition-(iii) and CLT-bound functions are checked against counts,
+closed-form targets and hand arithmetic.
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import rosenblatt.contractions as rc
-from rosenblatt import BoundaryPath, Face, GammaVector, QuadratureError, normalizing_constant_sq
+from rosenblatt import (
+    BoundaryPath, Face, GammaVector, InvalidInputError, QuadratureError, SizeError, normalizing_constant_sq,
+)
+from rosenblatt.kernel import MAX_ORDER
 
 from helpers import cycle_mc_oracle
 
@@ -139,3 +145,41 @@ def test_nonfinite_indicator_raises(monkeypatch):
     monkeypatch.setattr(rc, "graded_rule", nan_weights)
     with pytest.raises(QuadratureError):
         rc.condition_i_indicator_norm(Q2, 0.2, 0.6)
+
+
+def test_enumerate_contractions():
+    for q, m in itertools.product((1, 2, 3), repeat=2):
+        for r in range(min(q, m) + 1):
+            specs = rc.enumerate_contractions(q, m, r)
+            want = math.comb(q, r) * math.comb(m, r) * math.factorial(r)
+            assert len(specs) == want == len(set(specs))
+            assert all(s.q == q and s.m == m and s.r == r for s in specs)
+    assert [len(rc.enumerate_contractions(3, 3, r)) for r in range(4)] == [1, 9, 18, 6]
+    (empty,) = rc.enumerate_contractions(2, 3, 0)
+    assert empty.indices == () and empty.images == ()
+    with pytest.raises(SizeError):
+        rc.enumerate_contractions(MAX_ORDER + 1, 1, 0)
+
+
+def test_condition_iii_limit_approaches_target():
+    # slot 1 adjoined to (2)->(2) makes a full matching at every point, and
+    # the reduced target is the unit-normalized order-1 norm: closed forms only
+    path = BoundaryPath(Face.FIRST_EXPONENT_TO_HALF, GammaVector((-0.65,)), (0.1, 0.01, 0.001))
+    res = rc.ncl_condition_iii_limit(path, spec((-0.7, -0.65), (2,), (2,)))
+    assert res.target == pytest.approx(1.0, abs=1e-12)
+    gaps = res.table.gaps()
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    assert res.final_gap == gaps[-1] < 0.1
+    with pytest.raises(InvalidInputError):
+        rc.ncl_condition_iii_limit(path, spec((-0.7, -0.65), (1,), (2,)))
+
+
+def test_clt_norm_bound():
+    s = spec(Q2, (1,), (2,))
+    value, exponent = rc.clt_norm_bound(Q2, s)
+    assert value == rc.contraction_norm_sq(Q2, s)
+    # 2 a1 + a2 + a3 = 2 (g1 + g2 + 1) + (2 g2 + 1) + (2 g1 + 1)
+    assert exponent == pytest.approx(-1.4, abs=1e-12)
+    for bad in (spec(Q2, (), ()), spec(Q2, (1, 2), (2, 1))):
+        with pytest.raises(InvalidInputError):
+            rc.clt_norm_bound(Q2, bad)

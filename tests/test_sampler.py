@@ -1,6 +1,6 @@
 """Sampler tests: exact second-moment engine against the independent
 Wick/Isserlis oracle on tiny grids, Monte Carlo moments, reproducibility,
-increment coupling, and serialization."""
+increment coupling, and NPZ serialization."""
 import math
 
 import numpy as np
@@ -12,9 +12,7 @@ from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
     ChaosSampleBatch,
     _chunk_normals,
-    batch_to_csv,
     discrete_second_moment,
-    load_csv,
     load_npz,
     sample_chaos,
     sample_process_increment,
@@ -22,7 +20,7 @@ from rosenblatt.sampler import (
 )
 from rosenblatt.wick import offdiag_expression, wick_moment
 
-from helpers import dense_chaos_reference, tiny_grid, tiny_hat_tensor
+from helpers import dense_chaos_reference, dense_second_moment_reference, tiny_grid, tiny_hat_tensor
 
 
 def variance_se(values):
@@ -67,8 +65,9 @@ class TestExactEngineVsWickOracle:
 
 class TestAssemblyVsDenseReference:
     # the stacked, folded, far-field-compressed assembly against the plain
-    # Moebius sum over dense factor matrices, on the same noise rows; the
-    # tiny grid's far block is empty for the full interval only
+    # Moebius sum over dense factor matrices, on the same noise rows, and
+    # the second moment against the dense Gram engine; the tiny grid's far
+    # block is empty for the full interval only
     @pytest.mark.parametrize("gamma", [
         (-0.8,), (-0.7, -0.65), (-0.7, -0.7), (-0.7, -0.65, -0.6), (-0.65, -0.65, -0.6),
     ])
@@ -78,10 +77,13 @@ class TestAssemblyVsDenseReference:
         ker = KernelSpec(gamma)
         grid = build_grid(ker) if default_grid else tiny_grid(n_cells=6, left=0.5, horizon=1.0)
         n, seed = 64, 31
-        batch = sample_chaos(ker, grid, n, seed, interval=interval, with_second_moment=False)
+        batch = sample_chaos(ker, grid, n, seed, interval=interval)
         xi = _chunk_normals(np.random.SeedSequence(seed).spawn(n), grid.n_cells)
         ref = dense_chaos_reference(ker, grid, xi, interval)
         assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
+        m2_ref = dense_second_moment_reference(ker, grid, interval)
+        assert batch.second_moment == pytest.approx(m2_ref, rel=1e-13, abs=0.0)
+        assert batch.second_moment == discrete_second_moment(ker, grid, interval)
 
     def test_s_node_on_a_chebyshev_point(self):
         # 3 panels of order 5 put an s-node at 1/2, which is also the middle
@@ -267,8 +269,9 @@ class TestErrorsAndValidation:
     def test_seed_and_count_validation(self):
         ker = KernelSpec((-0.6,))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        with pytest.raises(InvalidInputError):
-            sample_chaos(ker, grid, -1, seed=1)
+        for bad in (-1, 2.5, 3.0, "3"):
+            with pytest.raises(InvalidInputError):
+                sample_chaos(ker, grid, bad, seed=1)
         with pytest.raises(InvalidInputError):
             sample_chaos(ker, grid, 10, seed=-3)
         with pytest.raises(InvalidInputError):
@@ -314,37 +317,16 @@ class TestRefinement:
 
 
 class TestSerialization:
-    def test_csv_roundtrip(self, tmp_path):
-        ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        batch = sample_chaos(ker, grid, 25, seed=4)
-        path = tmp_path / "batch.csv"
-        batch_to_csv(batch, path, extra_header={"note": "test"})
-        loaded = load_csv(path)
-        assert np.array_equal(loaded["values"], batch.values)  # repr round-trips
-        assert loaded["header"]["hash"] == batch.content_hash()
-        assert loaded["header"]["seed"] == 4
-        assert loaded["header"]["note"] == "test"
-        assert loaded["header"]["kernel"]["gamma"] == [-0.6, -0.7]
-
     def test_npz_roundtrip(self, tmp_path):
         ker = KernelSpec((-0.6, -0.7))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        batch = sample_chaos(ker, grid, 25, seed=4, return_brownian=True)
-        path = tmp_path / "batch.npz"
-        save_npz(batch, path)
-        loaded = load_npz(path)
-        assert np.array_equal(loaded["values"], batch.values)
-        assert np.array_equal(loaded["brownian"], batch.brownian)
-        assert loaded["hash"] == batch.content_hash()
-        assert loaded["meta"]["interval"] == [0.0, 1.0]
-
-    def test_empty_csv(self, tmp_path):
-        ker = KernelSpec((-0.6,))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        batch = sample_chaos(ker, grid, 0, seed=1)
-        path = tmp_path / "empty.csv"
-        batch_to_csv(batch, path)
-        loaded = load_csv(path)
-        assert len(loaded["values"]) == 0
-        assert loaded["header"]["n"] == 0
+        for n in (25, 0):
+            batch = sample_chaos(ker, grid, n, seed=4, return_brownian=True)
+            path = tmp_path / f"batch{n}.npz"
+            save_npz(batch, path)
+            loaded = load_npz(path)
+            assert np.array_equal(loaded["values"], batch.values)
+            assert np.array_equal(loaded["brownian"], batch.brownian)
+            assert loaded["hash"] == batch.content_hash()
+            assert loaded["meta"]["n"] == n
+            assert loaded["meta"]["interval"] == [0.0, 1.0]
