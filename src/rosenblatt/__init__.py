@@ -4,6 +4,9 @@ Kernels and their exact normalizing constant, discretized multiple
 Wiener-Ito integral sampling with exact small-instance oracles, and the
 contraction integrals behind the two boundary limit theorems.
 """
+# set before the submodules load: sampler records it in every batch's meta
+__version__ = "0.2.0"
+
 from .domain import BoundaryPath, DomainReport, Face, GammaVector, path_points, validate
 from .errors import (
     DivergentIntegralError,
@@ -42,8 +45,6 @@ from .wick import (
     offdiag_expression,
     wick_moment,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

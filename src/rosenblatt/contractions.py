@@ -440,16 +440,17 @@ def phi_cycle_integral(factors: PhiFactors, *, exploit_symmetry: bool = True,
 
     No normalizing constant is applied; divergent exponents raise
     DivergentIntegralError and a non-finite result QuadratureError.
-
-    Known gap: for the empty matching (r = 0) the same-orientation
-    segment between the two singular points carries (u(1-t))^(1+a2+a3),
-    whose (1-t) part no weight absorbs at t -> 1; at gamma = (-0.7, -0.65)
-    this path is off by 4.5e-4 relative.  contraction_norm_sq uses the
-    closed form for r = 0 instead.
+    The empty matching (r = 0) returns the exact product of the two plain
+    norms.
     """
     _check_integrable(factors)
     cfg = _DEFAULT_MESH.scaled(mesh_scale)
     a1, a2, a3 = factors.alpha1, factors.alpha2, factors.alpha3
+    if a1 == 0:
+        # every matched pair adds g_i + g_j + 1 < 0 to alpha1, so it vanishes
+        # only for the empty matching, where phi1 = 1 and the integral splits
+        first = 2.0 * factors.b2 / ((a2 + 1.0) * (a2 + 2.0))
+        return first * (2.0 * factors.b3 / ((a3 + 1.0) * (a3 + 2.0)))
     j_same = _cycle_same_orientation(a1, a2, a3, cfg, exploit_symmetry=exploit_symmetry)
     j_opp = _cycle_opposed_orientation(a1, a2, a3, cfg)
     cp, cm = factors.c_plus, factors.c_minus

@@ -34,12 +34,17 @@ near and far tables: each block Gram over the s-nodes is the near cells'
 product plus the far cells' R x R product mapped by the interpolation
 matrix on both sides.
 
-Randomness: one child stream per realization, spawned from the master seed
-with SeedSequence.spawn and drawn with Generator(SFC64(child)), so
-realization k's noise is bit-identical no matter how the batch is chunked
-or parallelized.  Assembled values are deterministic for a fixed chunk
-size; across chunk sizes they agree to summation-order ulps (BLAS picks
-shape-dependent reduction orders).
+Randomness: realizations come in fixed blocks of 64, and each block has
+one stream, spawned from the master seed with SeedSequence.spawn and
+drawn with Generator(SFC64(child)); realization k's noise is row k % 64 of
+its block's (rows, n_cells) fill.  A stream's rows come out in order, so
+realization k's noise depends only on (seed, k, n_cells): not on the
+chunk size, the worker count or n_samples.  One stream per block, not per
+realization, because a stream's set-up costs about as much as drawing a
+row of normals on a coarse grid and holds the GIL, which the parallel
+chunks would otherwise queue on.  Assembled values are deterministic for a
+fixed chunk size, whatever the worker count; across chunk sizes they agree
+to summation-order ulps (BLAS picks shape-dependent reduction orders).
 """
 from __future__ import annotations
 
@@ -47,12 +52,15 @@ import hashlib
 import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .errors import InvalidInputError, SizeError
 from .grid import GridSpec, check_tail_bound, s_rule
 from .kernel import KernelSpec
@@ -131,17 +139,43 @@ def _partitions_with_weight(q: int):
 class _Factors(NamedTuple):
     """Block-product tables of one kernel on one grid and s-interval.
 
-    near[k] (near cells x s-nodes) and far[k] (far cells x Chebyshev
-    points) hold prod_{e in k} b_e for every exponent multiset k of a
-    block; cells [0, n_far) are far, cells from n_live on lie right of hi.
+    For each block size there is one stacked table per zone, holding
+    prod_{e in k} b_e for every exponent multiset k of that size side by
+    side: near cells x (keys x s-nodes) and far cells x (keys x Chebyshev
+    points).  near[k] and far[k] are column views into those stacks.
+    Cells [0, n_far) are far, cells from n_live on lie right of hi.
     """
 
     s_w: np.ndarray
     interp: np.ndarray
     n_far: int
     n_live: int
+    stacks: list  # per block size 1..q: (keys, near stack, far stack)
     near: dict
     far: dict
+
+
+def _block_tables(edges: np.ndarray, g: tuple, nodes: np.ndarray):
+    """Stacked block-product tables for block sizes 1..q, and a dict of
+    column views into them keyed by exponent multiset.
+
+    A multiset's product is its sorted prefix's product times its last
+    factor, which is the left fold over its factors, in the same order.
+    """
+    width = len(nodes)
+    tables, views = [], {}
+    for size in range(1, len(g) + 1):
+        keys = sorted({tuple(sorted(c)) for c in itertools.combinations(g, size)})
+        table = np.empty((len(edges) - 1, len(keys) * width))
+        for j, k in enumerate(keys):
+            col = table[:, j * width : (j + 1) * width]
+            if size == 1:
+                col[...] = factor_matrix(edges, k[0], nodes)
+            else:
+                np.multiply(views[k[:-1]], views[k[-1:]], out=col)
+            views[k] = col
+        tables.append((keys, table))
+    return tables, views
 
 
 def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
@@ -163,14 +197,10 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
     n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
     cheb, interp = _chebyshev_interpolation(lo, hi, s_nodes)
     g = kernel.gamma.entries
-    near = {e: factor_matrix(edges[n_far : n_live + 1], e, s_nodes) for e in set(g)}
-    far = {e: factor_matrix(edges[: n_far + 1], e, cheb) for e in set(g)}
-    keys = {tuple(sorted(c)) for size in range(1, q + 1) for c in itertools.combinations(g, size)}
-    return _Factors(
-        s_w, interp, n_far, n_live,
-        near={k: reduce(np.multiply, [near[e] for e in k]) for k in keys},
-        far={k: reduce(np.multiply, [far[e] for e in k]) for k in keys},
-    )
+    near_tables, near = _block_tables(edges[n_far : n_live + 1], g, s_nodes)
+    far_tables, far = _block_tables(edges[: n_far + 1], g, cheb)
+    stacks = [(keys, b_near, b_far) for (keys, b_near), (_, b_far) in zip(near_tables, far_tables)]
+    return _Factors(s_w, interp, n_far, n_live, stacks, near, far)
 
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
@@ -241,6 +271,7 @@ class ChaosSampleBatch:
             "interval": [self.interval[0], self.interval[1]],
             "second_moment": self.second_moment,
             "tail_estimate": self.tail_estimate,
+            "version": __version__,
         }
 
     def content_hash(self) -> str:
@@ -248,11 +279,30 @@ class ChaosSampleBatch:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _chunk_normals(children, n_cells: int) -> np.ndarray:
-    rows = np.empty((len(children), n_cells))
-    for k, child in enumerate(children):
-        np.random.Generator(np.random.SFC64(child)).standard_normal(out=rows[k])
+# realizations per noise stream
+_BLOCK = 64
+
+
+def _noise(streams: list, start: int, stop: int, n_cells: int) -> np.ndarray:
+    """Noise rows of realizations start..stop-1: realization k is row
+    k % _BLOCK of Generator(SFC64(streams[k // _BLOCK])) filled as
+    (rows, n_cells).  A stream's rows come out in order, so rows before
+    `start` in its block are drawn and dropped, and none after `stop`."""
+    rows = np.empty((stop - start, n_cells))
+    for b in range(start // _BLOCK, -(-stop // _BLOCK)):
+        first, last = max(start, b * _BLOCK), min(stop, (b + 1) * _BLOCK)
+        gen = np.random.Generator(np.random.SFC64(streams[b]))
+        if first > b * _BLOCK:
+            gen.standard_normal((first - b * _BLOCK, n_cells))
+        gen.standard_normal(out=rows[first - start : last - start])
     return rows
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def sample_chaos(
@@ -262,7 +312,7 @@ def sample_chaos(
     seed: int,
     interval=None,
     return_brownian: bool = False,
-    chunk_size: int = 512,
+    chunk_size: int = 256,
     with_second_moment: bool = True,
 ) -> ChaosSampleBatch:
     """Draw exact realizations of the discretized chaos functional.
@@ -271,6 +321,14 @@ def sample_chaos(
     which is how process increments are sampled; the same seed on the same
     grid reuses the same underlying noise, so functionals sampled with
     equal seeds are coupled pathwise.
+
+    Chunks of `chunk_size` realizations are drawn and assembled on
+    min(usable CPUs, number of chunks) worker threads.  The noise in
+    flight takes about workers x chunk_size x grid.n_cells x 8 bytes (q = 3
+    adds one noise power per chunk, at most as large); a caller caps it
+    with `chunk_size`.  A chunk size that is a multiple of 64 draws no
+    normal twice; other sizes redraw the start of a noise block in each
+    chunk that begins inside it.
     """
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise InvalidInputError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
@@ -291,7 +349,7 @@ def sample_chaos(
 
     q = kernel.q
     g = kernel.gamma.entries
-    s_w, interp, n_far, n_live, near, far = fac
+    s_w, interp, n_far, n_live = fac.s_w, fac.interp, fac.n_far, fac.n_live
     terms = []
     for part, mu in _partitions_with_weight(q):
         keys = [tuple(sorted(g[i] for i in b)) for b in part]
@@ -299,29 +357,25 @@ def sample_chaos(
             whole, mu_whole = keys[0], mu
         else:
             terms.append((mu, keys))
-    # blocks of size 1..q-1, one stacked table per size; the size-q block
-    # only occurs alone and is folded with the s-weights into one vector
-    stacks = []
-    for size in range(1, q):
-        keys = sorted({k for _, ks in terms for k in ks if len(k) == size})
-        stacks.append((keys, np.hstack([near[k] for k in keys]), np.hstack([far[k] for k in keys])))
-    folded = np.concatenate([far[whole] @ (interp @ s_w), near[whole] @ s_w])
+    # blocks of size 1..q-1 go through their stacked tables; the size-q
+    # block only occurs alone and is folded with the s-weights into one vector
+    stacks = fac.stacks[: q - 1]
+    folded = np.concatenate([fac.far[whole] @ (interp @ s_w), fac.near[whole] @ s_w])
 
     # cells inside [0, horizon] carry the terminal Brownian value
     sqrt_w_pos = np.sqrt(grid.widths) * (grid.edges[:-1] >= -1e-12)
 
     n_s = len(s_w)
-    # powers of the noise go to one reused buffer, not to per-chunk temporaries
-    buf = np.empty((min(chunk_size, n_samples), n_live)) if q > 1 else None
 
     def assemble(xi: np.ndarray) -> np.ndarray:
-        """Moebius sum over the live cells, without the constant."""
+        """Moebius sum over the live cells, without the constant; leaves
+        xi^q in xi."""
         m = len(xi)
         power = xi
         proj = {}
         for size, (keys, b_near, b_far) in enumerate(stacks, start=1):
             if size > 1:
-                power = np.multiply(power, xi, out=buf[:m])
+                power = power * xi
             k = len(keys)
             p_far = (power[:, :n_far] @ b_far).reshape(m * k, _FAR_NODES) @ interp
             p = (power[:, n_far:] @ b_near).reshape(m, k, n_s) + p_far.reshape(m, k, n_s)
@@ -330,19 +384,25 @@ def sample_chaos(
         for mu, keys in terms:
             acc += mu * reduce(np.multiply, [proj[k] for k in keys])
         if q > 1:
-            power = np.multiply(power, xi, out=buf[:m])
+            power = np.multiply(power, xi, out=xi)
         return acc @ s_w + mu_whole * (power @ folded)
 
-    children = np.random.SeedSequence(int(seed)).spawn(n_samples)
+    streams = np.random.SeedSequence(int(seed)).spawn(-(-n_samples // _BLOCK))
     values = np.empty(n_samples)
     brownian = np.empty(n_samples) if return_brownian else None
-    for start in range(0, n_samples, chunk_size):
+
+    def run_chunk(start: int) -> None:
         stop = min(start + chunk_size, n_samples)
-        xi = _chunk_normals(children[start:stop], grid.n_cells)
-        values[start:stop] = kernel.constant * assemble(xi[:, :n_live])
+        xi = _noise(streams, start, stop, grid.n_cells)
         if return_brownian:
             brownian[start:stop] = xi @ sqrt_w_pos
-        del xi  # free this chunk's noise before the next one is drawn
+        values[start:stop] = kernel.constant * assemble(xi[:, :n_live])
+
+    starts = range(0, n_samples, chunk_size)
+    # numpy's normal fill and BLAS release the GIL; each chunk writes only
+    # its own slices, so the values do not depend on the worker count
+    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
+        list(pool.map(run_chunk, starts))  # re-raises a chunk's exception
 
     m2 = _second_moment(kernel, fac) if with_second_moment else math.nan
     return ChaosSampleBatch(

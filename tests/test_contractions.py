@@ -94,6 +94,17 @@ def test_full_matching_closed_form(gamma, sigma):
     assert rel_err(amp_sq * amp_sq * rc.phi_cycle_integral(pf), inner * inner) <= 1e-8
 
 
+@pytest.mark.parametrize("gamma", [Q2, Q3])
+def test_empty_matching_closed_form(gamma):
+    """With no matched pair the cycle integral is ||f||^4 / A^4, and
+    ||f||^2 = A^2 2 P_id / ((a+1)(a+2)) with a = 2 sum(g) + q."""
+    q = len(gamma)
+    pf = rc.phi_factors(gamma, spec(gamma, (), ()))
+    a = 2.0 * sum(gamma) + q
+    norm_sq = 2.0 * pairing_weight(gamma, tuple(range(q))) / ((a + 1.0) * (a + 2.0))
+    assert rel_err(rc.phi_cycle_integral(pf), norm_sq * norm_sq) <= 1e-12
+
+
 @pytest.mark.parametrize("gamma, indices, images", [
     (Q2, (1,), (1,)),
     (Q2, (1,), (2,)),

@@ -2,16 +2,19 @@
 Wick/Isserlis oracle on tiny grids, Monte Carlo moments, reproducibility,
 increment coupling, and NPZ serialization."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import rosenblatt
+import rosenblatt.sampler as sampler_module
 from rosenblatt.errors import GridTooSmallError, InvalidInputError, SizeError
 from rosenblatt.grid import GridSpec, build_grid, s_rule
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
     ChaosSampleBatch,
-    _chunk_normals,
+    _noise,
     discrete_second_moment,
     load_npz,
     sample_chaos,
@@ -21,6 +24,11 @@ from rosenblatt.sampler import (
 from rosenblatt.wick import offdiag_expression, wick_moment
 
 from helpers import dense_chaos_reference, dense_second_moment_reference, tiny_grid, tiny_hat_tensor
+
+
+def noise_rows(seed, n, n_cells):
+    # the noise rows sample_chaos draws for realizations 0..n-1
+    return _noise(np.random.SeedSequence(seed).spawn(math.ceil(n / 64)), 0, n, n_cells)
 
 
 def variance_se(values):
@@ -78,7 +86,7 @@ class TestAssemblyVsDenseReference:
         grid = build_grid(ker) if default_grid else tiny_grid(n_cells=6, left=0.5, horizon=1.0)
         n, seed = 64, 31
         batch = sample_chaos(ker, grid, n, seed, interval=interval)
-        xi = _chunk_normals(np.random.SeedSequence(seed).spawn(n), grid.n_cells)
+        xi = noise_rows(seed, n, grid.n_cells)
         ref = dense_chaos_reference(ker, grid, xi, interval)
         assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
         m2_ref = dense_second_moment_reference(ker, grid, interval)
@@ -91,7 +99,7 @@ class TestAssemblyVsDenseReference:
         ker = KernelSpec((-0.7, -0.65))
         grid = tiny_grid(n_cells=12, left=3.0, horizon=1.0, s_panels=3, s_order=5)
         batch = sample_chaos(ker, grid, 32, 3, with_second_moment=False)
-        xi = _chunk_normals(np.random.SeedSequence(3).spawn(32), grid.n_cells)
+        xi = noise_rows(3, 32, grid.n_cells)
         ref = dense_chaos_reference(ker, grid, xi)
         assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
 
@@ -156,28 +164,60 @@ class TestReproducibility:
     def test_chunk_layout_invariance(self):
         # realization k's noise depends only on (seed, k); the assembled
         # value can move by summation-order ulps when BLAS sees different
-        # chunk shapes, nothing more
-        ker = KernelSpec((-0.6, -0.7))
+        # chunk shapes, nothing more.  300 realizations end in a partial
+        # noise block, and chunks of 7 and 100 start inside blocks.
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        a = sample_chaos(ker, grid, 300, seed=9, chunk_size=7)
-        b = sample_chaos(ker, grid, 300, seed=9, chunk_size=300)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-14)
+        for gamma, interval in [((-0.6, -0.7), None), ((-0.7, -0.65, -0.6), (0.75, 1.0))]:
+            ker = KernelSpec(gamma)
+            ref = sample_chaos(ker, grid, 300, seed=9, interval=interval, chunk_size=256)
+            for chunk_size in (7, 100, 300):
+                got = sample_chaos(ker, grid, 300, seed=9, interval=interval, chunk_size=chunk_size)
+                np.testing.assert_allclose(got.values, ref.values, rtol=1e-12, atol=1e-14)
+
+    def test_worker_count_bit_identical(self, monkeypatch):
+        # each chunk is drawn and assembled alone and writes only its own
+        # slices, so 1, 2 or 3 workers (more than the cores of a small
+        # host) give the same bits; a short switch interval makes the
+        # threads interleave often
+        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for gamma, interval in [((-0.6,), None), ((-0.6, -0.7), (0.75, 1.0)),
+                                    ((-0.7, -0.65, -0.6), (0.75, 1.0))]:
+                ker = KernelSpec(gamma)
+                runs = []
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(sampler_module, "_usable_cpus", lambda w=workers: w)
+                    runs.append(sample_chaos(ker, grid, 300, seed=17, interval=interval,
+                                             return_brownian=True, chunk_size=32,
+                                             with_second_moment=False))
+                for run in runs[1:]:
+                    assert np.array_equal(run.values, runs[0].values)
+                    assert np.array_equal(run.brownian, runs[0].brownian)
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_noise_streams_chunk_invariant_bitwise(self):
-        children = np.random.SeedSequence(9).spawn(20)
-        whole = _chunk_normals(children, 50)
-        parts = np.vstack([_chunk_normals(children[:13], 50),
-                           _chunk_normals(children[13:], 50)])
+        # drawing a block's rows in pieces, starting inside a block,
+        # gives the rows of one fill
+        streams = np.random.SeedSequence(9).spawn(3)
+        whole = _noise(streams, 0, 150, 50)
+        parts = np.vstack([_noise(streams, 0, 13, 50), _noise(streams, 13, 100, 50),
+                           _noise(streams, 100, 150, 50)])
         assert np.array_equal(whole, parts)
 
-    def test_noise_stream_is_sfc64_per_realization(self):
-        # pins the generator: replacing it changes every same-seed value
-        n, n_cells, seed = 6, 40, 2024
-        rows = _chunk_normals(np.random.SeedSequence(seed).spawn(n), n_cells)
-        for k in range(n):
-            child = np.random.SeedSequence(seed).spawn(n)[k]
-            want = np.random.Generator(np.random.SFC64(child)).standard_normal(n_cells)
-            assert np.array_equal(rows[k], want)
+    def test_noise_stream_is_sfc64_per_block(self):
+        # pins the generator and the layout: replacing either changes every
+        # same-seed value.  Realization k is row k % 64 of block k // 64's
+        # (rows, n_cells) fill; the last block draws only the rows needed.
+        n, n_cells, seed = 150, 40, 2024
+        rows = noise_rows(seed, n, n_cells)
+        streams = np.random.SeedSequence(seed).spawn(3)
+        for b, start in enumerate(range(0, n, 64)):
+            fill = np.random.Generator(np.random.SFC64(streams[b])).standard_normal(
+                (min(64, n - start), n_cells))
+            assert np.array_equal(rows[start : start + 64], fill)
 
     def test_prefix_stability(self):
         # first k realizations of a longer batch equal the shorter batch
@@ -330,3 +370,4 @@ class TestSerialization:
             assert loaded["hash"] == batch.content_hash()
             assert loaded["meta"]["n"] == n
             assert loaded["meta"]["interval"] == [0.0, 1.0]
+            assert loaded["meta"]["version"] == batch.meta()["version"] == rosenblatt.__version__
