@@ -5,7 +5,7 @@ Wiener-Ito integral sampling with exact small-instance oracles, and the
 contraction integrals behind the two boundary limit theorems.
 """
 # set before the submodules load: sampler records it in every batch's meta
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .domain import BoundaryPath, DomainReport, Face, GammaVector, path_points, validate
 from .errors import (
@@ -21,12 +21,10 @@ from .errors import (
 from .grid import GridSpec, build_grid, required_window, s_rule, tail_fraction
 from .kernel import (
     KernelSpec,
-    ScalingMap,
     constant_face_ratio,
     eval_kernel,
     normalizing_constant,
     normalizing_constant_sq,
-    scaling_map,
 )
 from .sampler import (
     ChaosSampleBatch,
@@ -36,7 +34,7 @@ from .sampler import (
     sample_process_increment,
     save_npz,
 )
-from .special import beta, beta_small_alpha_probe, cross_integral, log_beta
+from .special import beta, cross_integral, log_beta
 from .wick import (
     WickExpression,
     discrete_isometry_check,
@@ -57,14 +55,11 @@ __all__ = [
     "beta",
     "log_beta",
     "cross_integral",
-    "beta_small_alpha_probe",
     "KernelSpec",
-    "ScalingMap",
     "normalizing_constant",
     "normalizing_constant_sq",
     "constant_face_ratio",
     "eval_kernel",
-    "scaling_map",
     "GridSpec",
     "build_grid",
     "s_rule",

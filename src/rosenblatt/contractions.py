@@ -125,23 +125,6 @@ class ContractionSpec:
     def pairs(self) -> tuple:
         return tuple(zip(self.indices, self.images))
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "m": self.m,
-            "indices": list(self.indices),
-            "images": list(self.images),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ContractionSpec":
-        return cls(
-            q=data["q"],
-            m=data["m"],
-            indices=tuple(data["indices"]),
-            images=tuple(data["images"]),
-        )
-
 
 def enumerate_contractions(q: int, m: int, r: int) -> list:
     """All ways to match r slots of an order-q kernel into an order-m one.
@@ -491,25 +474,19 @@ def contraction_norm_sq(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0
 
 @dataclass(frozen=True)
 class TrendTable:
-    """Values along a boundary path, with an optional comparison target."""
+    """Values along a boundary path, with an optional comparison target.
+
+    Each row is (epsilon, value, target, gap).
+    """
 
     kind: str
     rows: tuple
-
-    columns = ("epsilon", "value", "target", "gap")
-
-    def epsilons(self) -> list:
-        return [r[0] for r in self.rows]
 
     def values(self) -> list:
         return [r[1] for r in self.rows]
 
     def gaps(self) -> list:
         return [r[3] for r in self.rows]
-
-    def strictly_decreasing(self) -> bool:
-        vals = self.values()
-        return all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def _require_face1(path: BoundaryPath) -> None:

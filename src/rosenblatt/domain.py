@@ -12,7 +12,6 @@ limit experiments need vectors arbitrarily close to the faces.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -76,9 +75,6 @@ class DomainReport:
             "face1_distance": self.face1_distance,
             "face2_distance": self.face2_distance,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def validate(gamma: GammaVector) -> DomainReport:

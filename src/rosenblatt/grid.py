@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 FAR_CAP = 1e250
+CORE_LEFT = 8.0
+TAIL_TOLERANCE = 1e-3
+S_ORDER = 4
 
 
 @dataclass(eq=False)
@@ -52,8 +55,6 @@ class GridSpec:
     tail_estimate: float
     enforce_tail_bound: bool = False
     ratio: float = 1.0
-    fine_left: float = 0.0
-    fine_ratio: int = 1
 
     @property
     def n_cells(self) -> int:
@@ -75,8 +76,6 @@ class GridSpec:
             "n_cells": self.n_cells,
             "far_left": self.far_left,
             "ratio": self.ratio,
-            "fine_left": self.fine_left,
-            "fine_ratio": self.fine_ratio,
             "s_panels": self.s_panels,
             "s_order": self.s_order,
             "tail_tolerance": self.tail_tolerance,
@@ -154,88 +153,67 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0, cap: float = 
 def build_grid(
     kernel: KernelSpec,
     n_core: int | None = None,
-    core_left: float = 8.0,
-    fine_left: float | None = None,
-    fine_ratio: int | None = None,
-    tail_tolerance: float = 1e-3,
-    ratio: float | None = None,
-    far_cap: float = FAR_CAP,
     s_panels: int | None = None,
-    s_order: int = 4,
+    far_cap: float = FAR_CAP,
     enforce_tail_bound: bool = False,
 ) -> GridSpec:
-    """Size a grid for the kernel: zoned uniform core, geometric far field.
+    """Size a grid for the kernel: uniform core, geometric far field.
 
-    The variance the discretization misses sits in the near-diagonal
-    strip |x_i - x_j| < mesh, and that strip's mass density falls off
-    fast away from the time interval.  So the core uses a fine mesh on
-    [-fine_left, horizon] and a mesh coarser by `fine_ratio` on the rest;
-    0 falls exactly on an edge (increments over [0,t] then aggregate
-    whole cells).  The far field extends leftward with widths growing by
-    `ratio` until the tail estimate meets the tolerance or the window
-    hits `far_cap`.
+    The core is uniform on [-CORE_LEFT, horizon] = [-8, t] with n_core
+    cells (default 4096 for q <= 2, 1024 otherwise); -1 and 0 fall
+    exactly on edges (increments over [0,t] then aggregate whole cells).
+    The far field extends leftward with widths growing by 1.06 per cell
+    for q <= 2 and 1.12 otherwise, until the tail estimate meets
+    TAIL_TOLERANCE = 1e-3 or the window hits `far_cap`.  The s-rule has
+    `s_panels` Gauss-Legendre panels (default 48) of S_ORDER = 4 nodes.
     """
     q = kernel.q
     if n_core is None:
         n_core = 1024 if q >= 3 else 4096
-    if ratio is None:
-        ratio = 1.06 if q <= 2 else 1.12
-    if fine_ratio is None:
-        fine_ratio = 1
-    if fine_left is None:
-        fine_left = 1.0
     if n_core < 8 * q:
         raise InvalidInputError(f"n_core={n_core} too small for order {q}")
-    if not ratio > 1.0:
-        raise InvalidInputError("far-field ratio must exceed 1")
-    if not (isinstance(fine_ratio, (int, np.integer)) and fine_ratio >= 1):
-        raise InvalidInputError(f"fine_ratio must be a positive integer, got {fine_ratio!r}")
     if s_panels is None:
         s_panels = 48
+    ratio = 1.06 if q <= 2 else 1.12
     t = kernel.horizon
-    if not 0 < fine_left < core_left:
-        raise InvalidInputError("need 0 < fine_left < core_left")
 
-    # zoned uniform core with 0 and -fine_left snapped onto edges
-    fine_span = fine_left + t
-    coarse_span = core_left - fine_left
-    h = (fine_span + coarse_span / fine_ratio) / n_core
+    # uniform core, built piecewise so that -1 and 0 are exact edges; the
+    # step is summed in this order because the pinned default grids
+    # depend on it bit for bit
+    h = ((1.0 + t) + (CORE_LEFT - 1.0)) / n_core
     n_right = max(1, round(t / h))
-    n_mid = max(1, round(fine_left / h))
-    n_coarse = max(1, round(coarse_span / (fine_ratio * h)))
+    n_mid = max(1, round(1.0 / h))
+    n_left = max(1, round((CORE_LEFT - 1.0) / h))
     right = np.linspace(0.0, t, n_right + 1)
-    mid = np.linspace(-fine_left, 0.0, n_mid + 1)
-    coarse = np.linspace(-core_left, -fine_left, n_coarse + 1)
-    core_edges = np.concatenate([coarse[:-1], mid[:-1], right])
-    h_coarse = coarse_span / n_coarse
+    mid = np.linspace(-1.0, 0.0, n_mid + 1)
+    left = np.linspace(-CORE_LEFT, -1.0, n_left + 1)
+    core_edges = np.concatenate([left[:-1], mid[:-1], right])
 
-    window = required_window(kernel.gamma.entries, tail_tolerance, horizon=t, cap=far_cap)
-    target = min(max(window, core_left), far_cap)
+    window = required_window(kernel.gamma.entries, TAIL_TOLERANCE, horizon=t, cap=far_cap)
+    target = min(max(window, CORE_LEFT), far_cap)
     far = []
-    x = -core_left
-    w = h_coarse
+    x = -CORE_LEFT
+    w = (CORE_LEFT - 1.0) / n_left
     while -x < target:
         w *= ratio
         x -= w
         far.append(x)
     edges = np.concatenate([np.array(far[::-1]), core_edges]) if far else core_edges
 
-    s_nodes, s_weights = s_rule(0.0, t, s_panels, s_order)
+    s_nodes, s_weights = s_rule(0.0, t, s_panels, S_ORDER)
     return GridSpec(
         edges=edges,
-        core_left=core_left,
+        core_left=CORE_LEFT,
         mesh=h,
         horizon=t,
         s_nodes=s_nodes,
         s_weights=s_weights,
         s_panels=s_panels,
-        s_order=s_order,
-        tail_tolerance=tail_tolerance,
+        s_order=S_ORDER,
+        tail_tolerance=TAIL_TOLERANCE,
         tail_estimate=tail_fraction(kernel.gamma.entries, -float(edges[0]), horizon=t),
         enforce_tail_bound=enforce_tail_bound,
         ratio=ratio,
-        fine_left=fine_left,
-        fine_ratio=int(fine_ratio),
     )
 
 

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import special as sp
 
-from .errors import DivergentIntegralError, DomainError, InvalidInputError
+from .errors import DivergentIntegralError, DomainError
 
 __all__ = [
     "beta",
     "log_beta",
     "pairing_weights",
     "cross_integral",
-    "beta_small_alpha_probe",
 ]
 
 
@@ -78,33 +76,3 @@ def cross_integral(s1: float, s2: float, g1: float, g2: float) -> float:
     if s2 > s1:
         return (s2 - s1) ** power * beta(1.0 + g1, -1.0 - g1 - g2)
     return (s1 - s2) ** power * beta(1.0 + g2, -1.0 - g1 - g2)
-
-
-def beta_small_alpha_probe(
-    beta_range: tuple[float, float],
-    alphas,
-    grid_size: int = 97,
-) -> list[dict]:
-    """Tabulate sup over beta in [b0,b1] of |alpha*B(alpha,beta) - 1|.
-
-    alpha*B(alpha,beta) -> 1 as alpha -> 0, uniformly on compact beta
-    ranges; the table lets a caller watch the deviation shrink.  Rows come
-    back in the order of `alphas` (expected decreasing).
-    """
-    alphas = list(alphas)
-    if not alphas:
-        raise InvalidInputError("alphas must be a nonempty list")
-    b0, b1 = beta_range
-    if not (0 < b0 < b1):
-        raise InvalidInputError(f"need 0 < b0 < b1, got ({b0}, {b1})")
-    if any(a <= 0 for a in alphas):
-        raise InvalidInputError("alphas must be strictly positive")
-    if any(x <= y for x, y in zip(alphas, alphas[1:])):
-        raise InvalidInputError("alphas must be strictly decreasing")
-
-    betas = np.linspace(b0, b1, grid_size)
-    rows = []
-    for a in alphas:
-        vals = a * np.exp(sp.betaln(a, betas))
-        rows.append({"alpha": float(a), "sup_deviation": float(np.max(np.abs(vals - 1.0)))})
-    return rows

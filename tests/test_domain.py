@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -56,8 +55,7 @@ class TestValidate:
 
     def test_json_field_names(self):
         rep = validate(GammaVector((-0.6, -0.6)))
-        data = json.loads(rep.to_json())
-        assert set(data) == {"inside", "violations", "face1_distance", "face2_distance"}
+        assert set(rep.to_dict()) == {"inside", "violations", "face1_distance", "face2_distance"}
 
     def test_membership_interval_in_first_coordinate(self):
         # for a fixed admissible tail the inside set in gamma_1 is exactly

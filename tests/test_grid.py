@@ -3,6 +3,7 @@
 The tail oracle is scipy's quadrature of the closed-form order-one
 kernel; it shares no code with the permutation-sum estimate.
 """
+import hashlib
 import math
 
 import pytest
@@ -83,8 +84,27 @@ PINNED_WINDOWS = [
 ]
 
 
+# sha256 of the same default grids' edges.tobytes(), so that every edge,
+# not only the window and the count, stays bit-identical.
+PINNED_EDGE_DIGESTS = {
+    (-0.8,): "1cbd95721c1d7093f51e720b52ee76273c246596a0c4708406c73e023f8f59cc",
+    (-0.7, -0.65): "f3db66264ea932dd0ca99825ff1b22216c3c6b56bcb61a412e1ededfef453035",
+    (-0.7, -0.65, -0.6): "3fb52eb7c4e7dffa05b49ec7c130f8945b18f600b082e2600f887a842f31cc2f",
+    (-0.55, -0.65): "0aed53c730a10c150e73ef40bddc3374deb5cd772e7efd8914edce7ae7e08d07",
+    (-0.5571428571428572, -0.5428571428571428): "9dc6c9e6e58438b16056db1b754379f3d55235eb4f3c524ce90347727ab13b44",
+    (-0.6714285714285714, -0.6285714285714286): "4baa3dee857ea62b92fac52500ccb561ad03bd6196fb8bf68c63408751a1f863",
+    (-0.7227272727272726, -0.6772727272727272): "9732a8f792314ea7d8479e468ff75f5d3bba7887cc7bf6b101adccbacbec1c02",
+    (-0.7454545454545454, -0.7045454545454545): "2cbc3009569ee0ed1aa1fe7f46961c8a9c20c8a31b0d33488208459bca1dad98",
+    (-0.5444444444444444, -0.5333333333333333, -0.5222222222222221): "b84d0917336a4004561cd52ba303297ce38af46e919abb99032a229acb9a10b0",
+    (-0.6333333333333332, -0.6, -0.5666666666666667): "a5f09c4cc8149ebd6ea88351f1267ab01dbe69446ed1615efe2ec01e5e0e0338",
+    (-0.6777777777777776, -0.6333333333333333, -0.5888888888888888): "c855c7832834a1f6723711c10b2c713978e60f21c7dba2a2199debf35a6bf043",
+    (-0.6999999999999998, -0.6499999999999999, -0.6): "3fb52eb7c4e7dffa05b49ec7c130f8945b18f600b082e2600f887a842f31cc2f",
+}
+
+
 @pytest.mark.parametrize("gamma, far_left, n_cells", PINNED_WINDOWS)
 def test_default_grid_windows_pinned(gamma, far_left, n_cells):
     grid = build_grid(KernelSpec(gamma))
     assert grid.far_left == far_left
     assert grid.n_cells == n_cells
+    assert hashlib.sha256(grid.edges.tobytes()).hexdigest() == PINNED_EDGE_DIGESTS[gamma]

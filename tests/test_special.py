@@ -7,9 +7,7 @@ import pytest
 from rosenblatt import (
     DivergentIntegralError,
     DomainError,
-    InvalidInputError,
     beta,
-    beta_small_alpha_probe,
     cross_integral,
     log_beta,
 )
@@ -149,26 +147,3 @@ class TestBetaSmallAlphaProbe:
     def test_beta_one_exact(self):
         # B(alpha, 1) = 1/alpha exactly, so the deviation at beta=1 is 0
         assert abs(0.1 * beta(0.1, 1.0) - 1.0) < 1e-13
-
-    def test_deviation_shrinks(self):
-        rows = beta_small_alpha_probe((0.5, 2.0), [0.1, 0.01, 0.001])
-        devs = [r["sup_deviation"] for r in rows]
-        assert devs[0] > devs[1] > devs[2]
-        assert devs[-1] < 2e-3
-
-    def test_moderate_alpha_recorded(self):
-        rows = beta_small_alpha_probe((0.5, 2.0), [0.5])
-        assert rows[0]["sup_deviation"] > 0.0
-        assert math.isfinite(rows[0]["sup_deviation"])
-
-    def test_input_validation(self):
-        with pytest.raises(InvalidInputError):
-            beta_small_alpha_probe((0.5, 2.0), [])
-        with pytest.raises(InvalidInputError):
-            beta_small_alpha_probe((0.5, 2.0), [0.1, 0.2])
-        with pytest.raises(InvalidInputError):
-            beta_small_alpha_probe((0.5, 2.0), [0.1, -0.01])
-        with pytest.raises(InvalidInputError):
-            beta_small_alpha_probe((0.0, 2.0), [0.1])
-        with pytest.raises(InvalidInputError):
-            beta_small_alpha_probe((2.0, 0.5), [0.1])
