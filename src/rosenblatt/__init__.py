@@ -5,7 +5,7 @@ Wiener-Ito integral sampling with exact small-instance oracles, and the
 contraction integrals behind the two boundary limit theorems.
 """
 # set before the submodules load: sampler records it in every batch's meta
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .domain import BoundaryPath, DomainReport, Face, GammaVector, path_points, validate
 from .errors import (
@@ -18,7 +18,7 @@ from .errors import (
     RosenblattError,
     SizeError,
 )
-from .grid import GridSpec, build_grid, required_window, s_rule, tail_fraction
+from .grid import GridSpec, build_grid, required_window, tail_fraction
 from .kernel import (
     KernelSpec,
     constant_face_ratio,
@@ -62,7 +62,6 @@ __all__ = [
     "eval_kernel",
     "GridSpec",
     "build_grid",
-    "s_rule",
     "tail_fraction",
     "required_window",
     "ChaosSampleBatch",

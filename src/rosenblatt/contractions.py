@@ -479,7 +479,6 @@ class TrendTable:
     Each row is (epsilon, value, target, gap).
     """
 
-    kind: str
     rows: tuple
 
     def values(self) -> list:
@@ -517,14 +516,13 @@ def ncl_condition_ii_trend(path: BoundaryPath, spec: ContractionSpec, *,
         scale = -1.0 - 2.0 * point.entries[0]
         value = scale * scale * phi_cycle_integral(pf, mesh_scale=mesh_scale)
         rows.append((float(eps), float(value), 0.0, float(value)))
-    return TrendTable(kind="condition-ii", rows=tuple(rows))
+    return TrendTable(rows=tuple(rows))
 
 
 @dataclass(frozen=True)
 class ConditionLimitResult:
-    """Limit comparison for a matched check: estimate, target, and the path."""
+    """Limit comparison for a matched check: target, final gap, and the path."""
 
-    limit_estimate: float
     target: float
     final_gap: float
     table: TrendTable
@@ -561,13 +559,7 @@ def ncl_condition_iii_limit(path: BoundaryPath, spec: ContractionSpec, *,
         value = contraction_norm_sq(point, barred, mesh_scale=mesh_scale)
         gap = abs(value - target) / abs(target)
         rows.append((float(eps), float(value), float(target), float(gap)))
-    table = TrendTable(kind="condition-iii", rows=tuple(rows))
-    return ConditionLimitResult(
-        limit_estimate=rows[-1][1],
-        target=target,
-        final_gap=rows[-1][3],
-        table=table,
-    )
+    return ConditionLimitResult(target=target, final_gap=rows[-1][3], table=TrendTable(rows=tuple(rows)))
 
 
 def clt_norm_bound(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0) -> tuple:

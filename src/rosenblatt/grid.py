@@ -8,8 +8,10 @@ boundary faces.  The closed-form tail estimator quantifies that and sizes
 the window; where the required window exceeds what float64 can express
 the grid caps out and records the achieved estimate instead.
 
-The s-rule is the fixed quadrature in the time variable used to factorize
-kernels over the grid (composite Gauss-Legendre).
+The grid also fixes the quadrature in the time variable s that the
+sampler uses to factorize kernels: one Gauss-Legendre node per cell inside
+the time interval, cut at the interval's ends.  A grid therefore carries
+no s-rule of its own, and refining the mesh refines the s-rule with it.
 """
 from __future__ import annotations
 
@@ -21,12 +23,10 @@ import numpy as np
 
 from .errors import GridTooSmallError, InvalidInputError
 from .kernel import KernelSpec
-from .quadrature import gauss_legendre
 from .special import pairing_weights
 
 __all__ = [
     "GridSpec",
-    "s_rule",
     "tail_fraction",
     "required_window",
     "build_grid",
@@ -36,21 +36,16 @@ __all__ = [
 FAR_CAP = 1e250
 CORE_LEFT = 8.0
 TAIL_TOLERANCE = 1e-3
-S_ORDER = 4
 
 
 @dataclass(eq=False)
 class GridSpec:
-    """Cell edges plus the s-quadrature rule and tail bookkeeping."""
+    """Cell edges plus tail bookkeeping."""
 
     edges: np.ndarray
     core_left: float
     mesh: float
     horizon: float
-    s_nodes: np.ndarray
-    s_weights: np.ndarray
-    s_panels: int
-    s_order: int
     tail_tolerance: float
     tail_estimate: float
     enforce_tail_bound: bool = False
@@ -76,25 +71,10 @@ class GridSpec:
             "n_cells": self.n_cells,
             "far_left": self.far_left,
             "ratio": self.ratio,
-            "s_panels": self.s_panels,
-            "s_order": self.s_order,
             "tail_tolerance": self.tail_tolerance,
             "tail_estimate": self.tail_estimate,
             "enforce_tail_bound": self.enforce_tail_bound,
         }
-
-
-def s_rule(a: float, b: float, panels: int, order: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    if not b > a:
-        raise InvalidInputError(f"empty s-interval [{a}, {b}]")
-    xi, wi = gauss_legendre(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    weights = (half[:, None] * wi[None, :]).ravel()
-    return nodes, weights
 
 
 def tail_fraction(gamma, window: float, horizon: float = 1.0) -> float:
@@ -153,7 +133,6 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0, cap: float = 
 def build_grid(
     kernel: KernelSpec,
     n_core: int | None = None,
-    s_panels: int | None = None,
     far_cap: float = FAR_CAP,
     enforce_tail_bound: bool = False,
 ) -> GridSpec:
@@ -164,16 +143,14 @@ def build_grid(
     exactly on edges (increments over [0,t] then aggregate whole cells).
     The far field extends leftward with widths growing by 1.06 per cell
     for q <= 2 and 1.12 otherwise, until the tail estimate meets
-    TAIL_TOLERANCE = 1e-3 or the window hits `far_cap`.  The s-rule has
-    `s_panels` Gauss-Legendre panels (default 48) of S_ORDER = 4 nodes.
+    TAIL_TOLERANCE = 1e-3 or the window hits `far_cap`.  The sampler's
+    s-rule has one node per cell inside [0, t], so n_core also sets it.
     """
     q = kernel.q
     if n_core is None:
         n_core = 1024 if q >= 3 else 4096
     if n_core < 8 * q:
         raise InvalidInputError(f"n_core={n_core} too small for order {q}")
-    if s_panels is None:
-        s_panels = 48
     ratio = 1.06 if q <= 2 else 1.12
     t = kernel.horizon
 
@@ -200,16 +177,11 @@ def build_grid(
         far.append(x)
     edges = np.concatenate([np.array(far[::-1]), core_edges]) if far else core_edges
 
-    s_nodes, s_weights = s_rule(0.0, t, s_panels, S_ORDER)
     return GridSpec(
         edges=edges,
         core_left=CORE_LEFT,
         mesh=h,
         horizon=t,
-        s_nodes=s_nodes,
-        s_weights=s_weights,
-        s_panels=s_panels,
-        s_order=S_ORDER,
         tail_tolerance=TAIL_TOLERANCE,
         tail_estimate=tail_fraction(kernel.gamma.entries, -float(edges[0]), horizon=t),
         enforce_tail_bound=enforce_tail_bound,

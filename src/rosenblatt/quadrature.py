@@ -1,7 +1,7 @@
 """Cached Gauss rules and the graded composite rule for endpoint power singularities.
 
-Every fixed quadrature in the package comes from here: the composite
-Gauss-Legendre s-rule of the grid, the kernel's s-integral, and every
+Every fixed quadrature in the package comes from here, except the
+sampler's one-node-per-cell s-rule: the kernel's s-integral, and every
 axis of the cycle and indicator quadratures.  The graded rule follows
 Schwab's variable-order design (Computing 53, 1994): panel chains shrink
 geometrically into each end, the corner panel absorbs its end power

@@ -3,36 +3,43 @@
 The kernel is factorized: each coordinate i contributes a cell-averaged
 factor b_i[c, m] over grid cells c and s-quadrature nodes m, so a
 realization needs one standard normal per cell and a few matrix products.
+The s-rule follows the grid: one Gauss-Legendre node per cell inside the
+time interval, with the panels cut at its two ends.  Every factor has a
+power kink at each cell edge, so a rule blind to the edges loses accuracy
+as the mesh is refined; on the grid's own panels it does not.
 
-Assembly.  The distinct-cell multiple sum is the Moebius sum over the
-partition lattice of {0..q-1}: each partition contributes, with weight
-prod_B (-1)^(|B|-1) (|B|-1)!, the product over its blocks B of the
-projections xi^|B| @ prod_{i in B} b_i.  One loop over the lattice
-assembles every order.  A projection is computed once per distinct
-exponent multiset, and all blocks of one size go through one matrix
-product.  The one-block term is linear in xi^q, so the s-weights fold into
-it and it costs one mat-vec, xi^q @ (prod_i b_i @ s_w); for q = 1 that is
-the whole estimator.
+Assembly.  At each s-node the X_i = xi @ b_i are centered Gaussians with
+covariances C_ij(m) = sum_c b_i[c, m] b_j[c, m], and the estimator is A
+times the s-weighted sum of their Wick product :X_1...X_q:, the sum over
+partial matchings of {0..q-1} of (-1)^#pairs prod C_ij prod (unmatched
+X_k).  This is the cell-averaged kernel's multiple integral with a
+Hermite factor per repeated cell, the discretization for which the chaos
+identities hold exactly (Nualart, The Malliavin Calculus and Related
+Topics, 2006, sec. 1.1; Janson, Gaussian Hilbert Spaces, 1997, ch. 3).
+A term with no unmatched factor is a constant; one with a single
+unmatched factor is linear in xi, so its weights fold into one mat-vec;
+only the rest need projections, one per distinct exponent.  For q = 1 the
+folded mat-vec is the whole estimator.
 
 Far field.  For s in [lo, hi] and a cell whose right edge lies at least
-L = hi - lo left of lo, every factor is analytic in s: in the interval's
-[-1, 1] coordinates the nearest singularity sits at -3 or beyond, outside
-the Bernstein ellipse of parameter rho = 3 + sqrt(8).  Chebyshev
-interpolation in s therefore converges like rho^-R (Trefethen,
+L/2 left of lo, L = hi - lo, every factor is analytic in s: in the
+interval's [-1, 1] coordinates the nearest singularity sits at -2 or
+beyond, outside the Bernstein ellipse of parameter rho = 2 + sqrt(3).
+Chebyshev interpolation in s therefore converges like rho^-R (Trefethen,
 Approximation Theory and Approximation Practice, ch. 8), so those cells'
-factors and block products are evaluated at R = _FAR_NODES Chebyshev
-points and mapped to the s-nodes by an R x S barycentric matrix; R puts
-rho^-R below 1e-16.  Against the dense assembly on the same noise the
-values agree to within 4e-13 of their RMS, the level at which the
-differenced edge powers of `factor_matrix` already round (more points do
-not lower it).  Cells entirely right of hi have zero factors and are
-skipped.  No cells x s-nodes matrix over the whole grid is formed.
+factors and covariances are evaluated at R = _FAR_NODES Chebyshev points
+and mapped to the s-nodes by an R x S barycentric matrix; R puts rho^-R
+below 1e-16.  Against the dense assembly on the same noise the values
+agree to within 3e-13 of their RMS, the level at which the differenced
+edge powers of `factor_matrix` already round (more points do not lower
+it).  Cells entirely right of hi have zero factors and are skipped.  No
+cells x s-nodes matrix over the whole grid is formed.
 
-The estimator's exact discrete second moment is available in closed form
-via Gaussian pairings plus the same Moebius inversion.  It reads the same
-near and far tables: each block Gram over the s-nodes is the near cells'
-product plus the far cells' R x R product mapped by the interpolation
-matrix on both sides.
+Second moment.  Wick products pair only across the two factors, so
+E[Z_hat^2] = A^2 sum_sigma w^T (prod_i G_{i, sigma(i)}) w over the q!
+permutations, with G_ij the Gram of b_i and b_j over the s-nodes and the
+product taken entrywise.  Each Gram is the near cells' product plus the
+far cells' R x R product mapped by the interpolation matrix on both sides.
 
 Randomness: realizations come in fixed blocks of 64, and each block has
 one stream, spawned from the master seed with SeedSequence.spawn and
@@ -62,7 +69,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError, SizeError
-from .grid import GridSpec, check_tail_bound, s_rule
+from .grid import GridSpec, check_tail_bound
 from .kernel import KernelSpec
 
 __all__ = [
@@ -75,26 +82,37 @@ __all__ = [
 ]
 
 
-def factor_matrix(edges: np.ndarray, g: float, s_nodes: np.ndarray) -> np.ndarray:
-    """Cell-averaged, width-normalized kernel factor.
+def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray) -> np.ndarray:
+    """Cell-averaged, width-normalized kernel factors, side by side:
+    cells x (exponents x s-nodes).
 
     b[c, m] = (integral of (s_m - x)_+^g over cell c) / (width_c) * sqrt(width_c),
     i.e. the coefficient multiplying a standard normal in the cell-c
     contribution.  Closed form via the antiderivative; edge powers are
     differenced directly (cell widths never shrink relative to the
-    distance from s, so cancellation stays below ~1e-12 here).
+    distance from s, so cancellation stays below ~1e-12 here).  Each
+    exponent's block is written straight into the table: on large grids
+    a table-sized copy costs about as much as the powers.
     """
-    p = g + 1.0
-    d = s_nodes[None, :] - edges[:, None]  # (n_edges, S)
-    powed = np.where(d > 0.0, d, 0.0) ** p
-    diff = powed[:-1, :] - powed[1:, :]
-    widths = np.diff(edges)
-    return diff / (p * np.sqrt(widths))[:, None]
+    n_s = len(s_nodes)
+    out = np.empty((len(edges) - 1, len(gammas) * n_s))
+    ahead = np.maximum(s_nodes[None, :] - edges[:, None], 0.0)  # (n_edges, S)
+    root_w = np.sqrt(np.diff(edges))[:, None]
+    for j, g in enumerate(gammas):
+        p = g + 1.0
+        powed = ahead**p
+        col = out[:, j * n_s : (j + 1) * n_s]
+        np.subtract(powed[:-1], powed[1:], out=col)
+        col /= p * root_w
+    return out
 
 
-# Chebyshev points per far-field block: the smallest R with rho^-R < 1e-16,
-# rho = 3 + sqrt(8) (see the module docstring).
-_FAR_NODES = math.ceil(16.0 / math.log10(3.0 + math.sqrt(8.0)))
+# Chebyshev points per far-field block: the smallest odd R with rho^-R <
+# 1e-16, rho = 2 + sqrt(3) (see the module docstring); odd R puts a point
+# on the interval's midpoint.  The far zone starts L/2 left of the
+# interval rather than L: with one s-node per cell a near cell costs
+# more in the projections than the extra Chebyshev points do.
+_FAR_NODES = math.ceil(16.0 / math.log10(2.0 + math.sqrt(3.0))) | 1
 
 
 def _chebyshev_interpolation(lo: float, hi: float, s_nodes: np.ndarray):
@@ -113,36 +131,24 @@ def _chebyshev_interpolation(lo: float, hi: float, s_nodes: np.ndarray):
     return nodes, interp
 
 
-def _set_partitions(items: tuple):
+def _matchings(items: tuple):
+    """Partial matchings of `items` as (pairs, unmatched) tuples."""
     if not items:
-        yield ()
+        yield (), ()
         return
     head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield ((head,),) + part
-        for k in range(len(part)):
-            yield part[:k] + ((head,) + part[k],) + part[k + 1 :]
-
-
-def _partitions_with_weight(q: int):
-    """All set partitions of {0..q-1} with Moebius weight
-    prod_B (-1)^(|B|-1) (|B|-1)!  (turns conflated sums into distinct sums)."""
-    out = []
-    for part in _set_partitions(tuple(range(q))):
-        mu = 1.0
-        for block in part:
-            mu *= (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
-        out.append((part, mu))
-    return out
+    for pairs, free in _matchings(rest):
+        yield pairs, (head,) + free
+        for k, other in enumerate(free):
+            yield ((head, other),) + pairs, free[:k] + free[k + 1 :]
 
 
 class _Factors(NamedTuple):
-    """Block-product tables of one kernel on one grid and s-interval.
+    """Factor tables of one kernel on one grid and s-interval.
 
-    For each block size there is one stacked table per zone, holding
-    prod_{e in k} b_e for every exponent multiset k of that size side by
-    side: near cells x (keys x s-nodes) and far cells x (keys x Chebyshev
-    points).  near[k] and far[k] are column views into those stacks.
+    One table per zone holds b for every distinct exponent side by side:
+    near cells x (exponents x s-nodes) and far cells x (exponents x
+    Chebyshev points); coordinate i reads the exponent block slot[i].
     Cells [0, n_far) are far, cells from n_live on lie right of hi.
     """
 
@@ -150,88 +156,65 @@ class _Factors(NamedTuple):
     interp: np.ndarray
     n_far: int
     n_live: int
-    stacks: list  # per block size 1..q: (keys, near stack, far stack)
-    near: dict
-    far: dict
+    slot: tuple
+    near: np.ndarray
+    far: np.ndarray
 
+    def b_near(self, j: int) -> np.ndarray:
+        return self.near[:, j * len(self.s_w) : (j + 1) * len(self.s_w)]
 
-def _block_tables(edges: np.ndarray, g: tuple, nodes: np.ndarray):
-    """Stacked block-product tables for block sizes 1..q, and a dict of
-    column views into them keyed by exponent multiset.
-
-    A multiset's product is its sorted prefix's product times its last
-    factor, which is the left fold over its factors, in the same order.
-    """
-    width = len(nodes)
-    tables, views = [], {}
-    for size in range(1, len(g) + 1):
-        keys = sorted({tuple(sorted(c)) for c in itertools.combinations(g, size)})
-        table = np.empty((len(edges) - 1, len(keys) * width))
-        for j, k in enumerate(keys):
-            col = table[:, j * width : (j + 1) * width]
-            if size == 1:
-                col[...] = factor_matrix(edges, k[0], nodes)
-            else:
-                np.multiply(views[k[:-1]], views[k[-1:]], out=col)
-            views[k] = col
-        tables.append((keys, table))
-    return tables, views
+    def b_far(self, j: int) -> np.ndarray:
+        return self.far[:, j * _FAR_NODES : (j + 1) * _FAR_NODES]
 
 
 def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
     """The factor tables both estimator paths read; None for an empty interval."""
-    q = kernel.q
-    if q > 3:
-        raise SizeError(f"the sampler supports orders 1..3, got {q}")
-    if interval is None:
-        lo, hi, s_nodes, s_w = 0.0, grid.horizon, grid.s_nodes, grid.s_weights
-    else:
-        lo, hi = float(interval[0]), float(interval[1])
-        if not (0.0 <= lo <= hi <= grid.horizon + 1e-12):
-            raise InvalidInputError(f"interval {interval} not inside [0, {grid.horizon}]")
-        if lo == hi:
-            return None
-        s_nodes, s_w = s_rule(lo, hi, grid.s_panels, grid.s_order)
+    if kernel.q > 4:
+        raise SizeError(f"the sampler supports orders 1..4, got {kernel.q}")
+    lo, hi = (0.0, grid.horizon) if interval is None else (float(interval[0]), float(interval[1]))
+    if not (0.0 <= lo <= hi <= grid.horizon + 1e-12):
+        raise InvalidInputError(f"interval {interval} not inside [0, {grid.horizon}]")
+    if lo == hi:
+        return None
     edges = grid.edges
-    n_far = int(np.searchsorted(edges[1:], lo - (hi - lo), side="right"))
+    # the s-rule: one Gauss-Legendre node (the midpoint) per grid cell in
+    # [lo, hi], cut at lo and hi, so every edge kink of b sits on a panel end
+    cuts = np.concatenate(([lo], edges[(edges > lo) & (edges < hi)], [hi]))
+    s_nodes, s_w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
+    n_far = int(np.searchsorted(edges[1:], lo - 0.5 * (hi - lo), side="right"))
     n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
     cheb, interp = _chebyshev_interpolation(lo, hi, s_nodes)
     g = kernel.gamma.entries
-    near_tables, near = _block_tables(edges[n_far : n_live + 1], g, s_nodes)
-    far_tables, far = _block_tables(edges[: n_far + 1], g, cheb)
-    stacks = [(keys, b_near, b_far) for (keys, b_near), (_, b_far) in zip(near_tables, far_tables)]
-    return _Factors(s_w, interp, n_far, n_live, stacks, near, far)
+    keys = sorted(set(g))
+    near = factor_matrix(edges[n_far : n_live + 1], keys, s_nodes)
+    far = factor_matrix(edges[: n_far + 1], keys, cheb)
+    return _Factors(s_w, interp, n_far, n_live, tuple(keys.index(v) for v in g), near, far)
 
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
     """E[Z_hat^2] from the factor tables; far Grams are formed in R x R."""
-    g = kernel.gamma.entries
     grams: dict = {}
 
-    def gram(left: tuple, right: tuple) -> np.ndarray:
-        if (left, right) not in grams:
-            far = fac.interp.T @ (fac.far[left].T @ fac.far[right]) @ fac.interp
-            grams[left, right] = fac.near[left].T @ fac.near[right] + far
-            grams[right, left] = grams[left, right].T
-        return grams[left, right]
+    def gram(a: int, b: int) -> np.ndarray:
+        if (a, b) not in grams:
+            far = fac.interp.T @ (fac.b_far(a).T @ fac.b_far(b)) @ fac.interp
+            grams[a, b] = fac.b_near(a).T @ fac.b_near(b) + far
+            grams[b, a] = grams[a, b].T
+        return grams[a, b]
 
     total = 0.0
-    parts = _partitions_with_weight(kernel.q)
     for sigma in itertools.permutations(range(kernel.q)):
-        for part, mu in parts:
-            m = reduce(np.multiply, [gram(tuple(sorted(g[i] for i in block)),
-                                          tuple(sorted(g[sigma[i]] for i in block))) for block in part])
-            total += mu * float(fac.s_w @ m @ fac.s_w)
+        m = reduce(np.multiply, [gram(fac.slot[i], fac.slot[j]) for i, j in enumerate(sigma)])
+        total += float(fac.s_w @ m @ fac.s_w)
     return kernel.constant**2 * total
 
 
 def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) -> float:
     """Exact E[Z_hat^2] of the sampled estimator on this grid.
 
-    Gaussian pairing between the two distinct-cell sums leaves one
-    permutation sum; Moebius inversion turns each distinct sum into
-    conflated block sums, and each block reduces to a Gram matrix over
-    s-nodes.  No Monte Carlo, no continuum approximation: this is the
+    Wick products of Gaussians pair only across the two factors, so the
+    second moment is the permutation sum of products of singleton Grams
+    over s-nodes.  No Monte Carlo, no continuum approximation: this is the
     estimator's own variance to float precision.
     """
     fac = _factorize(kernel, grid, interval)
@@ -324,11 +307,11 @@ def sample_chaos(
 
     Chunks of `chunk_size` realizations are drawn and assembled on
     min(usable CPUs, number of chunks) worker threads.  The noise in
-    flight takes about workers x chunk_size x grid.n_cells x 8 bytes (q = 3
-    adds one noise power per chunk, at most as large); a caller caps it
-    with `chunk_size`.  A chunk size that is a multiple of 64 draws no
-    normal twice; other sizes redraw the start of a noise block in each
-    chunk that begins inside it.
+    flight takes about workers x chunk_size x grid.n_cells x 8 bytes, and
+    for q >= 2 the projections workers x chunk_size x s-nodes x 8 bytes
+    per distinct exponent; a caller caps both with `chunk_size`.  A chunk
+    size that is a multiple of 64 draws no normal twice; other sizes
+    redraw the start of a noise block in each chunk that begins inside it.
     """
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise InvalidInputError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
@@ -347,45 +330,43 @@ def sample_chaos(
             brownian=np.zeros(n_samples) if return_brownian else None,
         )
 
-    q = kernel.q
-    g = kernel.gamma.entries
-    s_w, interp, n_far, n_live = fac.s_w, fac.interp, fac.n_far, fac.n_live
-    terms = []
-    for part, mu in _partitions_with_weight(q):
-        keys = [tuple(sorted(g[i] for i in b)) for b in part]
-        if len(part) == 1:
-            whole, mu_whole = keys[0], mu
+    interp, n_far, slot = fac.interp, fac.n_far, fac.slot
+
+    def cov(i: int, j: int) -> np.ndarray:
+        """C_ij(m) = sum_c b_i[c, m] b_j[c, m] over the live cells."""
+        a, b = slot[i], slot[j]
+        far = np.einsum("cr,cr->r", fac.b_far(a), fac.b_far(b)) @ interp
+        return np.einsum("cm,cm->m", fac.b_near(a), fac.b_near(b)) + far
+
+    # each matching's s-weights and covariances form one vector over the
+    # s-nodes; with no unmatched factor it sums to a constant, with one it
+    # folds into a single vector over cells, and with more it multiplies
+    # the unmatched factors' projections
+    const, folded, products = 0.0, np.zeros(fac.n_live), []
+    for pairs, free in _matchings(tuple(range(kernel.q))):
+        c = reduce(np.multiply, [cov(i, j) for i, j in pairs], (-1.0) ** len(pairs) * fac.s_w)
+        if not free:
+            const += float(c.sum())
+        elif len(free) == 1:
+            folded[:n_far] += fac.b_far(slot[free[0]]) @ (interp @ c)
+            folded[n_far:] += fac.b_near(slot[free[0]]) @ c
         else:
-            terms.append((mu, keys))
-    # blocks of size 1..q-1 go through their stacked tables; the size-q
-    # block only occurs alone and is folded with the s-weights into one vector
-    stacks = fac.stacks[: q - 1]
-    folded = np.concatenate([fac.far[whole] @ (interp @ s_w), fac.near[whole] @ s_w])
+            products.append(([slot[i] for i in free], c))
 
     # cells inside [0, horizon] carry the terminal Brownian value
     sqrt_w_pos = np.sqrt(grid.widths) * (grid.edges[:-1] >= -1e-12)
 
-    n_s = len(s_w)
-
     def assemble(xi: np.ndarray) -> np.ndarray:
-        """Moebius sum over the live cells, without the constant; leaves
-        xi^q in xi."""
-        m = len(xi)
-        power = xi
-        proj = {}
-        for size, (keys, b_near, b_far) in enumerate(stacks, start=1):
-            if size > 1:
-                power = power * xi
-            k = len(keys)
-            p_far = (power[:, :n_far] @ b_far).reshape(m * k, _FAR_NODES) @ interp
-            p = (power[:, n_far:] @ b_near).reshape(m, k, n_s) + p_far.reshape(m, k, n_s)
-            proj.update((key, p[:, j]) for j, key in enumerate(keys))
-        acc = np.zeros((m, n_s))
-        for mu, keys in terms:
-            acc += mu * reduce(np.multiply, [proj[k] for k in keys])
-        if q > 1:
-            power = np.multiply(power, xi, out=xi)
-        return acc @ s_w + mu_whole * (power @ folded)
+        """The Wick sum over the live cells, without the kernel constant."""
+        out = xi @ folded + const
+        if products:
+            m, n_s = len(xi), len(fac.s_w)
+            k = fac.near.shape[1] // n_s
+            proj = (xi[:, n_far:] @ fac.near).reshape(m, k, n_s)
+            proj += ((xi[:, :n_far] @ fac.far).reshape(m * k, _FAR_NODES) @ interp).reshape(m, k, n_s)
+            for slots, c in products:
+                out += reduce(np.multiply, [proj[:, j] for j in slots]) @ c
+        return out
 
     streams = np.random.SeedSequence(int(seed)).spawn(-(-n_samples // _BLOCK))
     values = np.empty(n_samples)
@@ -396,7 +377,7 @@ def sample_chaos(
         xi = _noise(streams, start, stop, grid.n_cells)
         if return_brownian:
             brownian[start:stop] = xi @ sqrt_w_pos
-        values[start:stop] = kernel.constant * assemble(xi[:, :n_live])
+        values[start:stop] = kernel.constant * assemble(xi[:, : fac.n_live])
 
     starts = range(0, n_samples, chunk_size)
     # numpy's normal fill and BLAS release the GIL; each chunk writes only

@@ -3,15 +3,18 @@
 Everything in here is small and exact: polynomials in finitely many
 independent centered Gaussian increments (variance h per cell), their
 moments by independence (within one cell the (p-1)!! pairing count, zero
-across cells for odd powers), and the two identities the sampler is
-judged against:
+across cells for odd powers), and two identities of discretized
+integrals:
 
   * isometry: the second moment of an off-diagonal sum equals
     q! h^q times the squared norm of the symmetrized tensor;
   * the product formula: a product of two discretized integrals expands
     into contractions, exactly, once repeated indices carry monic
     variance-h Hermite factors (off-diagonal sums are the special case of
-    tensors vanishing on diagonals, which is what sampling uses).
+    tensors vanishing on diagonals).
+
+The sampler's estimator is `hermite_expression` of the cell-averaged
+kernel tensor, so on small grids this module is its exact oracle.
 """
 from __future__ import annotations
 

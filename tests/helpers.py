@@ -140,19 +140,29 @@ def cycle_mc_oracle(gamma, pairs, n_points: int, seed: int):
     return mean, math.sqrt(var / n_points)
 
 
-def tiny_grid(n_cells: int, left: float, horizon: float, s_panels: int = 4, s_order: int = 4):
+def tiny_grid(n_cells: int, left: float, horizon: float):
     """Small uniform hand grid for oracle comparisons (equal cell widths
     so variance-h Wick arithmetic applies directly)."""
-    from rosenblatt.grid import GridSpec, s_rule
+    from rosenblatt.grid import GridSpec
 
     edges = np.linspace(-left, horizon, n_cells + 1)
-    nodes, weights = s_rule(0.0, horizon, s_panels, s_order)
     return GridSpec(
         edges=edges, core_left=left, mesh=float(edges[1] - edges[0]),
-        horizon=horizon, s_nodes=nodes, s_weights=weights,
-        s_panels=s_panels, s_order=s_order,
-        tail_tolerance=1.0, tail_estimate=0.0,
+        horizon=horizon, tail_tolerance=1.0, tail_estimate=0.0,
     )
+
+
+def cell_s_rule(grid, interval=None):
+    """The sampler's s-rule rebuilt with a plain loop: the midpoint and
+    width of every grid cell's part inside the interval."""
+    lo, hi = (0.0, grid.horizon) if interval is None else interval
+    nodes, weights = [], []
+    for el, er in zip(grid.edges[:-1], grid.edges[1:]):
+        a, b = max(el, lo), min(er, hi)
+        if b > a:
+            nodes.append(0.5 * (a + b))
+            weights.append(b - a)
+    return np.array(nodes), np.array(weights)
 
 
 def tiny_hat_tensor(ker, grid) -> np.ndarray:
@@ -163,8 +173,7 @@ def tiny_hat_tensor(ker, grid) -> np.ndarray:
     q = len(gammas)
     edges = grid.edges
     n = len(edges) - 1
-    s = grid.s_nodes
-    w = grid.s_weights
+    s, w = cell_s_rule(grid)
     avgs = []
     for g in gammas:
         p = g + 1.0
@@ -186,65 +195,66 @@ def tiny_hat_tensor(ker, grid) -> np.ndarray:
     return out
 
 
-def _set_partitions(items: list):
+def evaluate_expression(expr, w) -> np.ndarray:
+    """A WickExpression's value at each row of cell increments `w`."""
+    out = np.zeros(len(w))
+    for key, coeff in expr.terms.items():
+        term = np.full(len(w), coeff)
+        for idx, p in key:
+            term = term * w[:, idx] ** p
+        out += term
+    return out
+
+
+def _matchings(items: list):
+    """Every partial matching of `items` as (pairs, unmatched)."""
     if not items:
-        yield []
+        yield [], []
         return
     head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[head]] + part
-        for k in range(len(part)):
-            yield part[:k] + [[head] + part[k]] + part[k + 1 :]
+    for pairs, free in _matchings(rest):
+        yield pairs, [head] + free
+        for k in range(len(free)):
+            yield [(head, free[k])] + pairs, free[:k] + free[k + 1 :]
 
 
 def _dense_factors(ker, grid, interval):
     """s-rule and whole-grid factor matrices b_i (cells x s-nodes)."""
-    from rosenblatt.grid import s_rule
     from rosenblatt.sampler import factor_matrix
 
-    if interval is None:
-        nodes, weights = grid.s_nodes, grid.s_weights
-    else:
-        nodes, weights = s_rule(interval[0], interval[1], grid.s_panels, grid.s_order)
-    return nodes, weights, [factor_matrix(grid.edges, g, nodes) for g in ker.gamma.entries]
+    nodes, weights = cell_s_rule(grid, interval)
+    return nodes, weights, [factor_matrix(grid.edges, (g,), nodes) for g in ker.gamma.entries]
 
 
 def dense_chaos_reference(ker, grid, xi, interval=None) -> np.ndarray:
     """Sampled-estimator values for the noise rows `xi` (realizations x
-    cells), by the plain Moebius sum over dense factor matrices at every
-    s-node: each set partition of the coordinates contributes
-    prod_B (-1)^(|B|-1) (|B|-1)! (xi^|B| @ prod_{i in B} b_i), summed with
-    the s-weights.  No stacking, folding or far-field compression."""
+    cells), by the plain Wick sum over dense factor matrices at every
+    s-node: each partial matching of the coordinates contributes
+    (-1)^#pairs prod_(i,j) C_ij prod_(k unmatched) (xi @ b_k), with
+    C_ij = sum_c b_i[c] b_j[c], summed with the s-weights.  No grouping,
+    folding or far-field compression."""
     nodes, weights, b = _dense_factors(ker, grid, interval)
     total = np.zeros((len(xi), len(nodes)))
-    for part in _set_partitions(list(range(len(b)))):
+    for pairs, free in _matchings(list(range(len(b)))):
         term = np.ones_like(total)
-        for block in part:
-            prod = np.ones_like(b[0])
-            for i in block:
-                prod = prod * b[i]
-            term = term * ((xi ** len(block)) @ prod)
-            term = term * (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
+        for i, j in pairs:
+            term = -term * np.sum(b[i] * b[j], axis=0)
+        for k in free:
+            term = term * (xi @ b[k])
         total += term
     return ker.constant * (total @ weights)
 
 
 def dense_second_moment_reference(ker, grid, interval=None) -> float:
     """Exact E[Z_hat^2] by the plain Gram engine over dense factor matrices:
-    for each permutation sigma and set partition of the coordinates, the
-    product over blocks B of (prod_{i in B} b_i)^T (prod_{i in B} b_sigma(i))
-    with the Moebius weight, contracted with the s-weights on both sides.
-    Every cell of the grid enters every Gram; no far-field compression."""
+    for each permutation sigma, the entrywise product over coordinates i of
+    b_i^T b_sigma(i), contracted with the s-weights on both sides.  Every
+    cell of the grid enters every Gram; no far-field compression."""
     nodes, weights, b = _dense_factors(ker, grid, interval)
-    q = len(b)
     total = 0.0
-    for sigma in itertools.permutations(range(q)):
-        for part in _set_partitions(list(range(q))):
-            term = np.ones((len(nodes), len(nodes)))
-            for block in part:
-                left = np.prod([b[i] for i in block], axis=0)
-                right = np.prod([b[sigma[i]] for i in block], axis=0)
-                term = term * (left.T @ right)
-                term = term * (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
-            total += float(weights @ term @ weights)
+    for sigma in itertools.permutations(range(len(b))):
+        term = np.ones((len(nodes), len(nodes)))
+        for i, j in enumerate(sigma):
+            term = term * (b[i].T @ b[j])
+        total += float(weights @ term @ weights)
     return ker.constant**2 * total

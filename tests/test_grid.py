@@ -60,7 +60,7 @@ def test_required_window_is_the_smallest(gamma, tolerance):
 def test_window_beyond_cap_is_inf():
     gamma = (-0.502, -0.7)
     assert math.isinf(required_window(gamma, 1e-3, cap=100.0))
-    grid = build_grid(KernelSpec(gamma), n_core=128, s_panels=8, far_cap=100.0)
+    grid = build_grid(KernelSpec(gamma), n_core=128, far_cap=100.0)
     assert grid.far_left >= 100.0
     assert grid.tail_estimate > grid.tail_tolerance
 

@@ -10,7 +10,7 @@ import pytest
 import rosenblatt
 import rosenblatt.sampler as sampler_module
 from rosenblatt.errors import GridTooSmallError, InvalidInputError, SizeError
-from rosenblatt.grid import GridSpec, build_grid, s_rule
+from rosenblatt.grid import build_grid
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
     ChaosSampleBatch,
@@ -21,9 +21,16 @@ from rosenblatt.sampler import (
     sample_process_increment,
     save_npz,
 )
-from rosenblatt.wick import offdiag_expression, wick_moment
+from rosenblatt.wick import hermite_expression, wick_moment
 
-from helpers import dense_chaos_reference, dense_second_moment_reference, tiny_grid, tiny_hat_tensor
+from helpers import (
+    cell_s_rule,
+    dense_chaos_reference,
+    dense_second_moment_reference,
+    evaluate_expression,
+    tiny_grid,
+    tiny_hat_tensor,
+)
 
 
 def noise_rows(seed, n, n_cells):
@@ -40,13 +47,14 @@ def variance_se(values):
 
 
 class TestExactEngineVsWickOracle:
-    # the Gram/Mobius engine and the matching-enumeration oracle share no code
+    # the Gram engine and the matching-enumeration oracle share no code;
+    # the oracle's Hermite-complete sum is the estimator's exact form
     def test_q2_tiny_grid_exact(self):
         ker = KernelSpec((-0.6, -0.7))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
         f_hat = tiny_hat_tensor(ker, grid)
         h = grid.widths[0]
-        oracle = wick_moment(offdiag_expression(f_hat) ** 2, h)
+        oracle = wick_moment(hermite_expression(f_hat, h) ** 2, h)
         engine = discrete_second_moment(ker, grid)
         assert engine == pytest.approx(oracle, rel=1e-10)
 
@@ -55,7 +63,16 @@ class TestExactEngineVsWickOracle:
         grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
         f_hat = tiny_hat_tensor(ker, grid)
         h = grid.widths[0]
-        oracle = wick_moment(offdiag_expression(f_hat) ** 2, h)
+        oracle = wick_moment(hermite_expression(f_hat, h) ** 2, h)
+        engine = discrete_second_moment(ker, grid)
+        assert engine == pytest.approx(oracle, rel=1e-10)
+
+    def test_q4_tiny_grid_exact(self):
+        ker = KernelSpec((-0.55, -0.6, -0.6, -0.65))
+        grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
+        f_hat = tiny_hat_tensor(ker, grid)
+        h = grid.widths[0]
+        oracle = wick_moment(hermite_expression(f_hat, h) ** 2, h)
         engine = discrete_second_moment(ker, grid)
         assert engine == pytest.approx(oracle, rel=1e-10)
 
@@ -66,14 +83,29 @@ class TestExactEngineVsWickOracle:
 
         ker = KernelSpec((-0.6,))
         grid = tiny_grid(n_cells=8, left=3.0, horizon=1.0)
-        b = factor_matrix(grid.edges, -0.6, grid.s_nodes)
-        direct = ker.constant**2 * float(np.sum((b @ grid.s_weights) ** 2))
+        nodes, weights = cell_s_rule(grid)
+        b = factor_matrix(grid.edges, (-0.6,), nodes)
+        direct = ker.constant**2 * float(np.sum((b @ weights) ** 2))
         assert discrete_second_moment(ker, grid) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [
+        (-0.6, -0.7), (-0.55, -0.6, -0.65), (-0.55, -0.6, -0.6, -0.65),
+    ])
+    def test_pathwise_equals_hermite_expression(self, gamma):
+        # each realization is the oracle polynomial evaluated at its cell
+        # increments sqrt(h) xi; 3 far cells of 8 for the full interval
+        ker = KernelSpec(gamma)
+        grid = tiny_grid(n_cells=8, left=3.0, horizon=1.0)
+        h = grid.widths[0]
+        batch = sample_chaos(ker, grid, 50, seed=8, with_second_moment=False)
+        xi = noise_rows(8, 50, grid.n_cells)
+        oracle = evaluate_expression(hermite_expression(tiny_hat_tensor(ker, grid), h), np.sqrt(h) * xi)
+        assert np.max(np.abs(batch.values - oracle)) <= 1e-12 * np.sqrt(np.mean(oracle**2))
 
 
 class TestAssemblyVsDenseReference:
-    # the stacked, folded, far-field-compressed assembly against the plain
-    # Moebius sum over dense factor matrices, on the same noise rows, and
+    # the grouped, folded, far-field-compressed assembly against the plain
+    # Wick sum over dense factor matrices, on the same noise rows, and
     # the second moment against the dense Gram engine; the tiny grid's far
     # block is empty for the full interval only
     @pytest.mark.parametrize("gamma", [
@@ -94,10 +126,11 @@ class TestAssemblyVsDenseReference:
         assert batch.second_moment == discrete_second_moment(ker, grid, interval)
 
     def test_s_node_on_a_chebyshev_point(self):
-        # 3 panels of order 5 put an s-node at 1/2, which is also the middle
-        # Chebyshev point of the far-field interpolation
+        # one cell on [0, 1] puts its s-node at 1/2, which is also the
+        # middle Chebyshev point of the far-field interpolation; the cell
+        # [-2, -1] is far
         ker = KernelSpec((-0.7, -0.65))
-        grid = tiny_grid(n_cells=12, left=3.0, horizon=1.0, s_panels=3, s_order=5)
+        grid = tiny_grid(n_cells=3, left=2.0, horizon=1.0)
         batch = sample_chaos(ker, grid, 32, 3, with_second_moment=False)
         xi = noise_rows(3, 32, grid.n_cells)
         ref = dense_chaos_reference(ker, grid, xi)
@@ -109,7 +142,7 @@ class TestSampleMoments:
         ker = KernelSpec((-0.6, -0.7))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
         f_hat = tiny_hat_tensor(ker, grid)
-        oracle = wick_moment(offdiag_expression(f_hat) ** 2, grid.widths[0])
+        oracle = wick_moment(hermite_expression(f_hat, grid.widths[0]) ** 2, grid.widths[0])
         batch = sample_chaos(ker, grid, 40000, seed=7)
         var, se = variance_se(batch.values)
         m2 = float(np.mean(batch.values**2))
@@ -119,7 +152,7 @@ class TestSampleMoments:
         ker = KernelSpec((-0.55, -0.6, -0.65))
         grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
         f_hat = tiny_hat_tensor(ker, grid)
-        oracle = wick_moment(offdiag_expression(f_hat) ** 2, grid.widths[0])
+        oracle = wick_moment(hermite_expression(f_hat, grid.widths[0]) ** 2, grid.widths[0])
         batch = sample_chaos(ker, grid, 20000, seed=11)
         _, se = variance_se(batch.values)
         m2 = float(np.mean(batch.values**2))
@@ -128,7 +161,7 @@ class TestSampleMoments:
     def test_q1_mean_and_variance(self):
         # linear Gaussian functional: mean 0, variance = discrete norm
         ker = KernelSpec((-0.6,))
-        grid = build_grid(ker, n_core=256, s_panels=12)
+        grid = build_grid(ker, n_core=256)
         batch = sample_chaos(ker, grid, 100_000, seed=3)
         target = batch.second_moment
         var, se = variance_se(batch.values)
@@ -147,7 +180,7 @@ class TestSampleMoments:
     def test_sample_variance_matches_engine_on_default_grid(self):
         # end-to-end: MC variance vs the exact engine on a real grid
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=1024, s_panels=24)
+        grid = build_grid(ker, n_core=1024)
         batch = sample_chaos(ker, grid, 8000, seed=123)
         var, se = variance_se(batch.values)
         assert abs(var - batch.second_moment) < 4 * se
@@ -251,23 +284,24 @@ class TestIncrements:
         assert b.second_moment == 0.0
 
     def test_pathwise_additivity(self):
-        # Z(1) vs Z(0.5) + (Z(1)-Z(0.5)) on shared noise: only the s-rule
-        # differs between the two sides, so the residual is small
+        # Z(1) vs Z(0.5) + (Z(1)-Z(0.5)) on shared noise: both sides put
+        # one s-node in each cell, except that the increments cut the cell
+        # holding 0.5 in two, so the residual is that cell's share
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=512, s_panels=24)
+        grid = build_grid(ker, n_core=512)
         full = sample_chaos(ker, grid, 2000, seed=77)
         first = sample_process_increment(ker, grid, (0.0, 0.5), 2000, seed=77)
         second = sample_process_increment(ker, grid, (0.5, 1.0), 2000, seed=77)
         resid = full.values - first.values - second.values
         rms_ratio = np.sqrt(np.mean(resid**2) / np.mean(full.values**2))
-        assert rms_ratio < 0.05
+        assert rms_ratio < 0.01
 
     def test_increment_scaling_ratio(self):
         # stationarity + self-similarity: E[(Z(2s)-Z(s))^2]/E[Z(s)^2] is
         # s-independent in the continuum; exact discrete m2 should agree
         # across two scales to within discretization error
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=2048, s_panels=48)
+        grid = build_grid(ker, n_core=2048)
         ratios = []
         for s in (0.2, 0.4):
             inc = discrete_second_moment(ker, grid, interval=(s, 2 * s))
@@ -287,7 +321,7 @@ class TestIncrements:
 class TestBrownianOutput:
     def test_terminal_brownian_variance_and_orthogonality(self):
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=512, s_panels=12)
+        grid = build_grid(ker, n_core=512)
         batch = sample_chaos(ker, grid, 20000, seed=13, return_brownian=True)
         w = batch.brownian
         var, se = variance_se(w)
@@ -299,7 +333,7 @@ class TestBrownianOutput:
 
 class TestErrorsAndValidation:
     def test_order_cap(self):
-        ker = KernelSpec((-0.52, -0.55, -0.6, -0.58))
+        ker = KernelSpec((-0.52, -0.55, -0.6, -0.58, -0.54))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
         with pytest.raises(SizeError):
             sample_chaos(ker, grid, 10, seed=1)
@@ -324,7 +358,7 @@ class TestErrorsAndValidation:
     def test_grid_too_small_enforced(self):
         # near face 1 the required window exceeds any modest cap
         ker = KernelSpec((-0.502, -0.7))
-        grid = build_grid(ker, n_core=128, s_panels=8, far_cap=100.0,
+        grid = build_grid(ker, n_core=128, far_cap=100.0,
                           enforce_tail_bound=True)
         assert grid.tail_estimate > grid.tail_tolerance
         with pytest.raises(GridTooSmallError) as exc:
@@ -333,7 +367,7 @@ class TestErrorsAndValidation:
 
     def test_non_enforcing_grid_samples_anyway(self):
         ker = KernelSpec((-0.502, -0.7))
-        grid = build_grid(ker, n_core=128, s_panels=8, far_cap=100.0)
+        grid = build_grid(ker, n_core=128, far_cap=100.0)
         batch = sample_chaos(ker, grid, 10, seed=1)
         assert batch.n == 10
 
@@ -346,14 +380,28 @@ class TestErrorsAndValidation:
 
 class TestRefinement:
     def test_variance_gap_shrinks_along_doubling(self):
-        # refine mesh and s-rule together; |m2 - 1| must decrease at each step
+        # |m2 - 1| must decrease at each mesh doubling
         ker = KernelSpec((-0.6, -0.7))
         gaps = []
-        for n_core, s_panels in [(512, 12), (1024, 24), (2048, 48), (4096, 96)]:
-            grid = build_grid(ker, n_core=n_core, s_panels=s_panels)
+        for n_core in (512, 1024, 2048, 4096):
+            grid = build_grid(ker, n_core=n_core)
             gaps.append(abs(discrete_second_moment(ker, grid) - 1.0))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.08
+
+    def test_order_one_variance_is_one_minus_tail(self):
+        # q=1 loses little to the cell averages, so m2 sits near 1 - tail;
+        # an s-rule blind to the cell edges drifts away as the mesh refines
+        ker = KernelSpec((-0.8,))
+        for n_core in (1024, 4096, 16384):
+            grid = build_grid(ker, n_core=n_core)
+            m2 = discrete_second_moment(ker, grid)
+            assert abs(m2 - (1.0 - grid.tail_estimate)) < 2e-3
+
+    def test_order_three_variance_rises_with_the_mesh(self):
+        ker = KernelSpec((-0.7, -0.65, -0.6))
+        m2 = [discrete_second_moment(ker, build_grid(ker, n_core=n)) for n in (256, 512, 1024, 2048)]
+        assert all(b > a for a, b in zip(m2, m2[1:]))
 
 
 class TestSerialization:
