@@ -1,8 +1,10 @@
 """Generalized Rosenblatt process toolkit.
 
 Kernels and their exact normalizing constant, discretized multiple
-Wiener-Ito integral sampling with exact small-instance oracles, and the
-contraction integrals behind the two boundary limit theorems.
+Wiener-Ito integral sampling, and the contraction integrals behind the
+two boundary limit theorems.  The exact small-instance oracles the
+sampler is checked against (Wick moments, the isometry and the product
+formula) live with the tests, in tests/wick_oracle.py.
 """
 # set before the submodules load: sampler records it in every batch's meta
 __version__ = "0.4.0"
@@ -35,14 +37,6 @@ from .sampler import (
     save_npz,
 )
 from .special import beta, cross_integral, log_beta
-from .wick import (
-    WickExpression,
-    discrete_isometry_check,
-    discrete_product_formula_check,
-    hermite_expression,
-    offdiag_expression,
-    wick_moment,
-)
 
 __all__ = [
     "__version__",
@@ -70,12 +64,6 @@ __all__ = [
     "discrete_second_moment",
     "save_npz",
     "load_npz",
-    "WickExpression",
-    "wick_moment",
-    "offdiag_expression",
-    "hermite_expression",
-    "discrete_isometry_check",
-    "discrete_product_formula_check",
     "RosenblattError",
     "InvalidInputError",
     "DomainError",

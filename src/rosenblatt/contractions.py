@@ -454,10 +454,11 @@ def contraction_norm_sq(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0
                         exploit_symmetry: bool = True) -> float:
     """Squared overlap norm of the kernel contracted with itself.
 
-    Full matchings reduce to the square of an exact scalar and empty
-    matchings to the square of the plain kernel norm; everything in
-    between runs the graded cycle quadrature with relative accuracy
-    around 1e-5 on interior exponent vectors.
+    Full matchings reduce to the square of an exact scalar, and empty
+    matchings take `phi_cycle_integral`'s closed form, the square of the
+    plain kernel norm; everything in between runs the graded cycle
+    quadrature with relative accuracy around 1e-5 on interior exponent
+    vectors.
     """
     pf = phi_factors(gamma, spec)
     _check_integrable(pf)
@@ -465,9 +466,6 @@ def contraction_norm_sq(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0
     if spec.r == spec.q:
         scalar = amp_sq * (pf.c_plus + pf.c_minus) / ((pf.alpha1 + 1.0) * (pf.alpha1 + 2.0))
         return scalar * scalar
-    if spec.r == 0:
-        norm_sq = amp_sq * pf.b2 * 2.0 / ((pf.alpha2 + 1.0) * (pf.alpha2 + 2.0))
-        return norm_sq * norm_sq
     value = phi_cycle_integral(pf, exploit_symmetry=exploit_symmetry, mesh_scale=mesh_scale)
     return amp_sq * amp_sq * value
 

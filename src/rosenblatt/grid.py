@@ -149,8 +149,8 @@ def build_grid(
     q = kernel.q
     if n_core is None:
         n_core = 1024 if q >= 3 else 4096
-    if n_core < 8 * q:
-        raise InvalidInputError(f"n_core={n_core} too small for order {q}")
+    if not isinstance(n_core, (int, np.integer)) or n_core < 8 * q:
+        raise InvalidInputError(f"n_core must be an integer of at least {8 * q} for order {q}, got {n_core!r}")
     ratio = 1.06 if q <= 2 else 1.12
     t = kernel.horizon
 

@@ -44,14 +44,13 @@ far cells' R x R product mapped by the interpolation matrix on both sides.
 Randomness: realizations come in fixed blocks of 64, and each block has
 one stream, spawned from the master seed with SeedSequence.spawn and
 drawn with Generator(SFC64(child)); realization k's noise is row k % 64 of
-its block's (rows, n_cells) fill.  A stream's rows come out in order, so
-realization k's noise depends only on (seed, k, n_cells): not on the
-chunk size, the worker count or n_samples.  One stream per block, not per
-realization, because a stream's set-up costs about as much as drawing a
-row of normals on a coarse grid and holds the GIL, which the parallel
-chunks would otherwise queue on.  Assembled values are deterministic for a
-fixed chunk size, whatever the worker count; across chunk sizes they agree
-to summation-order ulps (BLAS picks shape-dependent reduction orders).
+its block's (rows, n_cells) fill, so realization k's noise depends only
+on (seed, k, n_cells): not on the worker count or n_samples.  One stream
+per block, not per realization, because a stream's set-up costs about as
+much as drawing a row of normals on a coarse grid and holds the GIL,
+which the parallel chunks would otherwise queue on.  Chunks are whole
+blocks, so no row is drawn twice, and assembled values are the same bits
+whatever the worker count.
 """
 from __future__ import annotations
 
@@ -171,6 +170,8 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
     """The factor tables both estimator paths read; None for an empty interval."""
     if kernel.q > 4:
         raise SizeError(f"the sampler supports orders 1..4, got {kernel.q}")
+    if grid.horizon != kernel.horizon:
+        raise InvalidInputError(f"grid horizon {grid.horizon} differs from the kernel's {kernel.horizon}")
     lo, hi = (0.0, grid.horizon) if interval is None else (float(interval[0]), float(interval[1]))
     if not (0.0 <= lo <= hi <= grid.horizon + 1e-12):
         raise InvalidInputError(f"interval {interval} not inside [0, {grid.horizon}]")
@@ -262,22 +263,19 @@ class ChaosSampleBatch:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# realizations per noise stream
+# realizations per noise stream, and per chunk of work
 _BLOCK = 64
+_CHUNK = 4 * _BLOCK
 
 
 def _noise(streams: list, start: int, stop: int, n_cells: int) -> np.ndarray:
-    """Noise rows of realizations start..stop-1: realization k is row
-    k % _BLOCK of Generator(SFC64(streams[k // _BLOCK])) filled as
-    (rows, n_cells).  A stream's rows come out in order, so rows before
-    `start` in its block are drawn and dropped, and none after `stop`."""
+    """Noise rows of realizations start..stop-1, `start` a multiple of
+    _BLOCK: realization k is row k % _BLOCK of
+    Generator(SFC64(streams[k // _BLOCK])) filled as (rows, n_cells)."""
     rows = np.empty((stop - start, n_cells))
-    for b in range(start // _BLOCK, -(-stop // _BLOCK)):
-        first, last = max(start, b * _BLOCK), min(stop, (b + 1) * _BLOCK)
-        gen = np.random.Generator(np.random.SFC64(streams[b]))
-        if first > b * _BLOCK:
-            gen.standard_normal((first - b * _BLOCK, n_cells))
-        gen.standard_normal(out=rows[first - start : last - start])
+    for first in range(start, stop, _BLOCK):
+        gen = np.random.Generator(np.random.SFC64(streams[first // _BLOCK]))
+        gen.standard_normal(out=rows[first - start : min(stop, first + _BLOCK) - start])
     return rows
 
 
@@ -295,7 +293,6 @@ def sample_chaos(
     seed: int,
     interval=None,
     return_brownian: bool = False,
-    chunk_size: int = 256,
     with_second_moment: bool = True,
 ) -> ChaosSampleBatch:
     """Draw exact realizations of the discretized chaos functional.
@@ -305,20 +302,15 @@ def sample_chaos(
     grid reuses the same underlying noise, so functionals sampled with
     equal seeds are coupled pathwise.
 
-    Chunks of `chunk_size` realizations are drawn and assembled on
-    min(usable CPUs, number of chunks) worker threads.  The noise in
-    flight takes about workers x chunk_size x grid.n_cells x 8 bytes, and
-    for q >= 2 the projections workers x chunk_size x s-nodes x 8 bytes
-    per distinct exponent; a caller caps both with `chunk_size`.  A chunk
-    size that is a multiple of 64 draws no normal twice; other sizes
-    redraw the start of a noise block in each chunk that begins inside it.
+    Chunks of 256 realizations are drawn and assembled on min(usable
+    CPUs, number of chunks) worker threads.  The noise in flight takes
+    about workers x 256 x grid.n_cells x 8 bytes, and for q >= 2 the
+    projections workers x 256 x s-nodes x 8 bytes per distinct exponent.
     """
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise InvalidInputError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
-        raise InvalidInputError(f"chunk_size must be a positive integer, got {chunk_size!r}")
     check_tail_bound(grid, kernel)
 
     fac = _factorize(kernel, grid, interval)
@@ -373,13 +365,13 @@ def sample_chaos(
     brownian = np.empty(n_samples) if return_brownian else None
 
     def run_chunk(start: int) -> None:
-        stop = min(start + chunk_size, n_samples)
+        stop = min(start + _CHUNK, n_samples)
         xi = _noise(streams, start, stop, grid.n_cells)
         if return_brownian:
             brownian[start:stop] = xi @ sqrt_w_pos
         values[start:stop] = kernel.constant * assemble(xi[:, : fac.n_live])
 
-    starts = range(0, n_samples, chunk_size)
+    starts = range(0, n_samples, _CHUNK)
     # numpy's normal fill and BLAS release the GIL; each chunk writes only
     # its own slices, so the values do not depend on the worker count
     with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
@@ -402,10 +394,7 @@ def sample_process_increment(
     **kwargs,
 ) -> ChaosSampleBatch:
     """Realizations of Z(b) - Z(a), coupled across calls sharing a seed."""
-    a, b = float(span[0]), float(span[1])
-    if not (0.0 <= a <= b <= kernel.horizon + 1e-12):
-        raise InvalidInputError(f"span {span} not inside [0, {kernel.horizon}]")
-    return sample_chaos(kernel, grid, n_samples, seed, interval=(a, b), **kwargs)
+    return sample_chaos(kernel, grid, n_samples, seed, interval=span, **kwargs)
 
 
 def save_npz(batch: ChaosSampleBatch, path) -> None:

@@ -9,7 +9,14 @@ import math
 import pytest
 from scipy import integrate
 
-from rosenblatt import KernelSpec, build_grid, normalizing_constant_sq, required_window, tail_fraction
+from rosenblatt import (
+    InvalidInputError,
+    KernelSpec,
+    build_grid,
+    normalizing_constant_sq,
+    required_window,
+    tail_fraction,
+)
 
 
 def exact_tail_order_one(g: float, window: float) -> float:
@@ -108,3 +115,10 @@ def test_default_grid_windows_pinned(gamma, far_left, n_cells):
     assert grid.far_left == far_left
     assert grid.n_cells == n_cells
     assert hashlib.sha256(grid.edges.tobytes()).hexdigest() == PINNED_EDGE_DIGESTS[gamma]
+
+
+@pytest.mark.parametrize("n_core", [100.5, 16.0, "64", 8])
+def test_n_core_must_be_a_large_enough_integer(n_core):
+    # a float would size the core step without complaint; 8 < 8q for q=2
+    with pytest.raises(InvalidInputError):
+        build_grid(KernelSpec((-0.7, -0.65)), n_core=n_core)

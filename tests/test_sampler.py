@@ -21,7 +21,7 @@ from rosenblatt.sampler import (
     sample_process_increment,
     save_npz,
 )
-from rosenblatt.wick import hermite_expression, wick_moment
+from wick_oracle import hermite_expression, wick_moment
 
 from helpers import (
     cell_s_rule,
@@ -194,24 +194,12 @@ class TestReproducibility:
         b = sample_chaos(ker, grid, 500, seed=42)
         assert np.array_equal(a.values, b.values)
 
-    def test_chunk_layout_invariance(self):
-        # realization k's noise depends only on (seed, k); the assembled
-        # value can move by summation-order ulps when BLAS sees different
-        # chunk shapes, nothing more.  300 realizations end in a partial
-        # noise block, and chunks of 7 and 100 start inside blocks.
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        for gamma, interval in [((-0.6, -0.7), None), ((-0.7, -0.65, -0.6), (0.75, 1.0))]:
-            ker = KernelSpec(gamma)
-            ref = sample_chaos(ker, grid, 300, seed=9, interval=interval, chunk_size=256)
-            for chunk_size in (7, 100, 300):
-                got = sample_chaos(ker, grid, 300, seed=9, interval=interval, chunk_size=chunk_size)
-                np.testing.assert_allclose(got.values, ref.values, rtol=1e-12, atol=1e-14)
-
     def test_worker_count_bit_identical(self, monkeypatch):
         # each chunk is drawn and assembled alone and writes only its own
         # slices, so 1, 2 or 3 workers (more than the cores of a small
-        # host) give the same bits; a short switch interval makes the
-        # threads interleave often
+        # host) give the same bits; 800 realizations make 4 chunks of at
+        # most 256, and a short switch interval makes the threads
+        # interleave often
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -222,9 +210,8 @@ class TestReproducibility:
                 runs = []
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(sampler_module, "_usable_cpus", lambda w=workers: w)
-                    runs.append(sample_chaos(ker, grid, 300, seed=17, interval=interval,
-                                             return_brownian=True, chunk_size=32,
-                                             with_second_moment=False))
+                    runs.append(sample_chaos(ker, grid, 800, seed=17, interval=interval,
+                                             return_brownian=True, with_second_moment=False))
                 for run in runs[1:]:
                     assert np.array_equal(run.values, runs[0].values)
                     assert np.array_equal(run.brownian, runs[0].brownian)
@@ -232,12 +219,12 @@ class TestReproducibility:
             sys.setswitchinterval(switch)
 
     def test_noise_streams_chunk_invariant_bitwise(self):
-        # drawing a block's rows in pieces, starting inside a block,
-        # gives the rows of one fill
+        # drawing the rows in pieces split at block edges, as the chunks
+        # do, gives the rows of one fill
         streams = np.random.SeedSequence(9).spawn(3)
         whole = _noise(streams, 0, 150, 50)
-        parts = np.vstack([_noise(streams, 0, 13, 50), _noise(streams, 13, 100, 50),
-                           _noise(streams, 100, 150, 50)])
+        parts = np.vstack([_noise(streams, 0, 64, 50), _noise(streams, 64, 128, 50),
+                           _noise(streams, 128, 150, 50)])
         assert np.array_equal(whole, parts)
 
     def test_noise_stream_is_sfc64_per_block(self):
@@ -350,10 +337,17 @@ class TestErrorsAndValidation:
             sample_chaos(ker, grid, 10, seed=-3)
         with pytest.raises(InvalidInputError):
             sample_chaos(ker, grid, 10, seed=1.5)
-        # a non-positive chunk size would leave the values array unwritten
-        for bad in (0, -2, 2.5):
-            with pytest.raises(InvalidInputError):
-                sample_chaos(ker, grid, 4, seed=1, chunk_size=bad)
+
+    def test_horizon_mismatch(self):
+        # a horizon-2 kernel on a horizon-1 grid would quietly give Z(1)
+        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        ker = KernelSpec((-0.6, -0.7), horizon=2.0)
+        with pytest.raises(InvalidInputError):
+            sample_chaos(ker, grid, 10, seed=1)
+        with pytest.raises(InvalidInputError):
+            discrete_second_moment(ker, grid)
+        with pytest.raises(InvalidInputError):
+            sample_process_increment(ker, grid, (0.0, 0.5), 10, seed=1)
 
     def test_grid_too_small_enforced(self):
         # near face 1 the required window exceeds any modest cap

@@ -1,19 +1,18 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from rosenblatt import InvalidInputError, SizeError
-from rosenblatt.wick import (
+from wick_oracle import (
     WickExpression,
     _hermite_coeffs,
     contract_tensors,
     discrete_isometry_check,
     discrete_product_formula_check,
     hermite_expression,
-    off_diagonal_part,
-    offdiag_expression,
     symmetrize_tensor,
     wick_moment,
 )
@@ -23,6 +22,15 @@ def expr_from(terms, n=10):
     e = WickExpression(n)
     for key, c in terms.items():
         e.add_term(key, c)
+    return e
+
+
+def plain_expression(tensor):
+    # sum of tensor[j] w_{j_1}...w_{j_q} over all tuples, no Hermite factors
+    tensor = np.asarray(tensor, dtype=float)
+    e = WickExpression(tensor.shape[0] if tensor.ndim else 0)
+    for j in itertools.product(*map(range, tensor.shape)):
+        e.add_term(tuple(sorted(Counter(j).items())), float(tensor[j]))
     return e
 
 
@@ -71,23 +79,18 @@ class TestHermite:
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_hermite_expression_matches_offdiag_on_offdiagonal_support(self):
+        # with the repeated-index entries zeroed no Hermite factor enters:
+        # every term is a product of distinct cells, w_i w_j (F_ij + F_ji)
         rng = np.random.default_rng(47)
-        F = off_diagonal_part(rng.normal(size=(5, 5)))
-        h = 0.6
-        a = offdiag_expression(F)
-        b = hermite_expression(F, h)
-        diff = a - b
-        assert all(abs(c) < 1e-14 for c in diff.terms.values())
+        F = rng.normal(size=(5, 5))
+        np.fill_diagonal(F, 0.0)
+        expr = hermite_expression(F, 0.6)
+        assert all(p == 1 for key in expr.terms for _, p in key)
+        for (i, _), (j, _) in expr.terms:
+            assert expr.terms[(i, 1), (j, 1)] == F[i, j] + F[j, i]
 
 
 class TestHelpers:
-    def test_off_diagonal_part(self):
-        F = np.arange(16.0).reshape(4, 4)
-        F0 = off_diagonal_part(F)
-        assert np.all(np.diag(F0) == 0.0)
-        off = ~np.eye(4, dtype=bool)
-        assert np.array_equal(F0[off], F[off])
-
     def test_symmetrize(self):
         rng = np.random.default_rng(53)
         F = rng.normal(size=(4, 4, 4))
@@ -110,7 +113,7 @@ class TestHelpers:
 
     def test_rejects_non_cubical(self):
         with pytest.raises(InvalidInputError):
-            off_diagonal_part(np.zeros((3, 4)))
+            hermite_expression(np.zeros((3, 4)), 0.1)
 
 
 class TestIsometry:
@@ -135,13 +138,6 @@ class TestIsometry:
             lhs, rhs = discrete_isometry_check(F, 0.8)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_diagonal_entries_are_ignored(self):
-        rng = np.random.default_rng(73)
-        F = rng.normal(size=(5, 5))
-        loud = F.copy()
-        np.fill_diagonal(loud, 1e6)
-        assert discrete_isometry_check(loud, 0.3) == discrete_isometry_check(F, 0.3)
-
     def test_size_cap(self):
         with pytest.raises(SizeError):
             discrete_isometry_check(np.zeros((22, 22, 22)), 0.1)
@@ -164,15 +160,16 @@ class TestProductFormula:
                 assert out["relative"] < 1e-10
 
     def test_plain_offdiag_contractions_fail(self):
-        # negative control: without Hermite completion the contraction side
-        # misses the diagonal h-corrections and the residual is material
+        # negative control: with plain monomials over all tuples the
+        # contraction side misses the diagonal h-corrections and the
+        # residual is material
         rng = np.random.default_rng(83)
         f = rng.normal(size=5)
         g = rng.normal(size=5)
         h = 0.5
-        lhs = offdiag_expression(f) * offdiag_expression(g)
-        rhs = offdiag_expression(contract_tensors(f, g, (), (), h))
-        rhs = rhs + offdiag_expression(contract_tensors(f, g, (0,), (0,), h))
+        lhs = hermite_expression(f, h) * hermite_expression(g, h)
+        rhs = plain_expression(contract_tensors(f, g, (), (), h))
+        rhs = rhs + plain_expression(contract_tensors(f, g, (0,), (0,), h))
         diff = lhs - rhs
         residual = wick_moment(diff * diff, h)
         scale = wick_moment(lhs * lhs, h)

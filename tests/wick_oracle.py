@@ -1,20 +1,16 @@
 """Exact Gaussian-moment oracle for discretized multiple integrals.
 
-Everything in here is small and exact: polynomials in finitely many
-independent centered Gaussian increments (variance h per cell), their
-moments by independence (within one cell the (p-1)!! pairing count, zero
-across cells for odd powers), and two identities of discretized
-integrals:
+Polynomials in finitely many independent centered Gaussian increments
+(variance h per cell) and their exact moments by independence.  The
+discretization of a tensor sums over all index tuples with a monic
+variance-h Hermite factor per repeated cell (`hermite_expression`); it is
+the sampler's estimator, and two identities of multiple integrals hold
+for it exactly (Nualart, The Malliavin Calculus and Related Topics, 2006,
+sec. 1.1):
 
-  * isometry: the second moment of an off-diagonal sum equals
-    q! h^q times the squared norm of the symmetrized tensor;
-  * the product formula: a product of two discretized integrals expands
-    into contractions, exactly, once repeated indices carry monic
-    variance-h Hermite factors (off-diagonal sums are the special case of
-    tensors vanishing on diagonals).
-
-The sampler's estimator is `hermite_expression` of the cell-averaged
-kernel tensor, so on small grids this module is its exact oracle.
+  * isometry: E[I(F)^2] = q! h^q ||sym F||^2;
+  * product formula: I(f) I(g) is the sum over contractions of the
+    h-weighted contracted tensors' discretizations.
 """
 from __future__ import annotations
 
@@ -24,21 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, SizeError
-
-__all__ = [
-    "MAX_DEGREE",
-    "MAX_TUPLES",
-    "WickExpression",
-    "off_diagonal_part",
-    "symmetrize_tensor",
-    "offdiag_expression",
-    "hermite_expression",
-    "wick_moment",
-    "contract_tensors",
-    "discrete_isometry_check",
-    "discrete_product_formula_check",
-]
+from rosenblatt.errors import InvalidInputError, SizeError
 
 MAX_DEGREE = 8
 MAX_TUPLES = 10_000
@@ -111,20 +93,6 @@ def _check_square(tensor: np.ndarray):
     return tensor, n, tensor.ndim
 
 
-def off_diagonal_part(tensor: np.ndarray) -> np.ndarray:
-    """Zero every entry whose index tuple has a repeat."""
-    tensor, n, q = _check_square(tensor)
-    if q < 2:
-        return tensor.copy()
-    out = tensor.copy()
-    grids = np.indices(tensor.shape)
-    distinct = np.ones(tensor.shape, dtype=bool)
-    for a, b in itertools.combinations(range(q), 2):
-        distinct &= grids[a] != grids[b]
-    out[~distinct] = 0.0
-    return out
-
-
 def symmetrize_tensor(tensor: np.ndarray) -> np.ndarray:
     tensor, _, q = _check_square(tensor)
     if q < 2:
@@ -133,21 +101,6 @@ def symmetrize_tensor(tensor: np.ndarray) -> np.ndarray:
     for perm in itertools.permutations(range(q)):
         out += np.transpose(tensor, perm)
     return out / math.factorial(q)
-
-
-def offdiag_expression(tensor: np.ndarray) -> WickExpression:
-    """Sum of tensor[j] * w_{j_1}...w_{j_q} over pairwise-distinct tuples."""
-    tensor, n, q = _check_square(tensor)
-    if q == 0:
-        return WickExpression(0, {(): float(tensor)})
-    expr = WickExpression(n)
-    for j in itertools.permutations(range(n), q):
-        c = float(tensor[j])
-        if c == 0.0:
-            continue
-        key = tuple((idx, 1) for idx in sorted(j))
-        expr.add_term(key, c)
-    return expr
 
 
 def _hermite_coeffs(m: int, h: float) -> dict:
@@ -170,7 +123,7 @@ def _hermite_coeffs(m: int, h: float) -> dict:
 def hermite_expression(tensor: np.ndarray, h: float) -> WickExpression:
     """Sum over ALL index tuples with Hermite factors per repeated cell.
 
-    On off-diagonal-supported tensors this coincides with the plain
+    On tensors that vanish wherever an index repeats this is the plain
     off-diagonal sum; on general tensors it is the discretization for
     which the chaos identities are exact.
     """
@@ -228,25 +181,24 @@ def contract_tensors(f, g, f_axes, g_axes, h: float) -> np.ndarray:
 
 
 def discrete_isometry_check(tensor: np.ndarray, h: float):
-    """(lhs, rhs) with lhs the oracle second moment of the off-diagonal sum
-    and rhs = q! h^q ||symmetrized off-diagonal tensor||^2."""
-    tensor, n, q = _check_square(tensor)
+    """(lhs, rhs) with lhs the oracle second moment of the Hermite sum
+    and rhs = q! h^q ||symmetrized tensor||^2."""
+    tensor, _, q = _check_square(tensor)
     if q < 1:
         raise InvalidInputError("need a tensor of order at least 1")
-    expr = offdiag_expression(tensor)
+    expr = hermite_expression(tensor, h)
     lhs = wick_moment(expr * expr, h)
-    sym = symmetrize_tensor(off_diagonal_part(tensor))
-    rhs = math.factorial(q) * h**q * float(np.sum(sym**2))
+    rhs = math.factorial(q) * h**q * float(np.sum(symmetrize_tensor(tensor) ** 2))
     return lhs, rhs
 
 
 def discrete_product_formula_check(f: np.ndarray, g: np.ndarray, h: float) -> dict:
-    """Oracle residual of the product formula on off-diagonal-supported tensors.
+    """Oracle residual of the product formula on general tensors.
 
-    Left side: product of the two off-diagonal sums.  Right side: for every
-    contraction size r, subset and injection, the Hermite-complete sum of
-    the h-weighted contraction.  Returns the exact residual second moment
-    and its size relative to the left side.
+    Left side: product of the two Hermite sums.  Right side: for every
+    contraction size r, subset and injection, the Hermite sum of the
+    h-weighted contraction.  Returns the exact residual second moment and
+    its size relative to the left side.
     """
     f, nf, q = _check_square(f)
     g, ng, m = _check_square(g)
@@ -256,15 +208,12 @@ def discrete_product_formula_check(f: np.ndarray, g: np.ndarray, h: float) -> di
         raise InvalidInputError(f"grids differ: {nf} vs {ng}")
     if q + m > 4:
         raise SizeError(f"q+m = {q + m} exceeds the exact-oracle cap 4")
-    f0 = off_diagonal_part(f)
-    g0 = off_diagonal_part(g)
-    lhs = offdiag_expression(f0) * offdiag_expression(g0)
+    lhs = hermite_expression(f, h) * hermite_expression(g, h)
     rhs = WickExpression(nf)
     for r in range(min(q, m) + 1):
         for f_axes in itertools.combinations(range(q), r):
             for g_axes in itertools.permutations(range(m), r):
-                contracted = contract_tensors(f0, g0, f_axes, g_axes, h)
-                rhs = rhs + hermite_expression(contracted, h)
+                rhs = rhs + hermite_expression(contract_tensors(f, g, f_axes, g_axes, h), h)
     diff = lhs - rhs
     residual = wick_moment(diff * diff, h)
     scale = wick_moment(lhs * lhs, h)
