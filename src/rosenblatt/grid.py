@@ -109,19 +109,19 @@ def tail_fraction(gamma, window: float, horizon: float = 1.0) -> float:
     return min(tail / total, 1.0)
 
 
-def required_window(gamma, tolerance: float, horizon: float = 1.0, cap: float = FAR_CAP) -> float:
+def required_window(gamma, tolerance: float, horizon: float = 1.0) -> float:
     """Smallest window with estimated tail fraction <= tolerance.
 
     Bisects the log-window, on which the fraction is monotone, until the
     midpoint no longer moves (about 60 steps), and returns the upper end.
-    Returns inf when even the cap misses the tolerance (near-face
-    exponents make the requirement leave the float64 range).
+    Returns inf when even FAR_CAP = 1e250 misses the tolerance
+    (near-face exponents make the requirement leave the float64 range).
     """
     if not 0 < tolerance < 1:
         raise InvalidInputError(f"tolerance must be in (0,1), got {tolerance}")
-    if tail_fraction(gamma, cap, horizon) > tolerance:
+    if tail_fraction(gamma, FAR_CAP, horizon) > tolerance:
         return math.inf
-    lo, hi = math.log(max(horizon, 1e-6)), math.log(cap)
+    lo, hi = math.log(max(horizon, 1e-6)), math.log(FAR_CAP)
     while lo < (mid := (lo + hi) / 2.0) < hi:
         if tail_fraction(gamma, math.exp(mid), horizon) > tolerance:
             lo = mid
@@ -133,7 +133,6 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0, cap: float = 
 def build_grid(
     kernel: KernelSpec,
     n_core: int | None = None,
-    far_cap: float = FAR_CAP,
     enforce_tail_bound: bool = False,
 ) -> GridSpec:
     """Size a grid for the kernel: uniform core, geometric far field.
@@ -143,7 +142,9 @@ def build_grid(
     exactly on edges (increments over [0,t] then aggregate whole cells).
     The far field extends leftward with widths growing by 1.06 per cell
     for q <= 2 and 1.12 otherwise, until the tail estimate meets
-    TAIL_TOLERANCE = 1e-3 or the window hits `far_cap`.  The sampler's
+    TAIL_TOLERANCE = 1e-3 or the window hits FAR_CAP = 1e250; a grid
+    capped there records the tail estimate it reached, and raises at
+    sampling time only when `enforce_tail_bound` is set.  The sampler's
     s-rule has one node per cell inside [0, t], so n_core also sets it.
     """
     q = kernel.q
@@ -166,8 +167,8 @@ def build_grid(
     left = np.linspace(-CORE_LEFT, -1.0, n_left + 1)
     core_edges = np.concatenate([left[:-1], mid[:-1], right])
 
-    window = required_window(kernel.gamma.entries, TAIL_TOLERANCE, horizon=t, cap=far_cap)
-    target = min(max(window, CORE_LEFT), far_cap)
+    window = required_window(kernel.gamma.entries, TAIL_TOLERANCE, horizon=t)
+    target = min(max(window, CORE_LEFT), FAR_CAP)
     far = []
     x = -CORE_LEFT
     w = (CORE_LEFT - 1.0) / n_left

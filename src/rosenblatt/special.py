@@ -8,14 +8,13 @@ The whole package leans on one analytic fact: for exponents g1, g2 in
         + (s1-s2)_+^(1+g1+g2) B(1+g2, -1-g1-g2).
 
 Exactly one summand is nonzero.  Everything here is computed through
-log-Gamma so that near-boundary exponents (second Beta argument down to
-1e-6 and below) do not overflow.
+log-Gamma, from the standard library's `math.lgamma`, so that
+near-boundary exponents (second Beta argument down to 1e-9 and below) do
+not overflow.
 """
 from __future__ import annotations
 
 import math
-
-from scipy import special as sp
 
 from .errors import DivergentIntegralError, DomainError
 
@@ -31,7 +30,7 @@ def log_beta(a: float, b: float) -> float:
     """log B(a,b) for strictly positive arguments."""
     if not (a > 0 and b > 0):
         raise DomainError(f"beta arguments must be positive, got ({a}, {b})")
-    return float(sp.betaln(a, b))
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def beta(a: float, b: float) -> float:

@@ -350,18 +350,17 @@ class TestErrorsAndValidation:
             sample_process_increment(ker, grid, (0.0, 0.5), 10, seed=1)
 
     def test_grid_too_small_enforced(self):
-        # near face 1 the required window exceeds any modest cap
+        # near face 1 the required window exceeds even the float64 cap
         ker = KernelSpec((-0.502, -0.7))
-        grid = build_grid(ker, n_core=128, far_cap=100.0,
-                          enforce_tail_bound=True)
+        grid = build_grid(ker, n_core=128, enforce_tail_bound=True)
         assert grid.tail_estimate > grid.tail_tolerance
         with pytest.raises(GridTooSmallError) as exc:
             sample_chaos(ker, grid, 10, seed=1)
-        assert exc.value.required_window > 100.0
+        assert exc.value.required_window > grid.far_left
 
     def test_non_enforcing_grid_samples_anyway(self):
         ker = KernelSpec((-0.502, -0.7))
-        grid = build_grid(ker, n_core=128, far_cap=100.0)
+        grid = build_grid(ker, n_core=128)
         batch = sample_chaos(ker, grid, 10, seed=1)
         assert batch.n == 10
 

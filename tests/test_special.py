@@ -46,6 +46,17 @@ class TestBeta:
             ref = float(mpmath.beta(a, b))
             assert rel_err(beta(a, b), ref) < 1e-12
 
+    def test_log_beta_near_face(self):
+        # the second argument -g_i-g_j-1 reaches 1e-9 near the boundary
+        # faces; log B is checked absolutely near 0 and relatively beyond
+        rng = np.random.default_rng(17)
+        with mpmath.workdps(40):
+            for _ in range(200):
+                a = float(10.0 ** rng.uniform(-3.0, 0.5))
+                b = float(10.0 ** rng.uniform(-9.0, 0.3))
+                ref = float(mpmath.log(mpmath.beta(a, b)))
+                assert abs(log_beta(a, b) - ref) <= 1e-14 * max(1.0, abs(ref))
+
     def test_symmetry(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
