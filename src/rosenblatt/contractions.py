@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .domain import BoundaryPath, Face, GammaVector, path_points
 from .errors import DivergentIntegralError, InvalidInputError, QuadratureError, SizeError
 from .kernel import MAX_ORDER, normalizing_constant_sq
 from .quadrature import graded_rule
-from .special import pairing_weights
+from .special import beta_matrix
 
 __all__ = [
     "ContractionSpec",
@@ -209,20 +209,16 @@ def phi_factors(gamma, spec: ContractionSpec) -> PhiFactors:
     a2 = 2.0 * sum(g[j - 1] for j in rest_first) + (spec.q - spec.r)
     a3 = 2.0 * sum(g[k - 1] for k in rest_second) + (spec.m - spec.r)
 
-    c_plus, c_minus = pairing_weights(g, [(i - 1, j - 1) for i, j in pairs])
-    b2, _ = pairing_weights(g, [(j - 1, j - 1) for j in rest_first])
-    b3, _ = pairing_weights(g, [(k - 1, k - 1) for k in rest_second])
+    # products of Beta-matrix entries: U[i, j] for s_i < s_j, U[j, i] for
+    # s_i > s_j, and the diagonal for an unmatched slot paired with itself
+    u = beta_matrix(g)
+    first, second = [i - 1 for i in spec.indices], [j - 1 for j in spec.images]
+    c_plus, c_minus = float(u[first, second].prod()), float(u[second, first].prod())
+    b2 = float(np.diag(u)[[j - 1 for j in rest_first]].prod())
+    b3 = float(np.diag(u)[[k - 1 for k in rest_second]].prod())
 
-    return PhiFactors(
-        alpha1=a1,
-        alpha2=a2,
-        alpha3=a3,
-        c_plus=c_plus,
-        c_minus=c_minus,
-        b2=b2,
-        b3=b3,
-        gamma=g,
-    )
+    return PhiFactors(alpha1=a1, alpha2=a2, alpha3=a3, c_plus=c_plus, c_minus=c_minus,
+                      b2=b2, b3=b3, gamma=g)
 
 
 def _check_integrable(pf: PhiFactors) -> None:
@@ -257,14 +253,7 @@ class _MeshConfig:
         if scale == 1.0:
             return self
         bump = lambda n: max(3, int(round(n * scale)))
-        return _MeshConfig(
-            order=self.order,
-            z_side=bump(self.z_side),
-            z_ratio=self.z_ratio,
-            outer_lo=bump(self.outer_lo),
-            outer_hi=bump(self.outer_hi),
-            outer_ratio=self.outer_ratio,
-        )
+        return replace(self, z_side=bump(self.z_side), outer_lo=bump(self.outer_lo), outer_hi=bump(self.outer_hi))
 
 
 _DEFAULT_MESH = _MeshConfig()
@@ -545,12 +534,8 @@ def ncl_condition_iii_limit(path: BoundaryPath, spec: ContractionSpec, *,
     barred = ContractionSpec(
         q=q, m=q, indices=(1,) + spec.indices, images=(1,) + spec.images
     )
-    reduced = ContractionSpec(
-        q=q - 1,
-        m=q - 1,
-        indices=tuple(i - 1 for i in spec.indices),
-        images=tuple(j - 1 for j in spec.images),
-    )
+    reduced = ContractionSpec(q - 1, q - 1, indices=tuple(i - 1 for i in spec.indices),
+                              images=tuple(j - 1 for j in spec.images))
     target = contraction_norm_sq(path.base, reduced, mesh_scale=mesh_scale)
     rows = []
     for eps, point in zip(path.epsilons, path_points(path)):
@@ -644,5 +629,5 @@ def condition_i_indicator_norm(gamma, a: float, b: float, *,
         )
 
     amp_sq = normalizing_constant_sq(g)
-    coeff, _ = pairing_weights(g, [(j, j) for j in range(1, len(g))])
+    coeff = float(np.diag(beta_matrix(g))[1:].prod())
     return math.sqrt(amp_sq * coeff * double_integral)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooSmallError, InvalidInputError
-from .kernel import KernelSpec
-from .special import pairing_weights
+from .kernel import KernelSpec, normalizing_constant_sq
+from .special import beta_matrix, permanent
 
 __all__ = [
     "GridSpec",
@@ -77,53 +77,62 @@ class GridSpec:
         }
 
 
+def _tail_estimator(gamma, horizon: float):
+    """`tail_fraction` as a function of the window, its q^2 terms built once."""
+    t = float(horizon)
+    if not 0.0 < t < math.inf:
+        raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
+    g = tuple(float(v) for v in gamma)
+    pairs = list(itertools.product(range(len(g)), repeat=2))
+    u = beta_matrix(g)
+    minors = np.array([permanent(np.delete(np.delete(u, i, 0), j, 1)) for i, j in pairs])
+    expo = np.array([1.0 + g[i] + g[j] for i, j in pairs])
+    rest = np.array([(len(g) - 1) + 2.0 * sum(g) - g[i] - g[j] for i, j in pairs])
+    coef = 2.0 * normalizing_constant_sq(g) * minors / (-expo * (rest + 1.0) * (rest + 2.0))
+
+    def fraction(window: float) -> float:
+        return 1.0 if window <= t else min(1.0, float(coef @ (window / t) ** expo))
+
+    return fraction
+
+
 def tail_fraction(gamma, window: float, horizon: float = 1.0) -> float:
     """Estimated fraction of the process variance carried by kernel mass
-    with any coordinate below -window.
+    with any coordinate below -window; a NaN window raises.
 
-    Built from the same permutation-sum reduction as the normalizing
-    constant: dropping coordinate i replaces its cross integral by the
-    analytic tail integral window^(1+g_i+g_sigma(i)) / |1+g_i+g_sigma(i)|.
-    Union bound over coordinates; accurate for window >> horizon.
+    The variance t^(alpha+2) / A^2 is a sum over pairings of slots.
+    Dropping pair (i, j) puts the tail integral window^a / (-a),
+    a = 1 + g_i + g_j, in place of its cross integral and leaves the
+    permanent of the Beta matrix U without row i and column j:
+
+        tail = min(1, 2 A^2 sum_ij perm(U_-i-j) (window/t)^a_ij
+                                  / (-a_ij (r_ij + 1)(r_ij + 2))),
+
+    r_ij = (q-1) + 2 sum(g) - g_i - g_j being the other pairs' exponent
+    sum.  Union bound over coordinates; accurate for window >> horizon.
     """
-    g = tuple(float(v) for v in gamma)
-    q = len(g)
-    t = float(horizon)
-    if window <= t:
-        return 1.0
-    total = 0.0
-    tail = 0.0
-    for sigma in itertools.permutations(range(q)):
-        pairs = tuple(zip(range(q), sigma))
-        alpha = sum(1.0 + g[i] + g[j] for i, j in pairs)
-        # both orientations of the double integral carry the same exponent
-        full = sum(pairing_weights(g, pairs)) / ((alpha + 1.0) * (alpha + 2.0))
-        total += full * t ** (alpha + 2.0)
-        for i, j in pairs:
-            a_i = 1.0 + g[i] + g[j]
-            tail_i = window**a_i / (-a_i)
-            others = pairs[:i] + pairs[i + 1:]
-            alpha_rest = sum(1.0 + g[k] + g[m] for k, m in others)
-            rest = sum(pairing_weights(g, others)) / ((alpha_rest + 1.0) * (alpha_rest + 2.0))
-            tail += tail_i * rest * t ** (alpha_rest + 2.0)
-    return min(tail / total, 1.0)
+    if math.isnan(window):
+        raise InvalidInputError("tail fraction of a NaN window")
+    return _tail_estimator(gamma, horizon)(window)
 
 
 def required_window(gamma, tolerance: float, horizon: float = 1.0) -> float:
     """Smallest window with estimated tail fraction <= tolerance.
 
     Bisects the log-window, on which the fraction is monotone, until the
-    midpoint no longer moves (about 60 steps), and returns the upper end.
+    midpoint no longer moves (about 60 steps), and returns the upper end;
+    the fraction's power terms are built once, before the bisection.
     Returns inf when even FAR_CAP = 1e250 misses the tolerance
     (near-face exponents make the requirement leave the float64 range).
     """
     if not 0 < tolerance < 1:
         raise InvalidInputError(f"tolerance must be in (0,1), got {tolerance}")
-    if tail_fraction(gamma, FAR_CAP, horizon) > tolerance:
+    fraction = _tail_estimator(gamma, horizon)
+    if fraction(FAR_CAP) > tolerance:
         return math.inf
     lo, hi = math.log(max(horizon, 1e-6)), math.log(FAR_CAP)
     while lo < (mid := (lo + hi) / 2.0) < hi:
-        if tail_fraction(gamma, math.exp(mid), horizon) > tolerance:
+        if fraction(math.exp(mid)) > tolerance:
             lo = mid
         else:
             hi = mid
@@ -196,9 +205,10 @@ def check_tail_bound(grid: GridSpec, kernel: KernelSpec) -> None:
         return
     if grid.tail_estimate > grid.tail_tolerance:
         need = required_window(kernel.gamma.entries, grid.tail_tolerance, horizon=kernel.horizon)
+        advice = f"the window must reach {need:.6g}" if need < math.inf else "no window up to FAR_CAP meets it"
         raise GridTooSmallError(
-            f"tail estimate {grid.tail_estimate:.3e} exceeds tolerance "
-            f"{grid.tail_tolerance:.3e}; window must reach {need:.6g} "
-            f"(current {grid.far_left:.6g})",
+            f"tail fraction {grid.tail_estimate:.3e} at window {grid.far_left:.6g} exceeds the tolerance "
+            f"{grid.tail_tolerance:.3e}, and {advice}: the slowest tail exponent 1 + 2 max(gamma) is "
+            f"{1.0 + 2.0 * max(kernel.gamma.entries):.3g}",
             required_window=need,
         )

@@ -5,26 +5,26 @@ The order-q kernel is
     f(x_1..x_q) = A * int_0^t prod_i (s - x_i)_+^{g_i} ds,
 
 with A chosen so that the order-q integral of f has unit variance at
-t = 1.  The square of A has a closed form: a ratio of polynomial factors
-in the exponent sum against a permutation sum of Beta products,
+t = 1.  The square of A has a closed form: a polynomial in the exponent
+sum against the permanent of the q x q Beta matrix
+U[i, j] = B(g_i + 1, -g_i - g_j - 1) of `special.beta_matrix`,
 
-    A^2 = (2*gb + q + 1)(2*gb + q + 2)
-          / (2 * sum_sigma prod_j B(g_j + 1, -g_j - g_sigma(j) - 1)),
+    A^2 = (alpha + 1)(alpha + 2) / (2 * perm U),    alpha = 2*gb + q,
 
-gb being the exponent sum.  The permutation sum caps the order at 6.
+gb being the exponent sum.  The permanent's q! terms cap the order at 6.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import GammaVector, validate
 from .errors import DomainError, InvalidInputError, SizeError
 from .quadrature import graded_rule
-from .special import pairing_weights
+from .special import beta_matrix, permanent
 
 __all__ = [
     "MAX_ORDER",
@@ -57,13 +57,8 @@ def normalizing_constant_sq(gamma) -> float:
             "normalizing constant needs a strictly admissible vector: "
             + "; ".join(report.violations)
         )
-    g = gamma.entries
-    q = gamma.q
-    gb = gamma.gamma_bar
-    denom = 0.0
-    for sigma in itertools.permutations(range(q)):
-        denom += pairing_weights(g, zip(range(q), sigma))[0]
-    return (2.0 * gb + q + 1.0) * (2.0 * gb + q + 2.0) / (2.0 * denom)
+    alpha = 2.0 * gamma.gamma_bar + gamma.q
+    return (alpha + 1.0) * (alpha + 2.0) / (2.0 * float(permanent(beta_matrix(gamma.entries))))
 
 
 def normalizing_constant(gamma) -> float:
@@ -72,20 +67,19 @@ def normalizing_constant(gamma) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Immutable (gamma, horizon) pair with the cached constant."""
+    """Immutable (gamma, horizon) pair with the constant A computed from gamma."""
 
     gamma: GammaVector
     horizon: float = 1.0
-    constant: float | None = None
+    constant: float = field(init=False)
 
     def __post_init__(self):
         gamma = _as_gamma(self.gamma)
         object.__setattr__(self, "gamma", gamma)
-        if not (isinstance(self.horizon, (int, float)) and self.horizon > 0):
-            raise InvalidInputError(f"horizon must be positive, got {self.horizon}")
+        if not (isinstance(self.horizon, (int, float)) and 0 < self.horizon < math.inf):
+            raise InvalidInputError(f"horizon must be positive and finite, got {self.horizon}")
         object.__setattr__(self, "horizon", float(self.horizon))
-        if self.constant is None:
-            object.__setattr__(self, "constant", normalizing_constant(gamma))
+        object.__setattr__(self, "constant", normalizing_constant(gamma))
 
     @property
     def q(self) -> int:
@@ -126,8 +120,10 @@ def _s_integral(gammas, x, t: float) -> float:
 def eval_kernel(spec: KernelSpec, x, mode: str = "raw") -> float:
     """Value of the kernel at a point of R^q.
 
-    mode="raw" evaluates the kernel as defined (coordinate i against
-    exponent i); mode="symmetrized" averages over all argument orders.
+    A NaN coordinate raises InvalidInputError; a -inf one takes its
+    limit, so the value there is 0.  mode="raw" evaluates the kernel as
+    defined (coordinate i against exponent i); mode="symmetrized"
+    averages over all argument orders.
     The s-integral runs on the cycle quadrature's graded rule on (s0, t),
     s0 = max(0, x): 8-node panels shrinking by 0.3 into s0, the corner
     one absorbing the power of the coordinates tied at s0, and one panel
@@ -143,6 +139,8 @@ def eval_kernel(spec: KernelSpec, x, mode: str = "raw") -> float:
     q = spec.q
     if x.shape != (q,):
         raise InvalidInputError(f"point has shape {x.shape}, kernel order is {q}")
+    if np.isnan(x).any():
+        raise InvalidInputError(f"point {x} has a NaN coordinate")
     g = spec.gamma.entries
     t = spec.horizon
     if mode == "raw":

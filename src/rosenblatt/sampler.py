@@ -36,10 +36,12 @@ it).  Cells entirely right of hi have zero factors and are skipped.  No
 cells x s-nodes matrix over the whole grid is formed.
 
 Second moment.  Wick products pair only across the two factors, so
-E[Z_hat^2] = A^2 sum_sigma w^T (prod_i G_{i, sigma(i)}) w over the q!
-permutations, with G_ij the Gram of b_i and b_j over the s-nodes and the
-product taken entrywise.  Each Gram is the near cells' product plus the
-far cells' R x R product mapped by the interpolation matrix on both sides.
+E[Z_hat^2] = A^2 w^T perm(G) w, with G the q x q matrix whose entry G_ij
+is the S x S Gram of b_i and b_j over the s-nodes, and the permanent's
+products taken entrywise.  This is the discrete twin of the continuum
+variance, which is A^2 times the permanent of the Beta matrix U (see
+`kernel`).  Each Gram is the near cells' product plus the far cells'
+R x R product mapped by the interpolation matrix on both sides.
 
 Randomness: realizations come in fixed blocks of 64, and each block has
 one stream, spawned from the master seed with SeedSequence.spawn and
@@ -55,7 +57,6 @@ whatever the worker count.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -70,6 +71,7 @@ from . import __version__
 from .errors import InvalidInputError, SizeError
 from .grid import GridSpec, check_tail_bound
 from .kernel import KernelSpec
+from .special import permanent
 
 __all__ = [
     "ChaosSampleBatch",
@@ -203,20 +205,17 @@ def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
             grams[b, a] = grams[a, b].T
         return grams[a, b]
 
-    total = 0.0
-    for sigma in itertools.permutations(range(kernel.q)):
-        m = reduce(np.multiply, [gram(fac.slot[i], fac.slot[j]) for i, j in enumerate(sigma)])
-        total += float(fac.s_w @ m @ fac.s_w)
-    return kernel.constant**2 * total
+    grams_by_slot = [[gram(a, b) for b in fac.slot] for a in fac.slot]
+    return kernel.constant**2 * float(fac.s_w @ permanent(grams_by_slot) @ fac.s_w)
 
 
 def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) -> float:
     """Exact E[Z_hat^2] of the sampled estimator on this grid.
 
     Wick products of Gaussians pair only across the two factors, so the
-    second moment is the permutation sum of products of singleton Grams
-    over s-nodes.  No Monte Carlo, no continuum approximation: this is the
-    estimator's own variance to float precision.
+    second moment is the permanent of the matrix of s-node Grams, with
+    entrywise products.  No Monte Carlo, no continuum approximation: this
+    is the estimator's own variance to float precision.
     """
     fac = _factorize(kernel, grid, interval)
     return 0.0 if fac is None else _second_moment(kernel, fac)

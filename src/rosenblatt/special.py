@@ -14,14 +14,20 @@ not overflow.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from functools import reduce
+
+import numpy as np
 
 from .errors import DivergentIntegralError, DomainError
 
 __all__ = [
     "beta",
     "log_beta",
-    "pairing_weights",
+    "beta_matrix",
+    "permanent",
     "cross_integral",
 ]
 
@@ -38,18 +44,20 @@ def beta(a: float, b: float) -> float:
     return math.exp(log_beta(a, b))
 
 
-def pairing_weights(g, pairs) -> tuple[float, float]:
-    """Beta products of the cross integrals of the slot pairs (i, j).
+def beta_matrix(g) -> np.ndarray:
+    """U[i, j] = B(g_i + 1, -g_i - g_j - 1), the coefficient of the
+    orientation s_i < s_j in the cross integral of slots i and j."""
+    return np.array([[beta(gi + 1.0, -gi - gj - 1.0) for gj in g] for gi in g])
 
-    Returns (up, down) = (prod B(g_i+1, -g_i-g_j-1), prod B(g_j+1, -g_i-g_j-1)),
-    the coefficients of the two orientations s_i < s_j and s_i > s_j of
-    each pair's cross integral, multiplied over the pairs.  Each is the
-    exp of a log-Beta sum taken in the order of `pairs`; no pairs give 1.
-    """
-    pairs = tuple(pairs)
-    up = math.exp(sum(log_beta(g[i] + 1.0, -g[i] - g[j] - 1.0) for i, j in pairs))
-    down = math.exp(sum(log_beta(g[j] + 1.0, -g[i] - g[j] - 1.0) for i, j in pairs))
-    return up, down
+
+def permanent(rows):
+    """sum over permutations sigma of prod_i rows[i][sigma(i)], formed with
+    `operator.mul` and `operator.add`: entries may be floats or arrays
+    (entrywise, none copied).  A 0 x 0 input gives 1."""
+    if len(rows) == 0:
+        return 1.0
+    perms = itertools.permutations(range(len(rows)))
+    return reduce(operator.add, (reduce(operator.mul, [rows[i][j] for i, j in enumerate(s)]) for s in perms))
 
 
 def _check_exponent(g: float, name: str) -> None:

@@ -1,11 +1,15 @@
 """Tests of the grid's tail estimate and window sizing.
 
-The tail oracle is scipy's quadrature of the closed-form order-one
-kernel; it shares no code with the permutation-sum estimate.
+The tail oracles are scipy's quadrature of the closed-form order-one
+kernel and, for higher orders, the permutation sum that defines the
+estimate, written out in 40-digit mpmath; neither shares code with the
+permanent-based estimate.
 """
 import hashlib
+import itertools
 import math
 
+import mpmath
 import pytest
 from scipy import integrate
 
@@ -51,6 +55,48 @@ def test_order_one_tail_against_quadrature(g):
         gaps.append((est - exact) / exact)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
+
+
+def tail_fraction_by_permutations(g, window: float, horizon: float) -> float:
+    """The tail estimate from its definition, in 40 digits: for each
+    permutation sigma the variance term is the Beta products of both
+    orientations of every pair (i, sigma(i)) over (alpha+1)(alpha+2),
+    times t^(alpha+2); dropping pair i puts window^a / (-a) in place of
+    its cross integral, a = 1 + g_i + g_sigma(i)."""
+    with mpmath.workdps(40):
+        g = [mpmath.mpf(v) for v in g]
+        w, t = mpmath.mpf(window), mpmath.mpf(horizon)
+
+        def variance(pairs):
+            up = mpmath.fprod(mpmath.beta(g[i] + 1, -g[i] - g[j] - 1) for i, j in pairs)
+            down = mpmath.fprod(mpmath.beta(g[j] + 1, -g[i] - g[j] - 1) for i, j in pairs)
+            alpha = mpmath.fsum(1 + g[i] + g[j] for i, j in pairs)
+            return (up + down) / ((alpha + 1) * (alpha + 2)) * t ** (alpha + 2)
+
+        total = tail = mpmath.mpf(0)
+        for sigma in itertools.permutations(range(len(g))):
+            pairs = list(enumerate(sigma))
+            total += variance(pairs)
+            for k, (i, j) in enumerate(pairs):
+                a = 1 + g[i] + g[j]
+                tail += w**a / (-a) * variance(pairs[:k] + pairs[k + 1:])
+        return float(min(tail / total, 1))
+
+
+@pytest.mark.parametrize("gamma", [(-0.7, -0.65), (-0.502, -0.7), (-0.7, -0.65, -0.6), (-0.6, -0.65, -0.55, -0.62)])
+@pytest.mark.parametrize("horizon", [1.0, 3.7])
+def test_tail_fraction_against_permutation_sum(gamma, horizon):
+    for window in (1.5 * horizon, 10.0, 1e3, 1e8, 1e40):
+        want = tail_fraction_by_permutations(gamma, window, horizon)
+        got = tail_fraction(gamma, window, horizon)
+        assert abs(got - want) <= 1e-14 * want, (window, got, want)
+
+
+def test_tail_fraction_rejects_nan():
+    with pytest.raises(InvalidInputError):
+        tail_fraction((-0.7, -0.65), math.nan)
+    with pytest.raises(InvalidInputError):
+        tail_fraction((-0.7, -0.65), 10.0, horizon=math.nan)
 
 
 def test_tail_fraction_is_one_inside_horizon():

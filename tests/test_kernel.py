@@ -154,10 +154,34 @@ class TestEvalKernel:
         with pytest.raises(InvalidInputError):
             eval_kernel(spec, (0.1, 0.2, 0.3))
 
+    def test_nan_coordinate_rejected(self):
+        spec = KernelSpec(GammaVector((-0.6, -0.7)))
+        with pytest.raises(InvalidInputError):
+            eval_kernel(spec, (math.nan, 0.1))
+
+    def test_minus_infinity_is_the_limit(self):
+        spec = KernelSpec(GammaVector((-0.6, -0.7)))
+        assert eval_kernel(spec, (-math.inf, 0.1)) == 0.0
+        assert eval_kernel(spec, (-math.inf, -math.inf), mode="symmetrized") == 0.0
+
     def test_bad_mode_and_rule(self):
         spec = KernelSpec(GammaVector((-0.7,)))
         with pytest.raises(InvalidInputError):
             eval_kernel(spec, (0.1,), mode="tilted")
+
+
+class TestKernelSpec:
+    def test_constant_is_not_settable(self):
+        # A follows from gamma; a NaN passed here used to be sampled quietly
+        with pytest.raises(TypeError):
+            KernelSpec(GammaVector((-0.7,)), constant=math.nan)
+        spec = KernelSpec(GammaVector((-0.7,)))
+        assert spec.constant == normalizing_constant(GammaVector((-0.7,)))
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(InvalidInputError):
+            KernelSpec(GammaVector((-0.7, -0.65)), horizon)
 
 
 class TestConstantFaceRatio:

@@ -357,6 +357,13 @@ class TestErrorsAndValidation:
         with pytest.raises(GridTooSmallError) as exc:
             sample_chaos(ker, grid, 10, seed=1)
         assert exc.value.required_window > grid.far_left
+        # the message gives the fraction reached and the tolerance, says
+        # that no window up to the cap helps, and names the slowest tail
+        # exponent 1 + 2 max(gamma) = -0.004
+        message = str(exc.value)
+        assert f"{grid.tail_estimate:.3e}" in message and "1.000e-03" in message
+        assert "no window up to FAR_CAP" in message
+        assert "-0.004" in message
 
     def test_non_enforcing_grid_samples_anyway(self):
         ker = KernelSpec((-0.502, -0.7))

@@ -11,7 +11,7 @@ from rosenblatt import (
     cross_integral,
     log_beta,
 )
-from rosenblatt.special import pairing_weights
+from rosenblatt.special import beta_matrix, permanent
 
 from helpers import beta_quadrature, cross_integral_quadrature
 
@@ -78,26 +78,37 @@ class TestBeta:
                 log_beta(a, b)
 
 
-class TestPairingWeights:
-    def test_two_pair_matching(self):
-        # slots 0 -> 2 and 1 -> 0 of an order-3 vector
-        g = (-0.7, -0.65, -0.6)
-        up, down = pairing_weights(g, [(0, 2), (1, 0)])
+class TestBetaMatrix:
+    @pytest.mark.parametrize("g", [(-0.7,), (-0.7, -0.65), (-0.7, -0.65, -0.6), (-0.502, -0.55, -0.9, -0.6)])
+    def test_entries_against_mpmath(self, g):
+        u = beta_matrix(g)
+        assert u.shape == (len(g), len(g))
         with mpmath.workdps(30):
-            want_up = mpmath.beta(0.3, 0.3) * mpmath.beta(0.35, 0.35)
-            want_down = mpmath.beta(0.4, 0.3) * mpmath.beta(0.3, 0.35)
-        assert rel_err(up, float(want_up)) < 1e-13
-        assert rel_err(down, float(want_down)) < 1e-13
+            for i, gi in enumerate(g):
+                for j, gj in enumerate(g):
+                    want = float(mpmath.beta(mpmath.mpf(gi) + 1, -mpmath.mpf(gi) - mpmath.mpf(gj) - 1))
+                    assert rel_err(u[i, j], want) < 1e-13
 
-    def test_self_pair(self):
-        up, down = pairing_weights((-0.7, -0.65), [(1, 1)])
-        with mpmath.workdps(30):
-            want = float(mpmath.beta(0.35, 0.3))
-        assert up == down
-        assert rel_err(up, want) < 1e-13
 
-    def test_no_pairs(self):
-        assert pairing_weights((-0.7,), []) == (1.0, 1.0)
+class TestPermanent:
+    def test_empty_is_one(self):
+        assert permanent(np.zeros((0, 0))) == 1.0
+
+    def test_three_by_three_expanded(self):
+        m = [[1.5, -2.0, 0.25], [3.0, 0.5, -1.0], [2.0, 4.0, 0.75]]
+        (a, b, c), (d, e, f), (g, h, i) = m
+        want = a * e * i + a * f * h + b * d * i + b * f * g + c * d * h + c * e * g
+        assert permanent(m) == pytest.approx(want, rel=1e-15)
+        assert permanent(np.array(m)) == pytest.approx(want, rel=1e-15)
+
+    def test_array_entries_multiply_entrywise(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(3, 3, 4, 5))
+        got = permanent(m)
+        assert got.shape == (4, 5)
+        for k in range(4):
+            for n in range(5):
+                assert got[k, n] == permanent(m[:, :, k, n])
 
 
 class TestCrossIntegral:
