@@ -7,9 +7,9 @@ sampler is checked against (Wick moments, the isometry and the product
 formula) live with the tests, in tests/wick_oracle.py.
 """
 # set before the submodules load: sampler records it in every batch's meta
-__version__ = "0.4.2"
+__version__ = "0.5.0"
 
-from .domain import BoundaryPath, DomainReport, Face, GammaVector, path_points, validate
+from .domain import BoundaryPath, DomainReport, Face, GammaVector, TrendTable, path_points, validate
 from .errors import (
     DivergentIntegralError,
     DomainError,
@@ -46,6 +46,7 @@ __all__ = [
     "BoundaryPath",
     "validate",
     "path_points",
+    "TrendTable",
     "beta",
     "log_beta",
     "cross_integral",

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import BoundaryPath, Face, GammaVector, path_points
+from .domain import BoundaryPath, GammaVector, TrendTable, face1_trend
 from .errors import DivergentIntegralError, InvalidInputError, QuadratureError, SizeError
 from .kernel import MAX_ORDER, normalizing_constant_sq
 from .quadrature import graded_rule
@@ -50,8 +50,6 @@ from .special import beta_matrix
 __all__ = [
     "ContractionSpec",
     "PhiFactors",
-    "TrendTable",
-    "ConditionLimitResult",
     "enumerate_contractions",
     "phi_factors",
     "phi_cycle_integral",
@@ -117,10 +115,6 @@ class ContractionSpec:
     @property
     def image_set(self) -> frozenset:
         return frozenset(self.images)
-
-    @property
-    def mapping(self) -> dict:
-        return dict(zip(self.indices, self.images))
 
     def pairs(self) -> tuple:
         return tuple(zip(self.indices, self.images))
@@ -459,90 +453,46 @@ def contraction_norm_sq(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0
     return amp_sq * amp_sq * value
 
 
-@dataclass(frozen=True)
-class TrendTable:
-    """Values along a boundary path, with an optional comparison target.
-
-    Each row is (epsilon, value, target, gap).
-    """
-
-    rows: tuple
-
-    def values(self) -> list:
-        return [r[1] for r in self.rows]
-
-    def gaps(self) -> list:
-        return [r[3] for r in self.rows]
-
-
-def _require_face1(path: BoundaryPath) -> None:
-    if not isinstance(path, BoundaryPath):
-        raise InvalidInputError("expected a BoundaryPath")
-    if path.face is not Face.FIRST_EXPONENT_TO_HALF:
-        raise InvalidInputError(
-            f"this check needs a first-exponent path, got {path.face.value}"
-        )
-
-
 def ncl_condition_ii_trend(path: BoundaryPath, spec: ContractionSpec, *,
                            mesh_scale: float = 1.0) -> TrendTable:
-    """Scaled cycle integrals along a first-exponent path.
+    """Scaled cycle integrals along a first-exponent path, against 0.
 
     Applies to matchings that involve slot 1 but do not pair it with
     itself; the scaling (-1 - 2 g_1)^2 compensates the vanishing
     normalization, so the tabulated values must sink to zero.
     """
-    _require_face1(path)
     if 1 not in spec.indices:
         raise InvalidInputError("slot 1 must be matched for this check")
-    if spec.mapping[1] == 1:
+    if (1, 1) in spec.pairs():
         raise InvalidInputError("slot 1 paired with itself is excluded here")
-    rows = []
-    for eps, point in zip(path.epsilons, path_points(path)):
-        pf = phi_factors(point, spec)
+
+    def value(eps, point):
         scale = -1.0 - 2.0 * point.entries[0]
-        value = scale * scale * phi_cycle_integral(pf, mesh_scale=mesh_scale)
-        rows.append((float(eps), float(value), 0.0, float(value)))
-    return TrendTable(rows=tuple(rows))
+        return scale * scale * phi_cycle_integral(phi_factors(point, spec), mesh_scale=mesh_scale)
 
-
-@dataclass(frozen=True)
-class ConditionLimitResult:
-    """Limit comparison for a matched check: target, final gap, and the path."""
-
-    target: float
-    final_gap: float
-    table: TrendTable
+    return face1_trend(path, value, lambda base: 0.0)
 
 
 def ncl_condition_iii_limit(path: BoundaryPath, spec: ContractionSpec, *,
-                            mesh_scale: float = 1.0) -> ConditionLimitResult:
+                            mesh_scale: float = 1.0) -> TrendTable:
     """Norms along a first-exponent path against the reduced-order target.
 
     `spec` matches slots from {2..q} only; slot 1 is adjoined
     automatically and paired with itself.  The target is the same norm
     for the order-(q-1) kernel built from the fixed tail exponents.
     """
-    _require_face1(path)
-    q = path.base.q + 1
-    if spec.q != q or spec.m != q:
-        raise InvalidInputError(
-            f"spec is for order {spec.q}, path gives order {q}"
-        )
     if 1 in spec.indices or 1 in spec.images:
         raise InvalidInputError("slot 1 is adjoined automatically; match only 2..q")
-    barred = ContractionSpec(
-        q=q, m=q, indices=(1,) + spec.indices, images=(1,) + spec.images
-    )
-    reduced = ContractionSpec(q - 1, q - 1, indices=tuple(i - 1 for i in spec.indices),
-                              images=tuple(j - 1 for j in spec.images))
-    target = contraction_norm_sq(path.base, reduced, mesh_scale=mesh_scale)
-    rows = []
-    for eps, point in zip(path.epsilons, path_points(path)):
-        value = contraction_norm_sq(point, barred, mesh_scale=mesh_scale)
-        gap = abs(value - target) / abs(target)
-        rows.append((float(eps), float(value), float(target), float(gap)))
-    return ConditionLimitResult(target=target, final_gap=rows[-1][3], table=TrendTable(rows=tuple(rows)))
+    barred = ContractionSpec(spec.q, spec.m, (1,) + spec.indices, (1,) + spec.images)
+    reduced = ContractionSpec(spec.q - 1, spec.m - 1, tuple(i - 1 for i in spec.indices),
+                              tuple(j - 1 for j in spec.images))
+
+    def target(base):
+        if spec.q != base.q + 1 or spec.m != spec.q:
+            raise InvalidInputError(f"spec is for orders ({spec.q}, {spec.m}), path gives order {base.q + 1}")
+        return contraction_norm_sq(base, reduced, mesh_scale=mesh_scale)
+
+    return face1_trend(path, lambda eps, point: contraction_norm_sq(point, barred, mesh_scale=mesh_scale), target)
 
 
 def clt_norm_bound(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0) -> tuple:

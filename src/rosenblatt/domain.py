@@ -24,6 +24,8 @@ __all__ = [
     "BoundaryPath",
     "validate",
     "path_points",
+    "TrendTable",
+    "face1_trend",
 ]
 
 
@@ -186,3 +188,36 @@ def path_points(path: BoundaryPath) -> list[GammaVector]:
     """Generate the admissible vectors along the path, one per epsilon."""
     maker = _face1_point if path.face is Face.FIRST_EXPONENT_TO_HALF else _face2_point
     return [maker(path, e) for e in path.epsilons]
+
+
+@dataclass(frozen=True)
+class TrendTable:
+    """Values along a boundary path against their eps -> 0 target.
+
+    `rows` holds (epsilon, value) pairs.  A gap is |value - target|,
+    relative to a nonzero target and absolute against a zero one.
+    """
+
+    rows: tuple
+    target: float
+
+    def values(self) -> list:
+        return [v for _, v in self.rows]
+
+    def gaps(self) -> list:
+        scale = abs(self.target) or 1.0
+        return [abs(v - self.target) / scale for _, v in self.rows]
+
+
+def face1_trend(path: BoundaryPath, value, target) -> TrendTable:
+    """Tabulate value(eps, point) along a first-exponent path.
+
+    `target` maps the path's fixed tail g_2..g_q to the eps -> 0 limit.
+    Anything but a first-exponent BoundaryPath is rejected before either
+    callable runs.
+    """
+    if not isinstance(path, BoundaryPath) or path.face is not Face.FIRST_EXPONENT_TO_HALF:
+        raise InvalidInputError(f"expected a first-exponent BoundaryPath, got {path!r}")
+    limit = float(target(path.base))
+    points = zip(path.epsilons, path_points(path))
+    return TrendTable(tuple((eps, float(value(eps, point))) for eps, point in points), limit)

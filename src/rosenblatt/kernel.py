@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import GammaVector, validate
+from .domain import GammaVector, TrendTable, face1_trend, validate
 from .errors import DomainError, InvalidInputError, SizeError
 from .quadrature import graded_rule
 from .special import beta_matrix, permanent
@@ -76,9 +77,10 @@ class KernelSpec:
     def __post_init__(self):
         gamma = _as_gamma(self.gamma)
         object.__setattr__(self, "gamma", gamma)
-        if not (isinstance(self.horizon, (int, float)) and 0 < self.horizon < math.inf):
-            raise InvalidInputError(f"horizon must be positive and finite, got {self.horizon}")
-        object.__setattr__(self, "horizon", float(self.horizon))
+        h = self.horizon
+        if isinstance(h, bool) or not (isinstance(h, numbers.Real) and 0 < h < math.inf):
+            raise InvalidInputError(f"horizon must be positive and finite, got {h}")
+        object.__setattr__(self, "horizon", float(h))
         object.__setattr__(self, "constant", normalizing_constant(gamma))
 
     @property
@@ -155,29 +157,12 @@ def eval_kernel(spec: KernelSpec, x, mode: str = "raw") -> float:
     return spec.constant * total / len(orders)
 
 
-def constant_face_ratio(gamma_tail, epsilons) -> list[dict]:
-    """Track A^2/(2 eps) along the first-exponent face against the tail constant.
+def constant_face_ratio(path) -> TrendTable:
+    """A^2/(2 eps) along a first-exponent path against the tail constant.
 
-    gamma_tail holds the fixed coordinates g_2..g_q; each row prepends
-    g_1 = -1/2 - eps.  The ratio converges to the order-(q-1) constant of
-    the tail as eps goes to 0.
+    `path.base` holds the fixed coordinates g_2..g_q and each point
+    prepends g_1 = -1/2 - eps.  The ratio converges to the order-(q-1)
+    constant A^2 of the tail, the table's target, as eps goes to 0.
     """
-    tail = tuple(float(v) for v in gamma_tail)
-    if len(tail) == 0:
-        raise SizeError("dropping the first coordinate of an order-1 vector leaves nothing")
-    from .domain import BoundaryPath, Face, path_points
-
-    path = BoundaryPath(Face.FIRST_EXPONENT_TO_HALF, GammaVector(tail), tuple(epsilons))
-    target = normalizing_constant_sq(GammaVector(tail))
-    rows = []
-    for eps, vec in zip(path.epsilons, path_points(path)):
-        ratio = normalizing_constant_sq(vec) / (2.0 * eps)
-        rows.append(
-            {
-                "epsilon": eps,
-                "ratio": ratio,
-                "target": target,
-                "rel_gap": abs(ratio - target) / target,
-            }
-        )
-    return rows
+    return face1_trend(path, lambda eps, point: normalizing_constant_sq(point) / (2.0 * eps),
+                       normalizing_constant_sq)

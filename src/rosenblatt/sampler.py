@@ -242,9 +242,6 @@ class ChaosSampleBatch:
     def mean(self) -> float:
         return float(np.mean(self.values)) if self.n else 0.0
 
-    def variance(self) -> float:
-        return float(np.var(self.values)) if self.n else 0.0
-
     def meta(self) -> dict:
         return {
             "seed": self.seed,

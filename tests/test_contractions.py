@@ -6,7 +6,10 @@ the cross-integral closed form, mesh refinement, and default-mesh values
 of the earlier quadrature, which took distances to the singular points
 as differences of absolute coordinates.  The public enumeration,
 condition-(iii) and CLT-bound functions are checked against counts,
-closed-form targets and hand arithmetic.
+closed-form targets and hand arithmetic.  The three face-1 trends
+(`constant_face_ratio` and conditions (ii) and (iii)) share one path
+loop, `domain.face1_trend`; one test checks that each of them refuses a
+face-2 path and a non-path before reading it.
 """
 import itertools
 import math
@@ -16,7 +19,8 @@ import pytest
 
 import rosenblatt.contractions as rc
 from rosenblatt import (
-    BoundaryPath, Face, GammaVector, InvalidInputError, QuadratureError, SizeError, normalizing_constant_sq,
+    BoundaryPath, Face, GammaVector, InvalidInputError, QuadratureError, SizeError, constant_face_ratio,
+    normalizing_constant_sq,
 )
 from rosenblatt.kernel import MAX_ORDER
 
@@ -176,13 +180,39 @@ def test_condition_iii_limit_approaches_target():
     # slot 1 adjoined to (2)->(2) makes a full matching at every point, and
     # the reduced target is the unit-normalized order-1 norm: closed forms only
     path = BoundaryPath(Face.FIRST_EXPONENT_TO_HALF, GammaVector((-0.65,)), (0.1, 0.01, 0.001))
-    res = rc.ncl_condition_iii_limit(path, spec((-0.7, -0.65), (2,), (2,)))
-    assert res.target == pytest.approx(1.0, abs=1e-12)
-    gaps = res.table.gaps()
+    table = rc.ncl_condition_iii_limit(path, spec((-0.7, -0.65), (2,), (2,)))
+    assert table.target == pytest.approx(1.0, abs=1e-12)
+    gaps = table.gaps()
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    assert res.final_gap == gaps[-1] < 0.1
+    assert gaps[-1] < 0.1
     with pytest.raises(InvalidInputError):
         rc.ncl_condition_iii_limit(path, spec((-0.7, -0.65), (1,), (2,)))
+
+
+FACE1 = BoundaryPath(Face.FIRST_EXPONENT_TO_HALF, GammaVector((-0.65,)), (0.05,))
+FACE2 = BoundaryPath(Face.SUM_TO_CRITICAL, GammaVector(Q2), (0.05,))
+TRENDS = {
+    "constant_face_ratio": constant_face_ratio,
+    "condition_ii": lambda path: rc.ncl_condition_ii_trend(path, spec(Q2, (1,), (2,))),
+    "condition_iii": lambda path: rc.ncl_condition_iii_limit(path, spec(Q2, (2,), (2,))),
+}
+
+
+@pytest.mark.parametrize("call, path, match", [
+    *(pytest.param(call, path, "first-exponent BoundaryPath", id=f"{name}-{kind}")
+      for name, call in TRENDS.items() for kind, path in (("face2_path", FACE2), ("not_a_path", Q2))),
+    pytest.param(lambda path: rc.ncl_condition_ii_trend(path, spec(Q2, (2,), (2,))), FACE1,
+                 "slot 1 must be matched", id="condition_ii-slot_1_unmatched"),
+    pytest.param(lambda path: rc.ncl_condition_ii_trend(path, spec(Q2, (1,), (1,))), FACE1,
+                 "slot 1 paired with itself", id="condition_ii-slot_1_to_itself"),
+    pytest.param(lambda path: rc.ncl_condition_iii_limit(path, spec(Q3, (2,), (2,))), FACE1,
+                 "path gives order 2", id="condition_iii-order_mismatch"),
+])
+def test_face1_trends_reject_bad_input(call, path, match):
+    # a tuple has no .base, so the non-path case shows that the path is
+    # checked before anything reads it
+    with pytest.raises(InvalidInputError, match=match):
+        call(path)
 
 
 def test_clt_norm_bound():

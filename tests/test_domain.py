@@ -9,6 +9,7 @@ from rosenblatt import (
     GammaVector,
     InvalidInputError,
     PathInfeasibleError,
+    TrendTable,
     path_points,
     validate,
 )
@@ -152,3 +153,14 @@ class TestPaths:
                 dist = rep.face1_distance if face is Face.FIRST_EXPONENT_TO_HALF else rep.face2_distance
                 assert dist == pytest.approx(e, rel=1e-9)
                 emitted += 1
+
+
+class TestTrendTable:
+    ROWS = ((0.1, 3.0), (0.01, 1.5), (0.001, -0.5))
+
+    def test_values_and_gaps(self):
+        assert TrendTable(self.ROWS, 2.0).values() == [3.0, 1.5, -0.5]
+        # relative to a nonzero target, absolute against a zero one
+        assert TrendTable(self.ROWS, 2.0).gaps() == [0.5, 0.25, 1.25]
+        assert TrendTable(self.ROWS, -2.0).gaps() == [2.5, 1.75, 0.75]
+        assert TrendTable(self.ROWS, 0.0).gaps() == [3.0, 1.5, 0.5]

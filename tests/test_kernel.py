@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rosenblatt
-from rosenblatt import DomainError, GammaVector, InvalidInputError, SizeError, beta
+from rosenblatt import BoundaryPath, DomainError, Face, GammaVector, InvalidInputError, SizeError, beta
 from rosenblatt.kernel import (
     KernelSpec,
     constant_face_ratio,
@@ -178,29 +178,40 @@ class TestKernelSpec:
         spec = KernelSpec(GammaVector((-0.7,)))
         assert spec.constant == normalizing_constant(GammaVector((-0.7,)))
 
-    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0, True])
     def test_horizon_must_be_positive_and_finite(self, horizon):
+        # a bool is not a horizon, though it passes as the integer 1
         with pytest.raises(InvalidInputError):
             KernelSpec(GammaVector((-0.7, -0.65)), horizon)
+
+    @pytest.mark.parametrize("horizon", [np.int64(2), np.float32(2.0)])
+    def test_numpy_horizon_accepted(self, horizon):
+        spec = KernelSpec(GammaVector((-0.7, -0.65)), horizon)
+        assert spec.horizon == 2.0 and type(spec.horizon) is float
+
+
+def face1_path(tail, epsilons):
+    return BoundaryPath(Face.FIRST_EXPONENT_TO_HALF, GammaVector(tail), epsilons)
 
 
 class TestConstantFaceRatio:
     def test_converges_to_tail_constant(self):
-        rows = constant_face_ratio((-0.7,), (1e-2, 1e-3, 1e-4))
-        gaps = [r["rel_gap"] for r in rows]
+        table = constant_face_ratio(face1_path((-0.7,), (1e-2, 1e-3, 1e-4)))
+        gaps = table.gaps()
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 0.01
-        assert rows[-1]["target"] == pytest.approx(
+        assert table.target == pytest.approx(
             normalizing_constant_sq(GammaVector((-0.7,))), rel=1e-14
         )
 
     def test_order_three_tail(self):
-        rows = constant_face_ratio((-0.7, -0.6), (1e-2, 1e-3, 1e-4))
-        assert rows[-1]["rel_gap"] < 0.01
+        table = constant_face_ratio(face1_path((-0.7, -0.6), (1e-2, 1e-3, 1e-4)))
+        assert table.gaps()[-1] < 0.01
 
     def test_empty_tail_rejected(self):
-        with pytest.raises(SizeError):
-            constant_face_ratio((), (1e-2,))
+        # the path's GammaVector refuses an empty tail
+        with pytest.raises(InvalidInputError):
+            constant_face_ratio(face1_path((), (1e-2,)))
 
     def test_constant_vanishes_along_face(self):
         # vanishing is asymptotic; start where the decay has set in
@@ -209,8 +220,8 @@ class TestConstantFaceRatio:
             normalizing_constant_sq(GammaVector((-0.5 - e, -0.7))) for e in eps
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
-        rows = constant_face_ratio((-0.7,), eps)
-        assert all(0.0 < r["ratio"] < 10.0 for r in rows)
+        table = constant_face_ratio(face1_path((-0.7,), eps))
+        assert all(0.0 < r < 10.0 for r in table.values())
 
 
 def test_import_loads_no_scipy():
