@@ -484,12 +484,12 @@ def ncl_condition_iii_limit(path: BoundaryPath, spec: ContractionSpec, *,
     if 1 in spec.indices or 1 in spec.images:
         raise InvalidInputError("slot 1 is adjoined automatically; match only 2..q")
     barred = ContractionSpec(spec.q, spec.m, (1,) + spec.indices, (1,) + spec.images)
-    reduced = ContractionSpec(spec.q - 1, spec.m - 1, tuple(i - 1 for i in spec.indices),
-                              tuple(j - 1 for j in spec.images))
 
     def target(base):
         if spec.q != base.q + 1 or spec.m != spec.q:
             raise InvalidInputError(f"spec is for orders ({spec.q}, {spec.m}), path gives order {base.q + 1}")
+        reduced = ContractionSpec(spec.q - 1, spec.m - 1, tuple(i - 1 for i in spec.indices),
+                                  tuple(j - 1 for j in spec.images))
         return contraction_norm_sq(base, reduced, mesh_scale=mesh_scale)
 
     return face1_trend(path, lambda eps, point: contraction_norm_sq(point, barred, mesh_scale=mesh_scale), target)

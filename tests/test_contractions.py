@@ -207,6 +207,8 @@ TRENDS = {
                  "slot 1 paired with itself", id="condition_ii-slot_1_to_itself"),
     pytest.param(lambda path: rc.ncl_condition_iii_limit(path, spec(Q3, (2,), (2,))), FACE1,
                  "path gives order 2", id="condition_iii-order_mismatch"),
+    pytest.param(lambda path: rc.ncl_condition_iii_limit(path, rc.ContractionSpec(1, 1, (), ())), FACE1,
+                 "path gives order 2", id="condition_iii-order_one_spec"),
 ])
 def test_face1_trends_reject_bad_input(call, path, match):
     # a tuple has no .base, so the non-path case shows that the path is
