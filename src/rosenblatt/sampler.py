@@ -2,7 +2,8 @@
 
 The kernel is factorized: each coordinate i contributes a cell-averaged
 factor b_i[c, m] over grid cells c and s-quadrature nodes m, so a
-realization needs one standard normal per cell and a few matrix products.
+realization needs a few matrix products and one standard normal per cell,
+except in the far field, which takes a handful of latent normals instead.
 The s-rule follows the grid: one Gauss-Legendre node per cell inside the
 time interval, with the panels cut at its two ends.  Every factor has a
 power kink at each cell edge, so a rule blind to the edges loses accuracy
@@ -21,19 +22,33 @@ unmatched factor is linear in xi, so its weights fold into one mat-vec;
 only the rest need projections, one per distinct exponent.  For q = 1 the
 folded mat-vec is the whole estimator.
 
-Far field.  For s in [lo, hi] and a cell whose right edge lies at least
-L/2 left of lo, L = hi - lo, every factor is analytic in s: in the
-interval's [-1, 1] coordinates the nearest singularity sits at -2 or
-beyond, outside the Bernstein ellipse of parameter rho = 2 + sqrt(3).
-Chebyshev interpolation in s therefore converges like rho^-R (Trefethen,
-Approximation Theory and Approximation Practice, ch. 8), so those cells'
-factors and covariances are evaluated at R = _FAR_NODES Chebyshev points
-and mapped to the s-nodes by an R x S barycentric matrix; R puts rho^-R
-below 1e-16.  Against the dense assembly on the same noise the values
-agree to within 3e-13 of their RMS, the level at which the differenced
-edge powers of `factor_matrix` already round (more points do not lower
-it).  Cells entirely right of hi have zero factors and are skipped.  No
-cells x s-nodes matrix over the whole grid is formed.
+Far field.  The far zone is fixed per grid: the cells whose right edge
+lies at or below -t/2, t the horizon.  For s in [0, t] every factor of
+such a cell is analytic in s: in [0, t]'s [-1, 1] coordinates the nearest
+singularity sits at -2 or beyond, outside the Bernstein ellipse of
+parameter rho = 2 + sqrt(3).  Chebyshev interpolation in s therefore
+converges like rho^-R (Trefethen, Approximation Theory and Approximation
+Practice, ch. 8), so the far cells' factors and covariances are evaluated
+at R = _FAR_NODES Chebyshev points on [0, t], whatever the interval, and
+mapped to its s-nodes by an R x S barycentric matrix; R puts rho^-R below
+1e-16.  The mapped far table matches `factor_matrix` at the s-nodes to
+within 1e-12 of each column's norm (7e-13 at worst on the default grids),
+the level at which the differenced edge powers already round; more points
+do not lower it.  Cells entirely right of hi have zero factors and are
+skipped.  No cells x s-nodes matrix over the whole grid is formed.
+
+Latent far field.  The far projections xi_far @ F, F the far cells x
+(exponents x R) table, are Gaussian with covariance F^T F, whose
+numerical rank r is small because the factors are smooth in s (7 to 10
+on the default grids, against thousands of far cells).  With F^T F =
+V diag(lam) V^T, the sampler keeps the eigenpairs with lam above
+(exponents x R) * eps * max(lam), the usual numerical-rank cut, and draws
+the far projections as eta @ (V diag(lam)^1/2)^T with eta standard normal
+in r dimensions: the same law up to the dropped eigenvalues, which are
+rounding.  The root times its transpose matches F^T F to within 1.5e-14
+of its largest entry on the default grids.  Mapped by the barycentric
+matrix the root is one r x (exponents x S) table, so the far projections
+are one product, and a term linear in the noise folds through the root.
 
 Second moment.  Wick products pair only across the two factors, so
 E[Z_hat^2] = A^2 w^T perm(G) w, with G the q x q matrix whose entry G_ij
@@ -41,18 +56,24 @@ is the S x S Gram of b_i and b_j over the s-nodes, and the permanent's
 products taken entrywise.  This is the discrete twin of the continuum
 variance, which is A^2 times the permanent of the Beta matrix U (see
 `kernel`).  Each Gram is the near cells' product plus the far cells'
-R x R product mapped by the interpolation matrix on both sides.
+R x R product mapped by the interpolation matrix on both sides; the
+latent root does not enter it.
 
-Randomness: realizations come in fixed blocks of 64, and each block has
-one stream, spawned from the master seed with SeedSequence.spawn and
-drawn with Generator(SFC64(child)); realization k's noise is row k % 64 of
-its block's (rows, n_cells) fill, so realization k's noise depends only
-on (seed, k, n_cells): not on the worker count or n_samples.  One stream
-per block, not per realization, because a stream's set-up costs about as
-much as drawing a row of normals on a coarse grid and holds the GIL,
-which the parallel chunks would otherwise queue on.  Chunks are whole
-blocks, so no row is drawn twice, and assembled values are the same bits
-whatever the worker count.
+Randomness: a realization's noise row is [eta (r), xi over the cells
+n_far..n_cells-1], r + n_cells - n_far normals.  Realizations come in
+fixed blocks of 64, and each block has one stream, spawned from the
+master seed with SeedSequence.spawn and drawn with Generator(SFC64(child));
+realization k's noise is row k % 64 of its block's (rows, width) fill, so
+it depends only on (seed, k, width): not on the worker count or n_samples.
+The far zone and the root do not depend on the interval, so every
+interval on one grid reads the same columns, which couples increments
+and the Brownian value pathwise; the far cells lie left of 0, so the
+Brownian value reads near columns only.  One stream per block, not per
+realization, because a stream's set-up costs about as much as drawing a
+row of normals on a coarse grid and holds the GIL, which the parallel
+chunks would otherwise queue on.  Chunks are whole blocks, so no row is
+drawn twice, and assembled values are the same bits whatever the worker
+count.
 """
 from __future__ import annotations
 
@@ -110,9 +131,9 @@ def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray) -> np.ndarray:
 
 # Chebyshev points per far-field block: the smallest odd R with rho^-R <
 # 1e-16, rho = 2 + sqrt(3) (see the module docstring); odd R puts a point
-# on the interval's midpoint.  The far zone starts L/2 left of the
-# interval rather than L: with one s-node per cell a near cell costs
-# more in the projections than the extra Chebyshev points do.
+# on the midpoint of [0, t].  The far zone starts t/2 left of 0 rather
+# than t: with one s-node per cell a near cell costs more in the
+# projections than the extra Chebyshev points do.
 _FAR_NODES = math.ceil(16.0 / math.log10(2.0 + math.sqrt(3.0))) | 1
 
 
@@ -151,6 +172,8 @@ class _Factors(NamedTuple):
     near cells x (exponents x s-nodes) and far cells x (exponents x
     Chebyshev points); coordinate i reads the exponent block slot[i].
     Cells [0, n_far) are far, cells from n_live on lie right of hi.
+    `latent` (r x (exponents x Chebyshev points)) is the far Gram's root:
+    latent^T latent = far^T far to rounding.
     """
 
     s_w: np.ndarray
@@ -160,12 +183,16 @@ class _Factors(NamedTuple):
     slot: tuple
     near: np.ndarray
     far: np.ndarray
+    latent: np.ndarray
 
     def b_near(self, j: int) -> np.ndarray:
         return self.near[:, j * len(self.s_w) : (j + 1) * len(self.s_w)]
 
     def b_far(self, j: int) -> np.ndarray:
         return self.far[:, j * _FAR_NODES : (j + 1) * _FAR_NODES]
+
+    def b_latent(self, j: int) -> np.ndarray:
+        return self.latent[:, j * _FAR_NODES : (j + 1) * _FAR_NODES]
 
 
 def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
@@ -184,14 +211,21 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
     # [lo, hi], cut at lo and hi, so every edge kink of b sits on a panel end
     cuts = np.concatenate(([lo], edges[(edges > lo) & (edges < hi)], [hi]))
     s_nodes, s_w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
-    n_far = int(np.searchsorted(edges[1:], lo - 0.5 * (hi - lo), side="right"))
+    # the far zone and its Chebyshev points depend on the grid alone, so
+    # every interval reads the same far table and the same latent root
+    t = grid.horizon
+    n_far = int(np.searchsorted(edges[1:], -0.5 * t, side="right"))
     n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
-    cheb, interp = _chebyshev_interpolation(lo, hi, s_nodes)
+    cheb, interp = _chebyshev_interpolation(0.0, t, s_nodes)
     g = kernel.gamma.entries
     keys = sorted(set(g))
     near = factor_matrix(edges[n_far : n_live + 1], keys, s_nodes)
     far = factor_matrix(edges[: n_far + 1], keys, cheb)
-    return _Factors(s_w, interp, n_far, n_live, tuple(keys.index(v) for v in g), near, far)
+    # the numerical-rank cut of the far Gram; an empty far zone leaves r = 0
+    lam, vec = np.linalg.eigh(far.T @ far)
+    keep = lam > lam.size * np.finfo(float).eps * lam[-1]
+    latent = (vec[:, keep] * np.sqrt(lam[keep])).T
+    return _Factors(s_w, interp, n_far, n_live, tuple(keys.index(v) for v in g), near, far, latent)
 
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
@@ -264,11 +298,11 @@ _BLOCK = 64
 _CHUNK = 4 * _BLOCK
 
 
-def _noise(streams: list, start: int, stop: int, n_cells: int) -> np.ndarray:
+def _noise(streams: list, start: int, stop: int, width: int) -> np.ndarray:
     """Noise rows of realizations start..stop-1, `start` a multiple of
     _BLOCK: realization k is row k % _BLOCK of
-    Generator(SFC64(streams[k // _BLOCK])) filled as (rows, n_cells)."""
-    rows = np.empty((stop - start, n_cells))
+    Generator(SFC64(streams[k // _BLOCK])) filled as (rows, width)."""
+    rows = np.empty((stop - start, width))
     for first in range(start, stop, _BLOCK):
         gen = np.random.Generator(np.random.SFC64(streams[first // _BLOCK]))
         gen.standard_normal(out=rows[first - start : min(stop, first + _BLOCK) - start])
@@ -294,14 +328,15 @@ def sample_chaos(
     """Draw exact realizations of the discretized chaos functional.
 
     `interval` restricts the time integral to [a, b] (default [0, horizon]),
-    which is how process increments are sampled; the same seed on the same
-    grid reuses the same underlying noise, so functionals sampled with
-    equal seeds are coupled pathwise.
+    which is how process increments are sampled; the same seed with the
+    same kernel and grid reuses the same underlying noise, so increments
+    and Brownian values sampled with equal seeds are coupled pathwise.
 
     Chunks of 256 realizations are drawn and assembled on min(usable
     CPUs, number of chunks) worker threads.  The noise in flight takes
-    about workers x 256 x grid.n_cells x 8 bytes, and for q >= 2 the
-    projections workers x 256 x s-nodes x 8 bytes per distinct exponent.
+    about workers x 256 x (r + near cells) x 8 bytes, r the latent rank,
+    and for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
+    distinct exponent.
     """
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise InvalidInputError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
@@ -318,7 +353,7 @@ def sample_chaos(
             brownian=np.zeros(n_samples) if return_brownian else None,
         )
 
-    interp, n_far, slot = fac.interp, fac.n_far, fac.slot
+    interp, slot, r = fac.interp, fac.slot, len(fac.latent)
 
     def cov(i: int, j: int) -> np.ndarray:
         """C_ij(m) = sum_c b_i[c, m] b_j[c, m] over the live cells."""
@@ -328,30 +363,37 @@ def sample_chaos(
 
     # each matching's s-weights and covariances form one vector over the
     # s-nodes; with no unmatched factor it sums to a constant, with one it
-    # folds into a single vector over cells, and with more it multiplies
-    # the unmatched factors' projections
-    const, folded, products = 0.0, np.zeros(fac.n_live), []
+    # folds into a single vector over a noise row's live columns, and with
+    # more it multiplies the unmatched factors' projections
+    live = r + fac.n_live - fac.n_far  # the live columns of a noise row
+    const, folded, products = 0.0, np.zeros(live), []
     for pairs, free in _matchings(tuple(range(kernel.q))):
         c = reduce(np.multiply, [cov(i, j) for i, j in pairs], (-1.0) ** len(pairs) * fac.s_w)
         if not free:
             const += float(c.sum())
         elif len(free) == 1:
-            folded[:n_far] += fac.b_far(slot[free[0]]) @ (interp @ c)
-            folded[n_far:] += fac.b_near(slot[free[0]]) @ c
+            folded[:r] += fac.b_latent(slot[free[0]]) @ (interp @ c)
+            folded[r:] += fac.b_near(slot[free[0]]) @ c
         else:
             products.append(([slot[i] for i in free], c))
 
-    # cells inside [0, horizon] carry the terminal Brownian value
-    sqrt_w_pos = np.sqrt(grid.widths) * (grid.edges[:-1] >= -1e-12)
+    # near cells inside [0, horizon] carry the terminal Brownian value;
+    # far cells all lie left of 0
+    sqrt_w_pos = np.sqrt(grid.widths[fac.n_far :]) * (grid.edges[fac.n_far : -1] >= -1e-12)
+    n_s = len(fac.s_w)
+    k = fac.near.shape[1] // n_s
+    # the latent root at the s-nodes: the far projections are eta @ latent_s
+    latent_s = (fac.latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
 
     def assemble(xi: np.ndarray) -> np.ndarray:
-        """The Wick sum over the live cells, without the kernel constant."""
+        """The Wick sum over a noise row's live columns, without the
+        kernel constant."""
         out = xi @ folded + const
         if products:
-            m, n_s = len(xi), len(fac.s_w)
-            k = fac.near.shape[1] // n_s
-            proj = (xi[:, n_far:] @ fac.near).reshape(m, k, n_s)
-            proj += ((xi[:, :n_far] @ fac.far).reshape(m * k, _FAR_NODES) @ interp).reshape(m, k, n_s)
+            m = len(xi)
+            proj = xi[:, r:] @ fac.near
+            proj += xi[:, :r] @ latent_s
+            proj = proj.reshape(m, k, n_s)
             for slots, c in products:
                 out += reduce(np.multiply, [proj[:, j] for j in slots]) @ c
         return out
@@ -362,10 +404,10 @@ def sample_chaos(
 
     def run_chunk(start: int) -> None:
         stop = min(start + _CHUNK, n_samples)
-        xi = _noise(streams, start, stop, grid.n_cells)
+        xi = _noise(streams, start, stop, r + grid.n_cells - fac.n_far)
         if return_brownian:
-            brownian[start:stop] = xi @ sqrt_w_pos
-        values[start:stop] = kernel.constant * assemble(xi[:, : fac.n_live])
+            brownian[start:stop] = xi[:, r:] @ sqrt_w_pos
+        values[start:stop] = kernel.constant * assemble(xi[:, :live])
 
     starts = range(0, n_samples, _CHUNK)
     # numpy's normal fill and BLAS release the GIL; each chunk writes only

@@ -13,9 +13,12 @@ from rosenblatt.errors import GridTooSmallError, InvalidInputError, SizeError
 from rosenblatt.grid import build_grid
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
+    _FAR_NODES,
     ChaosSampleBatch,
+    _factorize,
     _noise,
     discrete_second_moment,
+    factor_matrix,
     load_npz,
     sample_chaos,
     sample_process_increment,
@@ -33,9 +36,25 @@ from helpers import (
 )
 
 
-def noise_rows(seed, n, n_cells):
-    # the noise rows sample_chaos draws for realizations 0..n-1
-    return _noise(np.random.SeedSequence(seed).spawn(math.ceil(n / 64)), 0, n, n_cells)
+def noise_rows(seed, n, ker, grid):
+    # the noise rows sample_chaos draws for realizations 0..n-1: r latent
+    # normals, then one normal per cell right of the far zone
+    fac = _factorize(ker, grid, None)
+    width = len(fac.latent) + grid.n_cells - fac.n_far
+    return _noise(np.random.SeedSequence(seed).spawn(math.ceil(n / 64)), 0, n, width)
+
+
+def far_table_error(ker, grid, interval):
+    # the far table at its Chebyshev points, mapped to the s-nodes, against
+    # factor_matrix evaluated at the s-nodes directly: the largest ratio
+    # over s-nodes of the column norms, which is the RMS error of a far
+    # projection relative to its RMS
+    fac = _factorize(ker, grid, interval)
+    nodes, _ = cell_s_rule(grid, interval)
+    keys = sorted(set(ker.gamma.entries))
+    direct = factor_matrix(grid.edges[: fac.n_far + 1], keys, nodes)
+    mapped = (fac.far.reshape(-1, _FAR_NODES) @ fac.interp).reshape(direct.shape)
+    return np.max(np.linalg.norm(mapped - direct, axis=0) / np.linalg.norm(direct, axis=0))
 
 
 def variance_se(values):
@@ -79,8 +98,6 @@ class TestExactEngineVsWickOracle:
     def test_q1_norm_identity(self):
         # for q=1 the second moment is just the squared norm of the
         # discretized kernel; reassemble it directly from factor columns
-        from rosenblatt.sampler import factor_matrix
-
         ker = KernelSpec((-0.6,))
         grid = tiny_grid(n_cells=8, left=3.0, horizon=1.0)
         nodes, weights = cell_s_rule(grid)
@@ -93,48 +110,80 @@ class TestExactEngineVsWickOracle:
     ])
     def test_pathwise_equals_hermite_expression(self, gamma):
         # each realization is the oracle polynomial evaluated at its cell
-        # increments sqrt(h) xi; 3 far cells of 8 for the full interval
+        # increments sqrt(h) xi; the grid reaches only t/2 left of 0, so it
+        # has no far zone and every noise column is one cell's normal
         ker = KernelSpec(gamma)
-        grid = tiny_grid(n_cells=8, left=3.0, horizon=1.0)
+        grid = tiny_grid(n_cells=8, left=0.5, horizon=1.0)
         h = grid.widths[0]
         batch = sample_chaos(ker, grid, 50, seed=8, with_second_moment=False)
-        xi = noise_rows(8, 50, grid.n_cells)
+        xi = noise_rows(8, 50, ker, grid)
+        assert xi.shape[1] == grid.n_cells
         oracle = evaluate_expression(hermite_expression(tiny_hat_tensor(ker, grid), h), np.sqrt(h) * xi)
         assert np.max(np.abs(batch.values - oracle)) <= 1e-12 * np.sqrt(np.mean(oracle**2))
 
 
+GAMMAS = [(-0.8,), (-0.7, -0.65), (-0.7, -0.7), (-0.7, -0.65, -0.6), (-0.65, -0.65, -0.6)]
+INTERVALS = [None, (0.0, 0.25), (0.75, 1.0)]
+
+
 class TestAssemblyVsDenseReference:
-    # the grouped, folded, far-field-compressed assembly against the plain
-    # Wick sum over dense factor matrices, on the same noise rows, and
-    # the second moment against the dense Gram engine; the tiny grid's far
-    # block is empty for the full interval only
-    @pytest.mark.parametrize("gamma", [
-        (-0.8,), (-0.7, -0.65), (-0.7, -0.7), (-0.7, -0.65, -0.6), (-0.65, -0.65, -0.6),
-    ])
-    @pytest.mark.parametrize("interval", [None, (0.0, 0.25), (0.75, 1.0)])
+    # the second moment against the dense Gram engine everywhere; the
+    # grouped, folded assembly against the plain Wick sum over dense
+    # factor matrices on the same noise rows where the grid has no far
+    # zone.  A far zone is drawn through a latent root of its Gram, so
+    # there the far table and the root are checked instead.
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("interval", INTERVALS)
     @pytest.mark.parametrize("default_grid", [True, False])
     def test_matches_dense_reference(self, gamma, interval, default_grid):
         ker = KernelSpec(gamma)
         grid = build_grid(ker) if default_grid else tiny_grid(n_cells=6, left=0.5, horizon=1.0)
         n, seed = 64, 31
         batch = sample_chaos(ker, grid, n, seed, interval=interval)
-        xi = noise_rows(seed, n, grid.n_cells)
-        ref = dense_chaos_reference(ker, grid, xi, interval)
-        assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
+        if not default_grid:
+            # the tiny grid reaches only t/2 left of 0: no far zone
+            xi = noise_rows(seed, n, ker, grid)
+            assert xi.shape[1] == grid.n_cells
+            ref = dense_chaos_reference(ker, grid, xi, interval)
+            assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
         m2_ref = dense_second_moment_reference(ker, grid, interval)
         assert batch.second_moment == pytest.approx(m2_ref, rel=1e-13, abs=0.0)
         assert batch.second_moment == discrete_second_moment(ker, grid, interval)
 
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_far_table_matches_factor_matrix(self, gamma, interval):
+        # the Chebyshev points sit on [0, t] for every interval, so a far
+        # cell's factors interpolate to rounding at any s-node in [0, t]
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        assert _factorize(ker, grid, interval).n_far > 0
+        assert far_table_error(ker, grid, interval) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_latent_root_reproduces_far_gram(self, gamma):
+        # the far projections are drawn as eta @ latent, eta standard
+        # normal, so their law is right when latent^T latent = far^T far;
+        # the rank is far below the far table's width
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        fac = _factorize(ker, grid, None)
+        gram = fac.far.T @ fac.far
+        assert 0 < len(fac.latent) < gram.shape[0]
+        assert np.max(np.abs(fac.latent.T @ fac.latent - gram)) <= 1e-13 * np.max(np.abs(gram))
+        for interval in INTERVALS[1:]:
+            assert np.array_equal(_factorize(ker, grid, interval).latent, fac.latent)
+
     def test_s_node_on_a_chebyshev_point(self):
         # one cell on [0, 1] puts its s-node at 1/2, which is also the
-        # middle Chebyshev point of the far-field interpolation; the cell
-        # [-2, -1] is far
+        # middle Chebyshev point of the far-field interpolation, where the
+        # barycentric weights would divide by zero; the cell [-2, -1] is far
         ker = KernelSpec((-0.7, -0.65))
         grid = tiny_grid(n_cells=3, left=2.0, horizon=1.0)
+        assert _factorize(ker, grid, None).n_far == 1
+        assert far_table_error(ker, grid, None) <= 1e-12
         batch = sample_chaos(ker, grid, 32, 3, with_second_moment=False)
-        xi = noise_rows(3, 32, grid.n_cells)
-        ref = dense_chaos_reference(ker, grid, xi)
-        assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
+        assert np.all(np.isfinite(batch.values))
 
 
 class TestSampleMoments:
@@ -185,6 +234,15 @@ class TestSampleMoments:
         var, se = variance_se(batch.values)
         assert abs(var - batch.second_moment) < 4 * se
 
+    def test_order_three_sample_variance_matches_engine_on_default_grid(self):
+        # the same at q=3, where the far zone enters through the latent
+        # projections and not only through the folded mat-vec
+        ker = KernelSpec((-0.7, -0.65, -0.6))
+        grid = build_grid(ker, n_core=1024)
+        batch = sample_chaos(ker, grid, 8000, seed=123)
+        var, se = variance_se(batch.values)
+        assert abs(var - batch.second_moment) < 4 * se
+
 
 class TestReproducibility:
     def test_same_seed_bit_identical(self):
@@ -230,13 +288,13 @@ class TestReproducibility:
     def test_noise_stream_is_sfc64_per_block(self):
         # pins the generator and the layout: replacing either changes every
         # same-seed value.  Realization k is row k % 64 of block k // 64's
-        # (rows, n_cells) fill; the last block draws only the rows needed.
-        n, n_cells, seed = 150, 40, 2024
-        rows = noise_rows(seed, n, n_cells)
+        # (rows, width) fill; the last block draws only the rows needed.
+        n, width, seed = 150, 40, 2024
         streams = np.random.SeedSequence(seed).spawn(3)
+        rows = _noise(streams, 0, n, width)
         for b, start in enumerate(range(0, n, 64)):
             fill = np.random.Generator(np.random.SFC64(streams[b])).standard_normal(
-                (min(64, n - start), n_cells))
+                (min(64, n - start), width))
             assert np.array_equal(rows[start : start + 64], fill)
 
     def test_prefix_stability(self):
@@ -280,6 +338,23 @@ class TestIncrements:
         first = sample_process_increment(ker, grid, (0.0, 0.5), 2000, seed=77)
         second = sample_process_increment(ker, grid, (0.5, 1.0), 2000, seed=77)
         resid = full.values - first.values - second.values
+        rms_ratio = np.sqrt(np.mean(resid**2) / np.mean(full.values**2))
+        assert rms_ratio < 0.01
+
+    def test_quarter_increments_share_the_noise(self):
+        # every interval on a grid reads the same latent and near columns:
+        # the four quarters see the same Brownian path as the full call,
+        # and their increments add up to the full value as in
+        # test_pathwise_additivity
+        ker = KernelSpec((-0.6, -0.7))
+        grid = build_grid(ker, n_core=512)
+        assert _factorize(ker, grid, None).n_far > 0
+        full = sample_chaos(ker, grid, 2000, seed=77, return_brownian=True)
+        quarters = [sample_process_increment(ker, grid, (j / 4, (j + 1) / 4), 2000, seed=77,
+                                             return_brownian=True) for j in range(4)]
+        for inc in quarters:
+            assert np.array_equal(inc.brownian, full.brownian)
+        resid = full.values - sum(inc.values for inc in quarters)
         rms_ratio = np.sqrt(np.mean(resid**2) / np.mean(full.values**2))
         assert rms_ratio < 0.01
 
