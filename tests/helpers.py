@@ -229,12 +229,18 @@ def _dense_factors(ker, grid, interval):
 def dense_chaos_reference(ker, grid, xi, interval=None) -> np.ndarray:
     """Sampled-estimator values for the noise rows `xi` (realizations x
     cells), by the plain Wick sum over dense factor matrices at every
-    s-node: each partial matching of the coordinates contributes
-    (-1)^#pairs prod_(i,j) C_ij prod_(k unmatched) (xi @ b_k), with
-    C_ij = sum_c b_i[c] b_j[c], summed with the s-weights.  No grouping,
-    folding or far-field compression."""
-    nodes, weights, b = _dense_factors(ker, grid, interval)
-    total = np.zeros((len(xi), len(nodes)))
+    s-node.  No grouping, folding or far-field compression."""
+    _, weights, b = _dense_factors(ker, grid, interval)
+    return wick_sum_reference(ker, b, weights, xi)
+
+
+def wick_sum_reference(ker, b, weights, xi) -> np.ndarray:
+    """The plain Wick sum for noise rows `xi` whose column c multiplies
+    row c of every factor matrix b_i (noise columns x s-nodes): each
+    partial matching of the coordinates contributes (-1)^#pairs
+    prod_(i,j) C_ij prod_(k unmatched) (xi @ b_k), with C_ij = sum_c
+    b_i[c] b_j[c], summed with the s-weights."""
+    total = np.zeros((len(xi), len(weights)))
     for pairs, free in _matchings(list(range(len(b)))):
         term = np.ones_like(total)
         for i, j in pairs:

@@ -33,6 +33,7 @@ from helpers import (
     evaluate_expression,
     tiny_grid,
     tiny_hat_tensor,
+    wick_sum_reference,
 )
 
 
@@ -159,6 +160,26 @@ class TestAssemblyVsDenseReference:
         grid = build_grid(ker)
         assert _factorize(ker, grid, interval).n_far > 0
         assert far_table_error(ker, grid, interval) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_latent_assembly_matches_wick_sum(self, gamma, interval):
+        # with a far zone the noise row is [eta, xi right of the far zone];
+        # the grouped, folded assembly against the plain Wick sum over the
+        # same columns: the latent root at the s-nodes, then the dense
+        # factors of the cells right of the far zone
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        fac = _factorize(ker, grid, interval)
+        nodes, weights = cell_s_rule(grid, interval)
+        keys = sorted(set(ker.gamma.entries))
+        b = [np.vstack([fac.b_latent(keys.index(g)) @ fac.interp,
+                        factor_matrix(grid.edges[fac.n_far :], (g,), nodes)]) for g in ker.gamma.entries]
+        n, seed = 64, 31
+        xi = noise_rows(seed, n, ker, grid)
+        ref = wick_sum_reference(ker, b, weights, xi)
+        batch = sample_chaos(ker, grid, n, seed, interval=interval, with_second_moment=False)
+        assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_latent_root_reproduces_far_gram(self, gamma):
