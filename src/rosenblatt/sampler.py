@@ -28,36 +28,33 @@ such a cell is analytic in s: in [0, t]'s [-1, 1] coordinates the nearest
 singularity sits at -2 or beyond, outside the Bernstein ellipse of
 parameter rho = 2 + sqrt(3).  Chebyshev interpolation in s therefore
 converges like rho^-R (Trefethen, Approximation Theory and Approximation
-Practice, ch. 8), so the far cells' factors and covariances are evaluated
-at R = _FAR_NODES Chebyshev points on [0, t], whatever the interval, and
-mapped to its s-nodes by an R x S barycentric matrix; R puts rho^-R below
-1e-16.  The mapped far table matches `factor_matrix` at the s-nodes to
-within 1e-12 of each column's norm (7e-13 at worst on the default grids),
-the level at which the differenced edge powers already round; more points
-do not lower it.  Cells entirely right of hi have zero factors and are
-skipped.  No cells x s-nodes matrix over the whole grid is formed.
+Practice, ch. 8), so the far cells' factors are evaluated at R =
+_FAR_NODES Chebyshev points on [0, t], whatever the interval, and mapped
+to its s-nodes by an R x S barycentric matrix; R puts rho^-R below 1e-16.
+Cells entirely right of hi have zero factors and are skipped.  No cells x
+s-nodes matrix over the whole grid is formed.
 
-Latent far field.  The far projections xi_far @ F, F the far cells x
+The factor table.  The far projections xi_far @ F, F the far cells x
 (exponents x R) table, are Gaussian with covariance F^T F, whose
-numerical rank r is small because the factors are smooth in s (7 to 10
+numerical rank r is small because the factors are smooth in s (6 to 10
 on the default grids, against thousands of far cells).  With F^T F =
 V diag(lam) V^T, the sampler keeps the eigenpairs with lam above
 (exponents x R) * eps * max(lam), the usual numerical-rank cut, and draws
 the far projections as eta @ (V diag(lam)^1/2)^T with eta standard normal
 in r dimensions: the same law up to the dropped eigenvalues, which are
-rounding.  The root times its transpose matches F^T F to within 1.5e-14
-of its largest entry on the default grids.  Mapped by the barycentric
-matrix the root is one r x (exponents x S) table, so the far projections
-are one product, and a term linear in the noise folds through the root.
-
-Second moment.  Wick products pair only across the two factors, so
-E[Z_hat^2] = A^2 w^T perm(G) w, with G the q x q matrix whose entry G_ij
-is the S x S Gram of b_i and b_j over the s-nodes, and the permanent's
-products taken entrywise.  This is the discrete twin of the continuum
+rounding.  Mapped to the s-nodes, the root gives r latent rows whose Gram
+matches the far cells' Gram at the s-nodes to within 1.3e-14 of its
+largest entry on the default grids.  One table then holds every factor
+the sampler reads, one row per live noise column: the r latent rows,
+then the cells right of the far zone, with the exponent blocks side by
+side.  Its blocks b_i give the projections, the covariances C_ij and the
+folded mat-vec, and the second moment: Wick products pair only across
+the two factors, so E[Z_hat^2] = A^2 w^T perm(G) w, with G the q x q
+matrix whose entry G_ij = b_i^T b_j is the S x S Gram over the table's
+rows, and the permanent's products taken entrywise.  It is the variance
+of exactly the columns drawn, and the discrete twin of the continuum
 variance, which is A^2 times the permanent of the Beta matrix U (see
-`kernel`).  Each Gram is the near cells' product plus the far cells'
-R x R product mapped by the interpolation matrix on both sides; the
-latent root does not enter it.
+`kernel`).
 
 Randomness: a realization's noise row is [eta (r), xi over the cells
 n_far..n_cells-1], r + n_cells - n_far normals.  Realizations come in
@@ -104,20 +101,22 @@ __all__ = [
 ]
 
 
-def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray) -> np.ndarray:
+def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Cell-averaged, width-normalized kernel factors, side by side:
-    cells x (exponents x s-nodes).
+    cells x (exponents x s-nodes), written into `out` when given.
 
     b[c, m] = (integral of (s_m - x)_+^g over cell c) / (width_c) * sqrt(width_c),
     i.e. the coefficient multiplying a standard normal in the cell-c
     contribution.  Closed form via the antiderivative; edge powers are
     differenced directly (cell widths never shrink relative to the
     distance from s, so cancellation stays below ~1e-12 here).  Each
-    exponent's block is written straight into the table: on large grids
-    a table-sized copy costs about as much as the powers.
+    exponent's block is written straight into the table, and `out` lets
+    a caller place the table inside a larger one: on large grids a
+    table-sized copy costs about as much as the powers.
     """
     n_s = len(s_nodes)
-    out = np.empty((len(edges) - 1, len(gammas) * n_s))
+    if out is None:
+        out = np.empty((len(edges) - 1, len(gammas) * n_s))
     ahead = np.maximum(s_nodes[None, :] - edges[:, None], 0.0)  # (n_edges, S)
     root_w = np.sqrt(np.diff(edges))[:, None]
     for j, g in enumerate(gammas):
@@ -166,37 +165,26 @@ def _matchings(items: tuple):
 
 
 class _Factors(NamedTuple):
-    """Factor tables of one kernel on one grid and s-interval.
+    """The factor table of one kernel on one grid and s-interval.
 
-    One table per zone holds b for every distinct exponent side by side:
-    near cells x (exponents x s-nodes) and far cells x (exponents x
-    Chebyshev points); coordinate i reads the exponent block slot[i].
-    Cells [0, n_far) are far, cells from n_live on lie right of hi.
-    `latent` (r x (exponents x Chebyshev points)) is the far Gram's root:
-    latent^T latent = far^T far to rounding.
+    `table` has one row per live noise column, the r latent rows and then
+    the cells n_far.. left of hi, and holds b at the s-nodes for every
+    distinct exponent side by side; coordinate i reads the exponent
+    block slot[i].
     """
 
     s_w: np.ndarray
-    interp: np.ndarray
+    r: int
     n_far: int
-    n_live: int
     slot: tuple
-    near: np.ndarray
-    far: np.ndarray
-    latent: np.ndarray
+    table: np.ndarray
 
-    def b_near(self, j: int) -> np.ndarray:
-        return self.near[:, j * len(self.s_w) : (j + 1) * len(self.s_w)]
-
-    def b_far(self, j: int) -> np.ndarray:
-        return self.far[:, j * _FAR_NODES : (j + 1) * _FAR_NODES]
-
-    def b_latent(self, j: int) -> np.ndarray:
-        return self.latent[:, j * _FAR_NODES : (j + 1) * _FAR_NODES]
+    def b(self, j: int) -> np.ndarray:
+        return self.table[:, j * len(self.s_w) : (j + 1) * len(self.s_w)]
 
 
 def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
-    """The factor tables both estimator paths read; None for an empty interval."""
+    """The factor table both estimator paths read; None for an empty interval."""
     if kernel.q > 4:
         raise SizeError(f"the sampler supports orders 1..4, got {kernel.q}")
     if grid.horizon != kernel.horizon:
@@ -212,30 +200,32 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
     cuts = np.concatenate(([lo], edges[(edges > lo) & (edges < hi)], [hi]))
     s_nodes, s_w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
     # the far zone and its Chebyshev points depend on the grid alone, so
-    # every interval reads the same far table and the same latent root
+    # every interval reads the same latent root
     t = grid.horizon
     n_far = int(np.searchsorted(edges[1:], -0.5 * t, side="right"))
     n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
     cheb, interp = _chebyshev_interpolation(0.0, t, s_nodes)
     g = kernel.gamma.entries
     keys = sorted(set(g))
-    near = factor_matrix(edges[n_far : n_live + 1], keys, s_nodes)
     far = factor_matrix(edges[: n_far + 1], keys, cheb)
     # the numerical-rank cut of the far Gram; an empty far zone leaves r = 0
     lam, vec = np.linalg.eigh(far.T @ far)
     keep = lam > lam.size * np.finfo(float).eps * lam[-1]
     latent = (vec[:, keep] * np.sqrt(lam[keep])).T
-    return _Factors(s_w, interp, n_far, n_live, tuple(keys.index(v) for v in g), near, far, latent)
+    r, k, n_s = len(latent), len(keys), len(s_nodes)
+    table = np.empty((r + n_live - n_far, k * n_s))
+    table[:r] = (latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
+    factor_matrix(edges[n_far : n_live + 1], keys, s_nodes, out=table[r:])
+    return _Factors(s_w, r, n_far, tuple(keys.index(v) for v in g), table)
 
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
-    """E[Z_hat^2] from the factor tables; far Grams are formed in R x R."""
+    """E[Z_hat^2] from the factor table."""
     grams: dict = {}
 
     def gram(a: int, b: int) -> np.ndarray:
         if (a, b) not in grams:
-            far = fac.interp.T @ (fac.b_far(a).T @ fac.b_far(b)) @ fac.interp
-            grams[a, b] = fac.b_near(a).T @ fac.b_near(b) + far
+            grams[a, b] = fac.b(a).T @ fac.b(b)
             grams[b, a] = grams[a, b].T
         return grams[a, b]
 
@@ -338,9 +328,10 @@ def sample_chaos(
     and for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
     distinct exponent.
     """
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
+    # bool is an int subclass, but True is no count and no seed
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise InvalidInputError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     check_tail_bound(grid, kernel)
 
@@ -353,27 +344,23 @@ def sample_chaos(
             brownian=np.zeros(n_samples) if return_brownian else None,
         )
 
-    interp, slot, r = fac.interp, fac.slot, len(fac.latent)
+    slot, r, table = fac.slot, fac.r, fac.table
 
     def cov(i: int, j: int) -> np.ndarray:
-        """C_ij(m) = sum_c b_i[c, m] b_j[c, m] over the live cells."""
-        a, b = slot[i], slot[j]
-        far = np.einsum("cr,cr->r", fac.b_far(a), fac.b_far(b)) @ interp
-        return np.einsum("cm,cm->m", fac.b_near(a), fac.b_near(b)) + far
+        """C_ij(m) = sum_c b_i[c, m] b_j[c, m] over the table's rows."""
+        return np.einsum("cm,cm->m", fac.b(slot[i]), fac.b(slot[j]))
 
     # each matching's s-weights and covariances form one vector over the
     # s-nodes; with no unmatched factor it sums to a constant, with one it
     # folds into a single vector over a noise row's live columns, and with
     # more it multiplies the unmatched factors' projections
-    live = r + fac.n_live - fac.n_far  # the live columns of a noise row
-    const, folded, products = 0.0, np.zeros(live), []
+    const, folded, products = 0.0, np.zeros(len(table)), []
     for pairs, free in _matchings(tuple(range(kernel.q))):
         c = reduce(np.multiply, [cov(i, j) for i, j in pairs], (-1.0) ** len(pairs) * fac.s_w)
         if not free:
             const += float(c.sum())
         elif len(free) == 1:
-            folded[:r] += fac.b_latent(slot[free[0]]) @ (interp @ c)
-            folded[r:] += fac.b_near(slot[free[0]]) @ c
+            folded += fac.b(slot[free[0]]) @ c
         else:
             products.append(([slot[i] for i in free], c))
 
@@ -381,9 +368,7 @@ def sample_chaos(
     # far cells all lie left of 0
     sqrt_w_pos = np.sqrt(grid.widths[fac.n_far :]) * (grid.edges[fac.n_far : -1] >= -1e-12)
     n_s = len(fac.s_w)
-    k = fac.near.shape[1] // n_s
-    # the latent root at the s-nodes: the far projections are eta @ latent_s
-    latent_s = (fac.latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
+    k = table.shape[1] // n_s
 
     def assemble(xi: np.ndarray) -> np.ndarray:
         """The Wick sum over a noise row's live columns, without the
@@ -391,9 +376,7 @@ def sample_chaos(
         out = xi @ folded + const
         if products:
             m = len(xi)
-            proj = xi[:, r:] @ fac.near
-            proj += xi[:, :r] @ latent_s
-            proj = proj.reshape(m, k, n_s)
+            proj = (xi @ table).reshape(m, k, n_s)
             for slots, c in products:
                 out += reduce(np.multiply, [proj[:, j] for j in slots]) @ c
         return out
@@ -407,7 +390,7 @@ def sample_chaos(
         xi = _noise(streams, start, stop, r + grid.n_cells - fac.n_far)
         if return_brownian:
             brownian[start:stop] = xi[:, r:] @ sqrt_w_pos
-        values[start:stop] = kernel.constant * assemble(xi[:, :live])
+        values[start:stop] = kernel.constant * assemble(xi[:, : len(table)])
 
     starts = range(0, n_samples, _CHUNK)
     # numpy's normal fill and BLAS release the GIL; each chunk writes only

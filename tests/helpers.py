@@ -252,14 +252,20 @@ def wick_sum_reference(ker, b, weights, xi) -> np.ndarray:
 
 
 def dense_second_moment_reference(ker, grid, interval=None) -> float:
-    """Exact E[Z_hat^2] by the plain Gram engine over dense factor matrices:
-    for each permutation sigma, the entrywise product over coordinates i of
-    b_i^T b_sigma(i), contracted with the s-weights on both sides.  Every
-    cell of the grid enters every Gram; no far-field compression."""
-    nodes, weights, b = _dense_factors(ker, grid, interval)
+    """Exact E[Z_hat^2] by the plain Gram engine over dense factor matrices.
+    Every cell of the grid enters every Gram; no far-field compression."""
+    _, weights, b = _dense_factors(ker, grid, interval)
+    return gram_sum_reference(ker, b, weights)
+
+
+def gram_sum_reference(ker, b, weights) -> float:
+    """The plain Gram engine over factor matrices b_i (noise columns x
+    s-nodes): for each permutation sigma, the entrywise product over
+    coordinates i of b_i^T b_sigma(i), contracted with the s-weights on
+    both sides."""
     total = 0.0
     for sigma in itertools.permutations(range(len(b))):
-        term = np.ones((len(nodes), len(nodes)))
+        term = np.ones((len(weights), len(weights)))
         for i, j in enumerate(sigma):
             term = term * (b[i].T @ b[j])
         total += float(weights @ term @ weights)

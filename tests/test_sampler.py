@@ -31,6 +31,7 @@ from helpers import (
     dense_chaos_reference,
     dense_second_moment_reference,
     evaluate_expression,
+    gram_sum_reference,
     tiny_grid,
     tiny_hat_tensor,
     wick_sum_reference,
@@ -41,21 +42,22 @@ def noise_rows(seed, n, ker, grid):
     # the noise rows sample_chaos draws for realizations 0..n-1: r latent
     # normals, then one normal per cell right of the far zone
     fac = _factorize(ker, grid, None)
-    width = len(fac.latent) + grid.n_cells - fac.n_far
+    width = fac.r + grid.n_cells - fac.n_far
     return _noise(np.random.SeedSequence(seed).spawn(math.ceil(n / 64)), 0, n, width)
 
 
-def far_table_error(ker, grid, interval):
-    # the far table at its Chebyshev points, mapped to the s-nodes, against
-    # factor_matrix evaluated at the s-nodes directly: the largest ratio
-    # over s-nodes of the column norms, which is the RMS error of a far
-    # projection relative to its RMS
+def latent_gram_error(ker, grid, interval):
+    # the far projections are drawn as eta @ table[:r], eta standard
+    # normal, so their law is right when the latent rows' Gram equals the
+    # far cells' Gram at the s-nodes, from factor_matrix evaluated there
+    # directly; the error relative to that Gram's largest entry
     fac = _factorize(ker, grid, interval)
     nodes, _ = cell_s_rule(grid, interval)
     keys = sorted(set(ker.gamma.entries))
     direct = factor_matrix(grid.edges[: fac.n_far + 1], keys, nodes)
-    mapped = (fac.far.reshape(-1, _FAR_NODES) @ fac.interp).reshape(direct.shape)
-    return np.max(np.linalg.norm(mapped - direct, axis=0) / np.linalg.norm(direct, axis=0))
+    latent = fac.table[: fac.r]
+    gram = direct.T @ direct
+    return np.max(np.abs(latent.T @ latent - gram)) / np.max(np.abs(gram))
 
 
 def variance_se(values):
@@ -131,8 +133,8 @@ class TestAssemblyVsDenseReference:
     # the second moment against the dense Gram engine everywhere; the
     # grouped, folded assembly against the plain Wick sum over dense
     # factor matrices on the same noise rows where the grid has no far
-    # zone.  A far zone is drawn through a latent root of its Gram, so
-    # there the far table and the root are checked instead.
+    # zone.  A far zone is drawn through latent rows, so there their Gram
+    # is checked, and the assembly against the Wick sum over those rows.
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS)
     @pytest.mark.parametrize("default_grid", [True, False])
@@ -153,47 +155,59 @@ class TestAssemblyVsDenseReference:
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS)
-    def test_far_table_matches_factor_matrix(self, gamma, interval):
-        # the Chebyshev points sit on [0, t] for every interval, so a far
-        # cell's factors interpolate to rounding at any s-node in [0, t]
+    def test_latent_rows_reproduce_far_gram(self, gamma, interval):
+        # the Chebyshev points sit on [0, t] for every interval, so the
+        # latent rows carry the far cells' Gram at any s-nodes in [0, t];
+        # the rank is far below the far table's width
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
-        assert _factorize(ker, grid, interval).n_far > 0
-        assert far_table_error(ker, grid, interval) <= 1e-12
+        fac = _factorize(ker, grid, interval)
+        assert fac.n_far > 0
+        assert 0 < fac.r < len(set(gamma)) * _FAR_NODES
+        assert latent_gram_error(ker, grid, interval) <= 1e-13
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS)
     def test_latent_assembly_matches_wick_sum(self, gamma, interval):
         # with a far zone the noise row is [eta, xi right of the far zone];
         # the grouped, folded assembly against the plain Wick sum over the
-        # same columns: the latent root at the s-nodes, then the dense
-        # factors of the cells right of the far zone
+        # same columns: the latent rows, then the dense factors of the
+        # cells right of the far zone; the second moment against the plain
+        # Gram engine over the same columns
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
         fac = _factorize(ker, grid, interval)
         nodes, weights = cell_s_rule(grid, interval)
-        keys = sorted(set(ker.gamma.entries))
-        b = [np.vstack([fac.b_latent(keys.index(g)) @ fac.interp,
-                        factor_matrix(grid.edges[fac.n_far :], (g,), nodes)]) for g in ker.gamma.entries]
+        b = [np.vstack([fac.b(j)[: fac.r], factor_matrix(grid.edges[fac.n_far :], (g,), nodes)])
+             for j, g in zip(fac.slot, ker.gamma.entries)]
         n, seed = 64, 31
         xi = noise_rows(seed, n, ker, grid)
         ref = wick_sum_reference(ker, b, weights, xi)
         batch = sample_chaos(ker, grid, n, seed, interval=interval, with_second_moment=False)
         assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
+        m2 = discrete_second_moment(ker, grid, interval)
+        assert m2 == pytest.approx(gram_sum_reference(ker, b, weights), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
-    def test_latent_root_reproduces_far_gram(self, gamma):
-        # the far projections are drawn as eta @ latent, eta standard
-        # normal, so their law is right when latent^T latent = far^T far;
-        # the rank is far below the far table's width
+    def test_sub_intervals_share_the_latent_rows(self, gamma):
+        # the far zone and its root depend on the grid alone, so a
+        # sub-interval's latent rows, at the s-nodes it shares with the
+        # full interval, are the full interval's; GEMMs of different widths
+        # round differently, so the match is to rounding, not bitwise
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
-        fac = _factorize(ker, grid, None)
-        gram = fac.far.T @ fac.far
-        assert 0 < len(fac.latent) < gram.shape[0]
-        assert np.max(np.abs(fac.latent.T @ fac.latent - gram)) <= 1e-13 * np.max(np.abs(gram))
+        full = _factorize(ker, grid, None)
+        k = len(set(gamma))
+        rows = full.table[: full.r].reshape(full.r, k, -1)
+        nodes, _ = cell_s_rule(grid)
         for interval in INTERVALS[1:]:
-            assert np.array_equal(_factorize(ker, grid, interval).latent, fac.latent)
+            sub = _factorize(ker, grid, interval)
+            assert sub.r == full.r
+            shared, at_full, at_sub = np.intersect1d(nodes, cell_s_rule(grid, interval)[0], return_indices=True)
+            assert len(shared) > 0
+            sub_rows = sub.table[: sub.r].reshape(sub.r, k, -1)[:, :, at_sub]
+            full_rows = rows[:, :, at_full]
+            assert np.max(np.abs(sub_rows - full_rows)) <= 1e-14 * np.max(np.abs(full_rows))
 
     def test_s_node_on_a_chebyshev_point(self):
         # one cell on [0, 1] puts its s-node at 1/2, which is also the
@@ -201,8 +215,10 @@ class TestAssemblyVsDenseReference:
         # barycentric weights would divide by zero; the cell [-2, -1] is far
         ker = KernelSpec((-0.7, -0.65))
         grid = tiny_grid(n_cells=3, left=2.0, horizon=1.0)
-        assert _factorize(ker, grid, None).n_far == 1
-        assert far_table_error(ker, grid, None) <= 1e-12
+        fac = _factorize(ker, grid, None)
+        assert fac.n_far == 1
+        assert 0 < fac.r < len(set(ker.gamma.entries)) * _FAR_NODES
+        assert latent_gram_error(ker, grid, None) <= 1e-13
         batch = sample_chaos(ker, grid, 32, 3, with_second_moment=False)
         assert np.all(np.isfinite(batch.values))
 
@@ -426,13 +442,13 @@ class TestErrorsAndValidation:
     def test_seed_and_count_validation(self):
         ker = KernelSpec((-0.6,))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        for bad in (-1, 2.5, 3.0, "3"):
+        # bool is an int subclass: True is neither a count nor a seed
+        for bad in (-1, 2.5, 3.0, "3", True, False):
             with pytest.raises(InvalidInputError):
                 sample_chaos(ker, grid, bad, seed=1)
-        with pytest.raises(InvalidInputError):
-            sample_chaos(ker, grid, 10, seed=-3)
-        with pytest.raises(InvalidInputError):
-            sample_chaos(ker, grid, 10, seed=1.5)
+        for bad in (-3, 1.5, True, False):
+            with pytest.raises(InvalidInputError):
+                sample_chaos(ker, grid, 10, seed=bad)
 
     def test_horizon_mismatch(self):
         # a horizon-2 kernel on a horizon-1 grid would quietly give Z(1)
