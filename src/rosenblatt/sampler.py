@@ -29,8 +29,9 @@ singularity sits at -2 or beyond, outside the Bernstein ellipse of
 parameter rho = 2 + sqrt(3).  Chebyshev interpolation in s therefore
 converges like rho^-R (Trefethen, Approximation Theory and Approximation
 Practice, ch. 8), so the far cells' factors are evaluated at R =
-_FAR_NODES Chebyshev points on [0, t], whatever the interval, and mapped
-to its s-nodes by an R x S barycentric matrix; R puts rho^-R below 1e-16.
+_FAR_NODES Chebyshev points on [0, t], whatever the interval, and the
+latent root built from them (below) is mapped to its s-nodes by an R x S
+barycentric matrix; R puts rho^-R below 1e-16.
 Cells entirely right of hi have zero factors and are skipped.  No cells x
 s-nodes matrix over the whole grid is formed.
 
