@@ -10,7 +10,7 @@ import pytest
 import rosenblatt
 import rosenblatt.sampler as sampler_module
 from rosenblatt.errors import GridTooSmallError, InvalidInputError, SizeError
-from rosenblatt.grid import build_grid
+from rosenblatt.grid import GridSpec, build_grid
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
     _FAR_NODES,
@@ -223,6 +223,73 @@ class TestAssemblyVsDenseReference:
         assert np.all(np.isfinite(batch.values))
 
 
+def near_rows_error(ker, grid, interval):
+    # the near rows of the table, built by lag, against factor_matrix
+    # evaluated directly over the same cells and s-nodes; the largest error
+    # in each exponent block relative to that block's largest entry
+    fac = _factorize(ker, grid, interval)
+    nodes, _ = cell_s_rule(grid, interval)
+    hi = grid.horizon if interval is None else interval[1]
+    n_live = int(np.searchsorted(grid.edges[:-1], hi, side="left"))
+    keys = sorted(set(ker.gamma.entries))
+    direct = factor_matrix(grid.edges[fac.n_far : n_live + 1], keys, nodes).reshape(-1, len(keys), len(nodes))
+    near = fac.table[fac.r :].reshape(direct.shape)
+    return np.max(np.max(np.abs(near - direct), axis=(0, 2)) / np.max(np.abs(direct), axis=(0, 2)))
+
+
+def near_widths(grid, interval):
+    # the widths of the near cells left of hi
+    fac = _factorize(KernelSpec((-0.7, -0.65), horizon=grid.horizon), grid, interval)
+    hi = grid.horizon if interval is None else interval[1]
+    return grid.widths[fac.n_far : int(np.searchsorted(grid.edges[:-1], hi, side="left"))]
+
+
+class TestNearTable:
+    # the near rows are built from one lag vector per exponent; only the
+    # cut panels and the rows off the whole panels' lattice are evaluated
+    # directly, and every case must match direct evaluation
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("interval", INTERVALS + [(0.3, 0.31)])
+    def test_near_rows_match_factor_matrix(self, gamma, interval):
+        # (0.3, 0.31) is cut at both ends; (0.75, 1) at its left end
+        ker = KernelSpec(gamma)
+        assert near_rows_error(ker, build_grid(ker), interval) <= 1e-13
+
+    @pytest.mark.parametrize("horizon, n_core", [(0.5, 2048), (2.0, None), (3.0, 1024)])
+    @pytest.mark.parametrize("share", [None, (0.3, 0.62)])
+    def test_rows_of_another_width_are_direct(self, horizon, n_core, share):
+        # at these horizons the core piece [-1, 0] has another width than
+        # [0, t], and for t > 2 the near zone reaches into [-8, -1] as well
+        ker = KernelSpec((-0.7, -0.65), horizon=horizon)
+        grid = build_grid(ker, n_core=n_core)
+        interval = None if share is None else (share[0] * horizon, share[1] * horizon)
+        widths = near_widths(grid, interval)
+        assert np.ptp(widths) > 1e-6 * widths[-1]
+        assert near_rows_error(ker, grid, interval) <= 1e-13
+
+    def test_a_piece_of_equal_width_off_the_lattice(self):
+        # [-2.2, -1] has the width 2/15 of [0, 2.4], but [-1, 0] has 8 cells
+        # of 1/8, so the cells left of -1 sit half a cell off the lattice of
+        # [0, 2.4]: they must be evaluated directly although their width
+        # matches the whole panels'
+        h = 2.0 / 15.0
+        edges = np.concatenate([-1.0 - h * np.arange(9, 0, -1), np.linspace(-1.0, 0.0, 9)[:-1], np.linspace(0.0, 2.4, 19)])
+        grid = GridSpec(edges=edges, core_left=2.2, mesh=h, horizon=2.4, tail_tolerance=1.0, tail_estimate=0.0)
+        ker = KernelSpec((-0.7, -0.65), horizon=2.4)
+        assert near_widths(grid, None)[0] == pytest.approx(h, rel=1e-14)
+        for interval in (None, (0.5, 1.7)):
+            assert near_rows_error(ker, grid, interval) <= 1e-13
+
+    def test_zero_off_the_edges(self):
+        # on tiny_grid(8, left=0.5) the edges are -0.5 + 0.1875 k, so 0 is
+        # no edge and panel 0 of [0, 1] is cut
+        grid = tiny_grid(n_cells=8, left=0.5, horizon=1.0)
+        assert 0.0 not in grid.edges
+        for gamma in [(-0.6, -0.7), (-0.55, -0.6, -0.65)]:
+            for interval in (None, (0.0, 0.25), (0.3, 0.31), (0.0625, 0.625)):
+                assert near_rows_error(KernelSpec(gamma), grid, interval) <= 1e-13
+
+
 class TestSampleMoments:
     def test_q2_tiny_grid_second_moment_vs_oracle(self):
         ker = KernelSpec((-0.6, -0.7))
@@ -411,10 +478,19 @@ class TestIncrements:
     def test_span_validation(self):
         ker = KernelSpec((-0.6, -0.7))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        with pytest.raises(InvalidInputError):
-            sample_process_increment(ker, grid, (0.5, 0.2), 10, seed=1)
-        with pytest.raises(InvalidInputError):
-            sample_process_increment(ker, grid, (-0.1, 0.5), 10, seed=1)
+        # reversed or outside [0, t]; not a pair; not real numbers, and
+        # bool is an int subclass, but True is no time
+        for bad in [(0.5, 0.2), (-0.1, 0.5), (0.1,), "ab", 0.5, (0.1, 0.2, 0.9), (True, 1), (0.1, "0.2"), (0.1, None)]:
+            with pytest.raises(InvalidInputError):
+                sample_process_increment(ker, grid, bad, 10, seed=1)
+            with pytest.raises(InvalidInputError):
+                discrete_second_moment(ker, grid, bad)
+        # any pair of real numbers is a span, taken as Python floats
+        inc = sample_process_increment(ker, grid, np.array([0.25, 0.5]), 10, seed=1)
+        assert inc.interval == (0.25, 0.5) and type(inc.interval[0]) is float
+        assert np.array_equal(inc.values, sample_process_increment(ker, grid, (0.25, 0.5), 10, seed=1).values)
+        assert discrete_second_moment(ker, grid, (np.int64(0), np.float32(0.5))) == discrete_second_moment(
+            ker, grid, (0.0, 0.5))
 
 
 class TestBrownianOutput:
