@@ -36,7 +36,7 @@ from .sampler import (
     sample_process_increment,
     save_npz,
 )
-from .special import beta, cross_integral, log_beta
+from .special import beta, log_beta
 
 __all__ = [
     "__version__",
@@ -49,7 +49,6 @@ __all__ = [
     "TrendTable",
     "beta",
     "log_beta",
-    "cross_integral",
     "KernelSpec",
     "normalizing_constant",
     "normalizing_constant_sq",

@@ -1,4 +1,4 @@
-"""Beta-function utilities and the closed-form cross integral.
+"""Beta-function utilities: log-Beta, the Beta matrix and the permanent.
 
 The whole package leans on one analytic fact: for exponents g1, g2 in
 (-1, -1/2) and s1 != s2,
@@ -7,7 +7,9 @@ The whole package leans on one analytic fact: for exponents g1, g2 in
         = (s2-s1)_+^(1+g1+g2) B(1+g1, -1-g1-g2)
         + (s1-s2)_+^(1+g1+g2) B(1+g2, -1-g1-g2).
 
-Exactly one summand is nonzero.  Everything here is computed through
+Exactly one summand is nonzero; `beta_matrix` holds its Beta
+coefficients, and the closed form itself is checked against quadrature
+in the tests (tests/helpers.py).  Everything here is computed through
 log-Gamma, from the standard library's `math.lgamma`, so that
 near-boundary exponents (second Beta argument down to 1e-9 and below) do
 not overflow.
@@ -21,14 +23,13 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DivergentIntegralError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "beta",
     "log_beta",
     "beta_matrix",
     "permanent",
-    "cross_integral",
 ]
 
 
@@ -58,28 +59,3 @@ def permanent(rows):
         return 1.0
     perms = itertools.permutations(range(len(rows)))
     return reduce(operator.add, (reduce(operator.mul, [rows[i][j] for i, j in enumerate(s)]) for s in perms))
-
-
-def _check_exponent(g: float, name: str) -> None:
-    if not (-1.0 < g < -0.5):
-        raise DomainError(f"exponent {name}={g} outside the open interval (-1, -1/2)")
-
-
-def cross_integral(s1: float, s2: float, g1: float, g2: float) -> float:
-    """Closed form of int (s1-x)_+^g1 (s2-x)_+^g2 dx over the real line.
-
-    Requires s1 != s2; at equal arguments the integrand behaves like
-    (s-x)^(g1+g2) with g1+g2 < -1 near the upper limit and the integral
-    diverges.
-    """
-    _check_exponent(g1, "g1")
-    _check_exponent(g2, "g2")
-    if s1 == s2:
-        raise DivergentIntegralError(
-            f"cross integral diverges at s1 = s2 = {s1} (exponent sum {g1 + g2} <= -1)",
-            exponents={"g1+g2": g1 + g2},
-        )
-    power = 1.0 + g1 + g2
-    if s2 > s1:
-        return (s2 - s1) ** power * beta(1.0 + g1, -1.0 - g1 - g2)
-    return (s1 - s2) ** power * beta(1.0 + g2, -1.0 - g1 - g2)

@@ -3,7 +3,9 @@
 These deliberately avoid the package's own evaluation paths.  Endpoint
 power singularities are removed by explicit substitutions before handing
 the integrand to scipy's adaptive quadrature, so the oracles are accurate
-to near machine precision and share no code with what they check.
+to near machine precision and share no code with what they check.  The
+closed-form `cross_integral`, which only the tests evaluate, sits next to
+its quadrature oracle.
 """
 from __future__ import annotations
 
@@ -12,6 +14,9 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from rosenblatt.errors import DivergentIntegralError, DomainError
+from rosenblatt.special import beta
 
 
 def beta_quadrature(a: float, b: float, tol: float = 1e-12) -> float:
@@ -32,6 +37,33 @@ def beta_quadrature(a: float, b: float, tol: float = 1e-12) -> float:
     va, _ = integrate.quad(left, 0.0, 0.5**a, epsabs=0.0, epsrel=tol, limit=300)
     vb, _ = integrate.quad(right, 0.0, 0.5**b, epsabs=0.0, epsrel=tol, limit=300)
     return va + vb
+
+
+def _check_exponent(g: float, name: str) -> None:
+    if not (-1.0 < g < -0.5):
+        raise DomainError(f"exponent {name}={g} outside the open interval (-1, -1/2)")
+
+
+def cross_integral(s1: float, s2: float, g1: float, g2: float) -> float:
+    """Closed form of int (s1-x)_+^g1 (s2-x)_+^g2 dx over the real line.
+
+    Requires s1 != s2; at equal arguments the integrand behaves like
+    (s-x)^(g1+g2) with g1+g2 < -1 near the upper limit and the integral
+    diverges.  The package keeps only its Beta coefficients
+    (`special.beta_matrix`); the closed form is checked here against
+    `cross_integral_quadrature`.
+    """
+    _check_exponent(g1, "g1")
+    _check_exponent(g2, "g2")
+    if s1 == s2:
+        raise DivergentIntegralError(
+            f"cross integral diverges at s1 = s2 = {s1} (exponent sum {g1 + g2} <= -1)",
+            exponents={"g1+g2": g1 + g2},
+        )
+    power = 1.0 + g1 + g2
+    if s2 > s1:
+        return (s2 - s1) ** power * beta(1.0 + g1, -1.0 - g1 - g2)
+    return (s1 - s2) ** power * beta(1.0 + g2, -1.0 - g1 - g2)
 
 
 def cross_integral_quadrature(

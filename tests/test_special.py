@@ -8,12 +8,11 @@ from rosenblatt import (
     DivergentIntegralError,
     DomainError,
     beta,
-    cross_integral,
     log_beta,
 )
 from rosenblatt.special import beta_matrix, permanent
 
-from helpers import beta_quadrature, cross_integral_quadrature
+from helpers import beta_quadrature, cross_integral, cross_integral_quadrature
 
 
 def rel_err(x, y):
