@@ -237,9 +237,9 @@ def near_rows_error(ker, grid, interval):
     return np.max(np.max(np.abs(near - direct), axis=(0, 2)) / np.max(np.abs(direct), axis=(0, 2)))
 
 
-def near_widths(grid, interval):
+def near_widths(ker, grid, interval):
     # the widths of the near cells left of hi
-    fac = _factorize(KernelSpec((-0.7, -0.65), horizon=grid.horizon), grid, interval)
+    fac = _factorize(ker, grid, interval)
     hi = grid.horizon if interval is None else interval[1]
     return grid.widths[fac.n_far : int(np.searchsorted(grid.edges[:-1], hi, side="left"))]
 
@@ -263,7 +263,7 @@ class TestNearTable:
         ker = KernelSpec((-0.7, -0.65), horizon=horizon)
         grid = build_grid(ker, n_core=n_core)
         interval = None if share is None else (share[0] * horizon, share[1] * horizon)
-        widths = near_widths(grid, interval)
+        widths = near_widths(ker, grid, interval)
         assert np.ptp(widths) > 1e-6 * widths[-1]
         assert near_rows_error(ker, grid, interval) <= 1e-13
 
@@ -276,7 +276,7 @@ class TestNearTable:
         edges = np.concatenate([-1.0 - h * np.arange(9, 0, -1), np.linspace(-1.0, 0.0, 9)[:-1], np.linspace(0.0, 2.4, 19)])
         grid = GridSpec(edges=edges, core_left=2.2, mesh=h, horizon=2.4, tail_tolerance=1.0, tail_estimate=0.0)
         ker = KernelSpec((-0.7, -0.65), horizon=2.4)
-        assert near_widths(grid, None)[0] == pytest.approx(h, rel=1e-14)
+        assert near_widths(ker, grid, None)[0] == pytest.approx(h, rel=1e-14)
         for interval in (None, (0.5, 1.7)):
             assert near_rows_error(ker, grid, interval) <= 1e-13
 
