@@ -220,11 +220,12 @@ def _span(grid: GridSpec, interval) -> tuple:
 
 
 def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: float, out: np.ndarray) -> None:
-    """factor_matrix(edges, keys, s_nodes, out) for the near cells, with
-    s-panel p inside cell first + p, built by lag (see the module
-    docstring): one lag column per exponent, at the last whole panel,
-    and a sliding window over it; the cut panels and the rows off the
-    whole panels' lattice are evaluated directly."""
+    """factor_matrix(edges, keys, s_nodes, out) for the near cells, built
+    by lag (see the module docstring): s-panel p lies in cell first + p,
+    first the cell holding lo, and each exponent block is one lag column,
+    at the last whole panel, read through a sliding window.  The cut
+    panels and the rows off the whole panels' lattice are evaluated
+    directly."""
     n_s = len(s_nodes)
     first = int(np.searchsorted(edges, lo, side="right")) - 1
     # panels p0..p1-1 are whole grid cells; at most the two end panels are cut
