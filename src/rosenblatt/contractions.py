@@ -32,6 +32,12 @@ block of cells are one product of a (cells x nodes) power table with the
 cached weights.  Cells run in fixed-size blocks and every sum runs over
 fixed-shape arrays in a fixed order, so repeated evaluations are
 bit-identical.
+
+Two matchings need no quadrature, because the cycle splits.  The empty
+matching (alpha1 = 0) gives the product of the two plain norms,
+2 b2 / ((alpha2 + 1)(alpha2 + 2)) times the same in alpha3 and b3.  The
+full matching (alpha2 = alpha3 = 0) gives the square of one inner
+product, ((c_plus + c_minus) / ((alpha1 + 1)(alpha1 + 2)))^2.
 """
 from __future__ import annotations
 
@@ -56,13 +62,19 @@ __all__ = [
     "contraction_norm_sq",
     "ncl_condition_ii_trend",
     "ncl_condition_iii_limit",
-    "clt_norm_bound",
     "condition_i_indicator_norm",
 ]
 
 
 # ---------------------------------------------------------------------------
 # contraction specifications
+
+
+def _integer(value, name: str) -> int:
+    # bool is an int subclass, but True is no order and no slot
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,7 @@ class ContractionSpec:
     `images` the slots of the second kernel they pair with, aligned
     entry by entry.  The pairing must be one-to-one.  Pairs are stored
     sorted by first-kernel slot, so equal contractions compare equal.
+    Orders and slots must be integers; nothing is truncated.
     """
 
     q: int
@@ -81,11 +94,11 @@ class ContractionSpec:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        q, m = int(self.q), int(self.m)
+        q, m = _integer(self.q, "q"), _integer(self.m, "m")
         if q < 1 or m < 1:
             raise InvalidInputError(f"orders must be positive, got q={q}, m={m}")
-        idx = tuple(int(i) for i in self.indices)
-        img = tuple(int(j) for j in self.images)
+        idx = tuple(_integer(i, "slot") for i in self.indices)
+        img = tuple(_integer(j, "image") for j in self.images)
         if len(idx) != len(img):
             raise InvalidInputError(
                 f"{len(idx)} matched slots against {len(img)} images"
@@ -98,10 +111,6 @@ class ContractionSpec:
             raise InvalidInputError(f"slot out of range 1..{q} in {idx}")
         if any(j < 1 or j > m for j in img):
             raise InvalidInputError(f"image out of range 1..{m} in {img}")
-        if len(idx) > min(q, m):
-            raise InvalidInputError(
-                f"cannot match {len(idx)} slots between orders {q} and {m}"
-            )
         pairs = sorted(zip(idx, img))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
@@ -111,10 +120,6 @@ class ContractionSpec:
     @property
     def r(self) -> int:
         return len(self.indices)
-
-    @property
-    def image_set(self) -> frozenset:
-        return frozenset(self.images)
 
     def pairs(self) -> tuple:
         return tuple(zip(self.indices, self.images))
@@ -126,18 +131,15 @@ def enumerate_contractions(q: int, m: int, r: int) -> list:
     Returns C(q,r) * C(m,r) * r! specifications; r = 0 gives the single
     empty matching.
     """
-    q, m, r = int(q), int(m), int(r)
+    q, m, r = _integer(q, "q"), _integer(m, "m"), _integer(r, "r")
     if q < 1 or m < 1:
         raise InvalidInputError(f"orders must be positive, got q={q}, m={m}")
     if max(q, m) > MAX_ORDER:
         raise SizeError(f"order {max(q, m)} exceeds the cap {MAX_ORDER}")
     if r < 0 or r > min(q, m):
         raise InvalidInputError(f"r={r} not in 0..min({q},{m})")
-    specs = []
-    for idx in itertools.combinations(range(1, q + 1), r):
-        for img in itertools.permutations(range(1, m + 1), r):
-            specs.append(ContractionSpec(q=q, m=m, indices=idx, images=img))
-    return specs
+    return [ContractionSpec(q, m, idx, img) for idx in itertools.combinations(range(1, q + 1), r)
+            for img in itertools.permutations(range(1, m + 1), r)]
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +168,14 @@ class PhiFactors:
 
 
 def _coerce_gamma(gamma) -> tuple:
-    if isinstance(gamma, GammaVector):
-        entries = gamma.entries
-    else:
-        entries = tuple(float(v) for v in gamma)
-    if not entries:
-        raise InvalidInputError("gamma vector needs at least one entry")
+    entries = GammaVector(gamma).entries
     for i, g in enumerate(entries, start=1):
-        if not math.isfinite(g):
-            raise InvalidInputError(f"non-finite exponent at slot {i}")
-        # Beta coefficients need each coordinate strictly in (-1, -1/2);
-        # the sum constraint is deliberately not enforced here, so that
-        # divergent configurations reach the named error below.
+        # Beta coefficients need each coordinate strictly in (-1, -1/2),
+        # which no NaN or infinity is; the sum constraint is deliberately
+        # not enforced here, so that divergent configurations reach the
+        # named error below.
         if not (-1.0 < g < -0.5):
-            raise InvalidInputError(
-                f"exponent {g} at slot {i} outside (-1, -1/2)"
-            )
+            raise InvalidInputError(f"exponent {g} at slot {i} outside (-1, -1/2)")
     return entries
 
 
@@ -197,7 +191,7 @@ def phi_factors(gamma, spec: ContractionSpec) -> PhiFactors:
         )
     pairs = spec.pairs()
     rest_first = [j for j in range(1, spec.q + 1) if j not in set(spec.indices)]
-    rest_second = [k for k in range(1, spec.m + 1) if k not in spec.image_set]
+    rest_second = [k for k in range(1, spec.m + 1) if k not in set(spec.images)]
 
     a1 = sum(g[i - 1] + g[j - 1] for i, j in pairs) + spec.r
     a2 = 2.0 * sum(g[j - 1] for j in rest_first) + (spec.q - spec.r)
@@ -216,10 +210,8 @@ def phi_factors(gamma, spec: ContractionSpec) -> PhiFactors:
 
 
 def _check_integrable(pf: PhiFactors) -> None:
-    bad = {}
-    for name, a in (("alpha1", pf.alpha1), ("alpha2", pf.alpha2), ("alpha3", pf.alpha3)):
-        if a <= -1.0:
-            bad[name] = a
+    alphas = (("alpha1", pf.alpha1), ("alpha2", pf.alpha2), ("alpha3", pf.alpha3))
+    bad = {name: a for name, a in alphas if a <= -1.0}
     if bad:
         detail = ", ".join(f"{k}={v:.6g}" for k, v in sorted(bad.items()))
         raise DivergentIntegralError(
@@ -407,16 +399,21 @@ def phi_cycle_integral(factors: PhiFactors, *, exploit_symmetry: bool = True,
     No normalizing constant is applied; divergent exponents raise
     DivergentIntegralError and a non-finite result QuadratureError.
     The empty matching (r = 0) returns the exact product of the two plain
-    norms.
+    norms, and the full matching (r = q) the exact square of the inner
+    product ((c_plus + c_minus) / ((alpha1 + 1)(alpha1 + 2)))^2.
     """
     _check_integrable(factors)
     cfg = _DEFAULT_MESH.scaled(mesh_scale)
     a1, a2, a3 = factors.alpha1, factors.alpha2, factors.alpha3
+    # every matched pair adds g_i + g_j + 1 < 0 to alpha1, and every
+    # unmatched slot adds 2 g_j + 1 < 0 to alpha2 or alpha3, so an exponent
+    # vanishes only when its factor is 1 and the integral splits
     if a1 == 0:
-        # every matched pair adds g_i + g_j + 1 < 0 to alpha1, so it vanishes
-        # only for the empty matching, where phi1 = 1 and the integral splits
         first = 2.0 * factors.b2 / ((a2 + 1.0) * (a2 + 2.0))
         return first * (2.0 * factors.b3 / ((a3 + 1.0) * (a3 + 2.0)))
+    if a2 == 0 and a3 == 0:
+        inner = (factors.c_plus + factors.c_minus) / ((a1 + 1.0) * (a1 + 2.0))
+        return inner * inner
     j_same = _cycle_same_orientation(a1, a2, a3, cfg, exploit_symmetry=exploit_symmetry)
     j_opp = _cycle_opposed_orientation(a1, a2, a3, cfg)
     cp, cm = factors.c_plus, factors.c_minus
@@ -433,23 +430,20 @@ def phi_cycle_integral(factors: PhiFactors, *, exploit_symmetry: bool = True,
 # the operations
 
 
-def contraction_norm_sq(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0,
-                        exploit_symmetry: bool = True) -> float:
-    """Squared overlap norm of the kernel contracted with itself.
+def contraction_norm_sq(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0) -> float:
+    """Squared overlap norm of the kernel contracted with itself: A^4
+    times `phi_cycle_integral`.
 
-    Full matchings reduce to the square of an exact scalar, and empty
-    matchings take `phi_cycle_integral`'s closed form, the square of the
-    plain kernel norm; everything in between runs the graded cycle
-    quadrature with relative accuracy around 1e-5 on interior exponent
-    vectors.
+    Empty and full matchings take that function's closed forms, the
+    square of the plain kernel norm and the square of one inner product;
+    everything in between runs the graded cycle quadrature with relative
+    accuracy around 1e-5 on interior exponent vectors.
     """
     pf = phi_factors(gamma, spec)
-    _check_integrable(pf)
+    # the cycle integral first: divergent exponents raise their own error
+    # before the normalizing constant rejects the vector
+    value = phi_cycle_integral(pf, mesh_scale=mesh_scale)
     amp_sq = normalizing_constant_sq(pf.gamma)
-    if spec.r == spec.q:
-        scalar = amp_sq * (pf.c_plus + pf.c_minus) / ((pf.alpha1 + 1.0) * (pf.alpha1 + 2.0))
-        return scalar * scalar
-    value = phi_cycle_integral(pf, exploit_symmetry=exploit_symmetry, mesh_scale=mesh_scale)
     return amp_sq * amp_sq * value
 
 
@@ -493,25 +487,6 @@ def ncl_condition_iii_limit(path: BoundaryPath, spec: ContractionSpec, *,
         return contraction_norm_sq(base, reduced, mesh_scale=mesh_scale)
 
     return face1_trend(path, lambda eps, point: contraction_norm_sq(point, barred, mesh_scale=mesh_scale), target)
-
-
-def clt_norm_bound(gamma, spec: ContractionSpec, *, mesh_scale: float = 1.0) -> tuple:
-    """Squared overlap norm plus the combined exponent 2a1 + a2 + a3.
-
-    Only proper partial matchings (1 <= r <= q-1) qualify; the exponent
-    sum is reported against the -3 integrability threshold rather than
-    asserted.
-    """
-    if not isinstance(spec, ContractionSpec):
-        raise InvalidInputError("spec must be a ContractionSpec")
-    if spec.r < 1 or spec.r > spec.q - 1:
-        raise InvalidInputError(
-            f"partial matching needs 1 <= r <= q-1, got r={spec.r}, q={spec.q}"
-        )
-    pf = phi_factors(gamma, spec)
-    value = contraction_norm_sq(gamma, spec, mesh_scale=mesh_scale)
-    exponent_sum = 2.0 * pf.alpha1 + pf.alpha2 + pf.alpha3
-    return value, exponent_sum
 
 
 def condition_i_indicator_norm(gamma, a: float, b: float, *,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, PathInfeasibleError
@@ -31,13 +32,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaVector:
+    """A nonempty vector of real exponents; the package's one parser of
+    exponent input.  Anything but an iterable of real, non-bool numbers
+    raises InvalidInputError."""
+
     entries: tuple[float, ...]
 
     def __post_init__(self):
-        entries = tuple(float(v) for v in self.entries)
-        if len(entries) < 1:
-            raise InvalidInputError("gamma vector needs at least one entry")
-        object.__setattr__(self, "entries", entries)
+        try:
+            entries = tuple(self.entries)
+        except TypeError:
+            entries = ()
+        # bool is an int subclass, but True is no exponent
+        if not entries or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+            raise InvalidInputError(f"gamma must be a nonempty iterable of real numbers, got {self.entries!r}")
+        object.__setattr__(self, "entries", tuple(float(v) for v in entries))
 
     @property
     def q(self) -> int:
@@ -47,12 +56,6 @@ class GammaVector:
     def gamma_bar(self) -> float:
         """Sum of the entries."""
         return float(sum(self.entries))
-
-    def tail(self) -> "GammaVector":
-        """Drop the first coordinate; order must be at least 2."""
-        if self.q < 2:
-            raise InvalidInputError("tail of an order-1 vector is empty")
-        return GammaVector(self.entries[1:])
 
     def __iter__(self):
         return iter(self.entries)
@@ -70,14 +73,6 @@ class DomainReport:
     face1_distance: float
     face2_distance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "inside": self.inside,
-            "violations": list(self.violations),
-            "face1_distance": self.face1_distance,
-            "face2_distance": self.face2_distance,
-        }
-
 
 def validate(gamma: GammaVector) -> DomainReport:
     """Strict-inequality membership test with per-face distances.
@@ -85,8 +80,7 @@ def validate(gamma: GammaVector) -> DomainReport:
     face1_distance = -1/2 - g_1 (positive inside), face2_distance =
     sum + (q+1)/2 (positive inside).  Non-finite entries are rejected.
     """
-    if not isinstance(gamma, GammaVector):
-        gamma = GammaVector(tuple(gamma))
+    gamma = GammaVector(gamma)
     if any(not math.isfinite(v) for v in gamma.entries):
         raise InvalidInputError(f"non-finite entry in gamma vector {gamma.entries}")
 
@@ -135,10 +129,7 @@ class BoundaryPath:
         if not self.floor_epsilon > 0:
             raise InvalidInputError("floor_epsilon must be positive")
         object.__setattr__(self, "epsilons", eps)
-        base = self.base
-        if not isinstance(base, GammaVector):
-            base = GammaVector(tuple(base))
-            object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", GammaVector(self.base))
 
 
 def _face1_point(path: BoundaryPath, eps: float) -> GammaVector:

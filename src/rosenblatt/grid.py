@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import GammaVector
 from .errors import GridTooSmallError, InvalidInputError
 from .kernel import KernelSpec, normalizing_constant_sq
 from .special import beta_matrix, permanent
@@ -82,7 +83,7 @@ def _tail_estimator(gamma, horizon: float):
     t = float(horizon)
     if not 0.0 < t < math.inf:
         raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
-    g = tuple(float(v) for v in gamma)
+    g = GammaVector(gamma).entries
     pairs = list(itertools.product(range(len(g)), repeat=2))
     u = beta_matrix(g)
     minors = np.array([permanent(np.delete(np.delete(u, i, 0), j, 1)) for i, j in pairs])

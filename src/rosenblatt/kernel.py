@@ -39,15 +39,9 @@ __all__ = [
 MAX_ORDER = 6
 
 
-def _as_gamma(gamma) -> GammaVector:
-    if isinstance(gamma, GammaVector):
-        return gamma
-    return GammaVector(tuple(gamma))
-
-
 def normalizing_constant_sq(gamma) -> float:
     """A^2 from the closed form; requires the vector strictly inside the region."""
-    gamma = _as_gamma(gamma)
+    gamma = GammaVector(gamma)
     if gamma.q > MAX_ORDER:
         raise SizeError(
             f"order {gamma.q} exceeds the cap {MAX_ORDER} (permutation sum grows as q!)"
@@ -75,7 +69,7 @@ class KernelSpec:
     constant: float = field(init=False)
 
     def __post_init__(self):
-        gamma = _as_gamma(self.gamma)
+        gamma = GammaVector(self.gamma)
         object.__setattr__(self, "gamma", gamma)
         h = self.horizon
         if isinstance(h, bool) or not (isinstance(h, numbers.Real) and 0 < h < math.inf):

@@ -52,10 +52,10 @@ side.  Its blocks b_i give the projections, the covariances C_ij and the
 folded mat-vec, and the second moment: Wick products pair only across
 the two factors, so E[Z_hat^2] = A^2 w^T perm(G) w, with G the q x q
 matrix whose entry G_ij = b_i^T b_j is the S x S Gram over the table's
-rows, and the permanent's products taken entrywise.  It is the variance
-of exactly the columns drawn, and the discrete twin of the continuum
-variance, which is A^2 times the permanent of the Beta matrix U (see
-`kernel`).
+rows, one block of the table's own Gram, and the permanent's products
+taken entrywise.  It is the variance of exactly the columns drawn, and
+the discrete twin of the continuum variance, which is A^2 times the
+permanent of the Beta matrix U (see `kernel`).
 
 Near table.  The near zone [-t/2, hi] lies in the grid's uniform core,
 whose pieces [-8, -1], [-1, 0] and [0, t] each have one width.  Where a
@@ -111,6 +111,7 @@ from .kernel import KernelSpec
 from .special import permanent
 
 __all__ = [
+    "factor_matrix",
     "ChaosSampleBatch",
     "sample_chaos",
     "sample_process_increment",
@@ -289,16 +290,12 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
 
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
-    """E[Z_hat^2] from the factor table."""
-    grams: dict = {}
-
-    def gram(a: int, b: int) -> np.ndarray:
-        if (a, b) not in grams:
-            grams[a, b] = fac.b(a).T @ fac.b(b)
-            grams[b, a] = grams[a, b].T
-        return grams[a, b]
-
-    grams_by_slot = [[gram(a, b) for b in fac.slot] for a in fac.slot]
+    """E[Z_hat^2] from the factor table: one Gram over its rows, whose
+    exponent blocks are the G_ij."""
+    n_s = len(fac.s_w)
+    k = fac.table.shape[1] // n_s
+    gram = (fac.table.T @ fac.table).reshape(k, n_s, k, n_s)
+    grams_by_slot = [[gram[a, :, b] for b in fac.slot] for a in fac.slot]
     return kernel.constant**2 * float(fac.s_w @ permanent(grams_by_slot) @ fac.s_w)
 
 
@@ -331,9 +328,6 @@ class ChaosSampleBatch:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def mean(self) -> float:
-        return float(np.mean(self.values)) if self.n else 0.0
 
     def meta(self) -> dict:
         return {

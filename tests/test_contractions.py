@@ -4,9 +4,9 @@ The references share no code with the quadrature: closed forms of full
 matchings, a plain Monte Carlo estimate of the cycle integral built from
 the cross-integral closed form, mesh refinement, and default-mesh values
 of the earlier quadrature, which took distances to the singular points
-as differences of absolute coordinates.  The public enumeration,
-condition-(iii) and CLT-bound functions are checked against counts,
-closed-form targets and hand arithmetic.  The three face-1 trends
+as differences of absolute coordinates.  The public enumeration and
+condition-(iii) functions are checked against counts and closed-form
+targets, and `ContractionSpec` against inputs that are not integers.  The three face-1 trends
 (`constant_face_ratio` and conditions (ii) and (iii)) share one path
 loop, `domain.face1_trend`; one test checks that each of them refuses a
 face-2 path and a non-path before reading it.
@@ -19,8 +19,8 @@ import pytest
 
 import rosenblatt.contractions as rc
 from rosenblatt import (
-    BoundaryPath, Face, GammaVector, InvalidInputError, QuadratureError, SizeError, constant_face_ratio,
-    normalizing_constant_sq,
+    BoundaryPath, DivergentIntegralError, Face, GammaVector, InvalidInputError, QuadratureError, SizeError,
+    constant_face_ratio, normalizing_constant_sq,
 )
 from rosenblatt.kernel import MAX_ORDER
 
@@ -84,18 +84,46 @@ class TestPinnedValues:
         assert rc.phi_cycle_integral(pf) == rc.phi_cycle_integral(pf)
 
 
-@pytest.mark.parametrize("gamma, sigma", [(Q2, (1, 0)), (Q3, (1, 2, 0))])
-def test_full_matching_closed_form(gamma, sigma):
-    """<f, f o sigma> = A^2 (P_sigma + P_sigma^-1) / ((a+1)(a+2)) with
-    P_sigma = prod_i B(g_i+1, -g_i-g_sigma(i)-1) and a = 2 sum(g) + q."""
+def full_matching_cycle(gamma, sigma):
+    """<f, f o sigma> / A^2 = (P_sigma + P_sigma^-1) / ((a+1)(a+2)), squared,
+    with P_sigma = prod_i B(g_i+1, -g_i-g_sigma(i)-1) and a = 2 sum(g) + q."""
     q = len(gamma)
-    pf = rc.phi_factors(gamma, spec(gamma, tuple(range(1, q + 1)), tuple(s + 1 for s in sigma)))
     inverse = tuple(sigma.index(j) for j in range(q))
     a = 2.0 * sum(gamma) + q
+    inner = (pairing_weight(gamma, sigma) + pairing_weight(gamma, inverse)) / ((a + 1.0) * (a + 2.0))
+    return inner * inner
+
+
+def full_spec(gamma, sigma):
+    q = len(gamma)
+    return spec(gamma, tuple(range(1, q + 1)), tuple(s + 1 for s in sigma))
+
+
+@pytest.mark.parametrize("gamma, sigma", [(Q2, (1, 0)), (Q2, (0, 1)), (Q3, (1, 2, 0))])
+def test_full_matching_closed_form(gamma, sigma):
+    want = full_matching_cycle(gamma, sigma)
+    s = full_spec(gamma, sigma)
+    assert rel_err(rc.phi_cycle_integral(rc.phi_factors(gamma, s)), want) <= 1e-12
     amp_sq = normalizing_constant_sq(gamma)
-    pair_sum = pairing_weight(gamma, sigma) + pairing_weight(gamma, inverse)
-    inner = amp_sq * pair_sum / ((a + 1.0) * (a + 2.0))
-    assert rel_err(amp_sq * amp_sq * rc.phi_cycle_integral(pf), inner * inner) <= 1e-8
+    assert rel_err(rc.contraction_norm_sq(gamma, s), amp_sq * amp_sq * want) <= 1e-12
+
+
+def test_divergence_named_before_the_domain():
+    # (-0.9, -0.9) lies outside the region, and the full matching's alpha1 =
+    # 2 (g1 + g2) + 2 = -1.6 diverges: the divergence is what gets reported
+    with pytest.raises(DivergentIntegralError) as exc:
+        rc.contraction_norm_sq((-0.9, -0.9), full_spec(Q2, (1, 0)))
+    assert exc.value.exponents == {"alpha1": pytest.approx(-1.6)}
+
+
+def test_condition_ii_full_matching_closed_form():
+    # (1, 2) -> (2, 1) matches slot 1 with slot 2 at every point of the path
+    path = BoundaryPath(Face.FIRST_EXPONENT_TO_HALF, GammaVector((-0.65,)), (0.1, 0.01))
+    values = rc.ncl_condition_ii_trend(path, full_spec(Q2, (1, 0))).values()
+    for eps, got in zip(path.epsilons, values):
+        g = (-0.5 - eps, -0.65)
+        scale = -1.0 - 2.0 * g[0]
+        assert rel_err(got, scale * scale * full_matching_cycle(g, (1, 0))) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [Q2, Q3])
@@ -217,12 +245,22 @@ def test_face1_trends_reject_bad_input(call, path, match):
         call(path)
 
 
-def test_clt_norm_bound():
-    s = spec(Q2, (1,), (2,))
-    value, exponent = rc.clt_norm_bound(Q2, s)
-    assert value == rc.contraction_norm_sq(Q2, s)
-    # 2 a1 + a2 + a3 = 2 (g1 + g2 + 1) + (2 g2 + 1) + (2 g1 + 1)
-    assert exponent == pytest.approx(-1.4, abs=1e-12)
-    for bad in (spec(Q2, (), ()), spec(Q2, (1, 2), (2, 1))):
-        with pytest.raises(InvalidInputError):
-            rc.clt_norm_bound(Q2, bad)
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: rc.ContractionSpec(2.7, 2, (1,), (2,)), id="float_order"),
+    pytest.param(lambda: rc.ContractionSpec(2, 2, (1.9,), (2,)), id="float_slot"),
+    pytest.param(lambda: rc.ContractionSpec(2, 2, ("1",), (2,)), id="str_slot"),
+    pytest.param(lambda: rc.ContractionSpec(2, 2, (True,), (2,)), id="bool_slot"),
+    pytest.param(lambda: rc.ContractionSpec(2, True, (1,), (1,)), id="bool_order"),
+    pytest.param(lambda: rc.enumerate_contractions(2.9, 2, 1), id="enumerate_float_order"),
+    pytest.param(lambda: rc.enumerate_contractions(2, 2, 1.5), id="enumerate_float_r"),
+])
+def test_non_integers_rejected(call):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integers_accepted():
+    s = rc.ContractionSpec(np.int64(2), 2, (np.int32(2),), (1,))
+    assert s == rc.ContractionSpec(2, 2, (2,), (1,))
+    assert type(s.q) is int and type(s.indices[0]) is int
+    assert len(rc.enumerate_contractions(np.int64(2), 2, np.int8(1))) == 4

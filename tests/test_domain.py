@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import rosenblatt.contractions as rc
 from rosenblatt import (
     BoundaryPath,
     Face,
     GammaVector,
     InvalidInputError,
+    KernelSpec,
     PathInfeasibleError,
     TrendTable,
     path_points,
+    tail_fraction,
     validate,
 )
 
@@ -20,15 +23,34 @@ class TestGammaVector:
         g = GammaVector((-0.6, -0.7))
         assert g.q == 2
         assert g.gamma_bar == pytest.approx(-1.3)
-        assert g.tail().entries == (-0.7,)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             GammaVector(())
 
-    def test_tail_of_order_one_rejected(self):
-        with pytest.raises(InvalidInputError):
-            GammaVector((-0.7,)).tail()
+    def test_numbers_of_any_real_type(self):
+        g = GammaVector([np.float32(-0.75), -0.7, np.float64(-0.6)])
+        assert g.entries == (-0.75, -0.7, -0.6)
+        assert all(type(v) is float for v in g.entries)
+        assert GammaVector(g) == g
+
+
+BAD_EXPONENTS = [("a", -0.6), ("x",), None, -0.7, (True, -0.6), (-0.6, None), ((-0.6, -0.7),)]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(GammaVector, id="GammaVector"),
+    pytest.param(lambda g: tail_fraction(g, 3.0), id="tail_fraction"),
+    pytest.param(KernelSpec, id="KernelSpec"),
+    pytest.param(lambda g: rc.contraction_norm_sq(g, rc.ContractionSpec(1, 1, (1,), (1,))), id="contraction_norm_sq"),
+    pytest.param(lambda g: rc.condition_i_indicator_norm(g, 0.2, 0.6), id="condition_i_indicator_norm"),
+])
+@pytest.mark.parametrize("bad", BAD_EXPONENTS, ids=repr)
+def test_exponent_input_has_one_parser(call, bad):
+    """Every entry point reads exponents through GammaVector, which takes
+    only an iterable of real, non-bool numbers."""
+    with pytest.raises(InvalidInputError, match="nonempty iterable of real numbers"):
+        call(bad)
 
 
 class TestValidate:
@@ -53,10 +75,6 @@ class TestValidate:
         for bad in [float("nan"), float("inf"), -float("inf")]:
             with pytest.raises(InvalidInputError):
                 validate(GammaVector((bad, -0.7)))
-
-    def test_json_field_names(self):
-        rep = validate(GammaVector((-0.6, -0.6)))
-        assert set(rep.to_dict()) == {"inside", "violations", "face1_distance", "face2_distance"}
 
     def test_membership_interval_in_first_coordinate(self):
         # for a fixed admissible tail the inside set in gamma_1 is exactly

@@ -1,5 +1,7 @@
-"""Every name a module declares in `__all__` exists, once."""
+"""Every name a module declares in `__all__` exists, once, and every
+public function and class a module defines is declared there."""
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -16,3 +18,13 @@ def test_all_names_resolve(name):
     assert len(declared) == len(set(declared))
     missing = [attr for attr in declared if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if hasattr(importlib.import_module(m), "__all__")])
+def test_public_definitions_declared(name):
+    module = importlib.import_module(name)
+    defined = [attr for attr, obj in vars(module).items()
+               if not attr.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == name]
+    undeclared = sorted(set(defined) - set(module.__all__))
+    assert not undeclared, f"{name} defines public names missing from __all__: {undeclared}"
