@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import BoundaryPath, GammaVector, TrendTable, face1_trend
+from .domain import BoundaryPath, GammaVector, TrendTable, _real, face1_trend
 from .errors import DivergentIntegralError, InvalidInputError, QuadratureError, SizeError
 from .kernel import MAX_ORDER, normalizing_constant_sq
 from .quadrature import graded_rule
@@ -77,6 +77,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _slots(values, name: str) -> tuple:
+    try:
+        given = tuple(values)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an iterable of integers, got {values!r}") from None
+    return tuple(_integer(v, name) for v in given)
+
+
 @dataclass(frozen=True)
 class ContractionSpec:
     """Which slots of two kernels get matched, and how.
@@ -97,8 +105,7 @@ class ContractionSpec:
         q, m = _integer(self.q, "q"), _integer(self.m, "m")
         if q < 1 or m < 1:
             raise InvalidInputError(f"orders must be positive, got q={q}, m={m}")
-        idx = tuple(_integer(i, "slot") for i in self.indices)
-        img = tuple(_integer(j, "image") for j in self.images)
+        idx, img = _slots(self.indices, "slot"), _slots(self.images, "image")
         if len(idx) != len(img):
             raise InvalidInputError(
                 f"{len(idx)} matched slots against {len(img)} images"
@@ -234,6 +241,7 @@ class _MeshConfig:
     outer_ratio: float = 0.30
 
     def scaled(self, scale: float) -> "_MeshConfig":
+        scale = _real(scale, "mesh_scale")
         if not (scale > 0 and math.isfinite(scale)):
             raise InvalidInputError(f"mesh_scale must be positive, got {scale}")
         if scale == 1.0:
@@ -501,8 +509,7 @@ def condition_i_indicator_norm(gamma, a: float, b: float, *,
     g = _coerce_gamma(gamma)
     if len(g) < 2:
         raise InvalidInputError("need order at least 2: one slot is integrated out")
-    a = float(a)
-    b = float(b)
+    a, b = _real(a, "a"), _real(b, "b")
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise InvalidInputError(f"window needs a < b, got [{a}, {b}]")
     beta_exp = 2.0 * sum(g[1:]) + (len(g) - 1)

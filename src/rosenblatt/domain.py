@@ -30,6 +30,19 @@ __all__ = [
 ]
 
 
+def _is_real(value) -> bool:
+    # bool is an int subclass, but True is no number here
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, name: str) -> float:
+    """`value` as a float; the package's one check of real scalar input.
+    Anything but a real, non-bool number raises InvalidInputError."""
+    if not _is_real(value):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GammaVector:
     """A nonempty vector of real exponents; the package's one parser of
@@ -43,8 +56,7 @@ class GammaVector:
             entries = tuple(self.entries)
         except TypeError:
             entries = ()
-        # bool is an int subclass, but True is no exponent
-        if not entries or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+        if not entries or not all(map(_is_real, entries)):
             raise InvalidInputError(f"gamma must be a nonempty iterable of real numbers, got {self.entries!r}")
         object.__setattr__(self, "entries", tuple(float(v) for v in entries))
 
@@ -119,16 +131,22 @@ class BoundaryPath:
     floor_epsilon: float = 0.05
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
+        try:
+            given = tuple(self.epsilons)
+        except TypeError:
+            raise InvalidInputError(f"epsilons must be an iterable of real numbers, got {self.epsilons!r}") from None
+        eps = tuple(_real(e, "epsilon") for e in given)
         if not eps:
             raise InvalidInputError("path needs at least one epsilon")
-        if any(e <= 0 for e in eps):
+        if not all(e > 0 for e in eps):
             raise InvalidInputError("epsilons must be strictly positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise InvalidInputError("epsilons must be strictly decreasing")
-        if not self.floor_epsilon > 0:
+        floor = _real(self.floor_epsilon, "floor_epsilon")
+        if not floor > 0:
             raise InvalidInputError("floor_epsilon must be positive")
         object.__setattr__(self, "epsilons", eps)
+        object.__setattr__(self, "floor_epsilon", floor)
         object.__setattr__(self, "base", GammaVector(self.base))
 
 

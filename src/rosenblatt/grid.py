@@ -39,9 +39,16 @@ CORE_LEFT = 8.0
 TAIL_TOLERANCE = 1e-3
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Cell edges plus tail bookkeeping."""
+    """Cell edges plus tail bookkeeping.
+
+    A grid is immutable: its fields cannot be reassigned, and it holds a
+    read-only float64 copy of the edges it is given.  The sampler keeps
+    each grid's far-field latent root for as long as the grid lives, keyed
+    by the grid's identity (grids compare and hash by identity), so a grid
+    that changed after its first use would be sampled with a stale root.
+    """
 
     edges: np.ndarray
     core_left: float
@@ -51,6 +58,11 @@ class GridSpec:
     tail_estimate: float
     enforce_tail_bound: bool = False
     ratio: float = 1.0
+
+    def __post_init__(self):
+        edges = np.array(self.edges, dtype=np.float64)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n_cells(self) -> int:

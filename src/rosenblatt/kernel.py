@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import GammaVector, TrendTable, face1_trend, validate
+from .domain import GammaVector, TrendTable, _is_real, face1_trend, validate
 from .errors import DomainError, InvalidInputError, SizeError
 from .quadrature import graded_rule
 from .special import beta_matrix, permanent
@@ -72,7 +71,7 @@ class KernelSpec:
         gamma = GammaVector(self.gamma)
         object.__setattr__(self, "gamma", gamma)
         h = self.horizon
-        if isinstance(h, bool) or not (isinstance(h, numbers.Real) and 0 < h < math.inf):
+        if not (_is_real(h) and 0 < h < math.inf):
             raise InvalidInputError(f"horizon must be positive and finite, got {h}")
         object.__setattr__(self, "horizon", float(h))
         object.__setattr__(self, "constant", normalizing_constant(gamma))

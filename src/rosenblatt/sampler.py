@@ -33,7 +33,12 @@ _FAR_NODES Chebyshev points on [0, t], whatever the interval, and the
 latent root built from them (below) is mapped to its s-nodes by an R x S
 barycentric matrix; R puts rho^-R below 1e-16.
 Cells entirely right of hi have zero factors and are skipped.  No cells x
-s-nodes matrix over the whole grid is formed.
+s-nodes matrix over the whole grid is formed.  The latent root is built
+once per grid and set of distinct exponents and kept for as long as the
+grid lives: r x k x R doubles for k distinct exponents, 1.6 to 7 KB on
+the default grids of q = 1, 2 and 3.  A later call on that grid maps it
+to its own s-nodes; only the s-rule, that map and the near rows are
+built per call.
 
 The factor table.  The far projections xi_far @ F, F the far cells x
 (exponents x R) table, are Gaussian with covariance F^T F, whose
@@ -94,8 +99,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -105,6 +110,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
+from .domain import _is_real
 from .errors import InvalidInputError, SizeError
 from .grid import GridSpec, check_tail_bound
 from .kernel import KernelSpec
@@ -156,20 +162,23 @@ def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray, out: np.ndarra
 _FAR_NODES = math.ceil(16.0 / math.log10(2.0 + math.sqrt(3.0))) | 1
 
 
-def _chebyshev_interpolation(t: float, s_nodes: np.ndarray):
-    """Chebyshev points of the second kind on [0, t] and the R x S
-    barycentric matrix taking values there to values at `s_nodes`."""
-    j = np.arange(_FAR_NODES)
-    nodes = 0.5 * t + 0.5 * t * np.cos(np.pi * j / (_FAR_NODES - 1))
-    w = (-1.0) ** j
+def _chebyshev_points(t: float) -> np.ndarray:
+    """The _FAR_NODES Chebyshev points of the second kind on [0, t]."""
+    return 0.5 * t + 0.5 * t * np.cos(np.pi * np.arange(_FAR_NODES) / (_FAR_NODES - 1))
+
+
+def _chebyshev_interpolation(t: float, s_nodes: np.ndarray) -> np.ndarray:
+    """The R x S barycentric matrix taking values at the Chebyshev points
+    on [0, t] to values at `s_nodes`."""
+    w = (-1.0) ** np.arange(_FAR_NODES)
     w[[0, -1]] *= 0.5
-    d = s_nodes[None, :] - nodes[:, None]
+    d = s_nodes[None, :] - _chebyshev_points(t)[:, None]
     hit = d == 0.0
     interp = w[:, None] / np.where(hit, 1.0, d)
     interp /= interp.sum(axis=0)
     exact = hit.any(axis=0)
     interp[:, exact] = hit[:, exact]
-    return nodes, interp
+    return interp
 
 
 def _matchings(items: tuple):
@@ -211,8 +220,7 @@ def _span(grid: GridSpec, interval) -> tuple:
         pair = tuple(interval)
     except TypeError:
         pair = ()
-    # bool is an int subclass, but True is no time
-    if len(pair) != 2 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair):
+    if len(pair) != 2 or not all(map(_is_real, pair)):
         raise InvalidInputError(f"interval must be a pair of real numbers, got {interval!r}")
     lo, hi = float(pair[0]), float(pair[1])
     if not (0.0 <= lo <= hi <= grid.horizon + 1e-12):
@@ -255,6 +263,37 @@ def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: floa
         block[:, p0:p1] = sliding_window_view(lags, n_whole)[::-1]
 
 
+def _far_cells(grid: GridSpec) -> int:
+    """The far zone's cell count: the cells whose right edge lies at or
+    below -t/2, t the horizon."""
+    return int(np.searchsorted(grid.edges[1:], -0.5 * grid.horizon, side="right"))
+
+
+# The latent roots built so far, per grid and sorted distinct exponents.
+# A grid is immutable and hashes by identity, so a root cannot go stale,
+# and the weak keys drop a grid's roots with the grid.  Only the calling
+# thread factorizes, never a chunk worker; two callers racing on a cold
+# grid each build the same root and store equal values.
+_FAR_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _far_root(grid: GridSpec, keys: tuple) -> np.ndarray:
+    """The r x (k R) latent root of the far cells' factors at the
+    Chebyshev points, k = len(keys) exponent blocks side by side: the
+    eigenpairs of their Gram above the numerical-rank cut, an empty far
+    zone leaving r = 0.  Built once per grid and exponent set."""
+    roots = _FAR_ROOTS.setdefault(grid, {})
+    root = roots.get(keys)
+    if root is None:
+        far = factor_matrix(grid.edges[: _far_cells(grid) + 1], keys, _chebyshev_points(grid.horizon))
+        lam, vec = np.linalg.eigh(far.T @ far)
+        keep = lam > lam.size * np.finfo(float).eps * lam[-1]
+        root = (vec[:, keep] * np.sqrt(lam[keep])).T
+        root.flags.writeable = False
+        roots[keys] = root
+    return root
+
+
 def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
     """The factor table both estimator paths read; None for an empty interval."""
     if kernel.q > 4:
@@ -269,21 +308,16 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
     # [lo, hi], cut at lo and hi, so every edge kink of b sits on a panel end
     cuts = np.concatenate(([lo], edges[(edges > lo) & (edges < hi)], [hi]))
     s_nodes, s_w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
-    # the far zone and its Chebyshev points depend on the grid alone, so
-    # every interval reads the same latent root
-    t = grid.horizon
-    n_far = int(np.searchsorted(edges[1:], -0.5 * t, side="right"))
+    # the far zone and its latent root depend on the grid alone, so every
+    # interval reads the same root, mapped to its own s-nodes
+    n_far = _far_cells(grid)
     n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
-    cheb, interp = _chebyshev_interpolation(t, s_nodes)
     g = kernel.gamma.entries
-    keys = sorted(set(g))
-    far = factor_matrix(edges[: n_far + 1], keys, cheb)
-    # the numerical-rank cut of the far Gram; an empty far zone leaves r = 0
-    lam, vec = np.linalg.eigh(far.T @ far)
-    keep = lam > lam.size * np.finfo(float).eps * lam[-1]
-    latent = (vec[:, keep] * np.sqrt(lam[keep])).T
+    keys = tuple(sorted(set(g)))
+    latent = _far_root(grid, keys)
     r, k, n_s = len(latent), len(keys), len(s_nodes)
     table = np.empty((r + n_live - n_far, k * n_s))
+    interp = _chebyshev_interpolation(grid.horizon, s_nodes)
     table[:r] = (latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
     _near_rows(edges[n_far : n_live + 1], keys, s_nodes, lo, hi, out=table[r:])
     return _Factors(s_w, r, n_far, tuple(keys.index(v) for v in g), table)
@@ -389,7 +423,10 @@ def sample_chaos(
     CPUs, number of chunks) worker threads.  The noise in flight takes
     about workers x 256 x (r + near cells) x 8 bytes, r the latent rank,
     and for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
-    distinct exponent.
+    distinct exponent.  The far field's latent root, r x (distinct
+    exponents) x 29 doubles (1.6 to 7 KB on the default grids), is kept
+    for as long as the grid lives, so later calls on the grid skip its
+    build.
     """
     # bool is an int subclass, but True is no count and no seed
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:

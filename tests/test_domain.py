@@ -53,6 +53,52 @@ def test_exponent_input_has_one_parser(call, bad):
         call(bad)
 
 
+def _cycle_factors():
+    return rc.phi_factors((-0.7, -0.65), rc.ContractionSpec(2, 2, (1,), (2,)))
+
+
+Q2 = GammaVector((-0.7, -0.65))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: rc.condition_i_indicator_norm(Q2, None, 0.6), "a must be a real number", id="window_none"),
+    pytest.param(lambda: rc.condition_i_indicator_norm(Q2, "a", 0.6), "a must be a real number", id="window_str"),
+    pytest.param(lambda: rc.condition_i_indicator_norm(Q2, False, True), "a must be a real number", id="window_bool"),
+    pytest.param(lambda: rc.condition_i_indicator_norm(Q2, 0.2, True), "b must be a real number", id="window_end_bool"),
+    pytest.param(lambda: rc.phi_cycle_integral(_cycle_factors(), mesh_scale=None), "mesh_scale must be a real number",
+                 id="mesh_scale_none"),
+    pytest.param(lambda: rc.phi_cycle_integral(_cycle_factors(), mesh_scale=True), "mesh_scale must be a real number",
+                 id="mesh_scale_bool"),
+    pytest.param(lambda: rc.contraction_norm_sq(Q2, rc.ContractionSpec(2, 2, (1,), (2,)), mesh_scale="2"),
+                 "mesh_scale must be a real number", id="norm_mesh_scale_str"),
+    pytest.param(lambda: BoundaryPath(Face.SUM_TO_CRITICAL, Q2, (0.1, "x")), "epsilon must be a real number",
+                 id="epsilon_str"),
+    pytest.param(lambda: BoundaryPath(Face.SUM_TO_CRITICAL, Q2, (2.0, True)), "epsilon must be a real number",
+                 id="epsilon_bool"),
+    pytest.param(lambda: BoundaryPath(Face.SUM_TO_CRITICAL, Q2, 0.1), "epsilons must be an iterable",
+                 id="epsilons_scalar"),
+    pytest.param(lambda: BoundaryPath(Face.SUM_TO_CRITICAL, Q2, (0.1,), floor_epsilon="x"),
+                 "floor_epsilon must be a real number", id="floor_epsilon_str"),
+    pytest.param(lambda: rc.ContractionSpec(2, 2, 1, 2), "slot must be an iterable of integers", id="bare_slot"),
+    pytest.param(lambda: rc.ContractionSpec(2, 2, (1,), 2), "image must be an iterable of integers", id="bare_image"),
+])
+def test_scalar_and_slot_input_has_one_parser(call, match):
+    """Real scalars go through one check, which takes only real, non-bool
+    numbers; slot arguments must be iterables."""
+    with pytest.raises(InvalidInputError, match=match):
+        call()
+
+
+def test_real_scalars_of_any_type():
+    path = BoundaryPath(Face.SUM_TO_CRITICAL, Q2, (np.float32(0.25), 0.1), floor_epsilon=np.float64(0.1))
+    assert path.epsilons == (0.25, 0.1) and path.floor_epsilon == 0.1
+    assert all(type(e) is float for e in path.epsilons + (path.floor_epsilon,))
+    want = rc.condition_i_indicator_norm(Q2, 0.0, 1.0)
+    assert rc.condition_i_indicator_norm(Q2, np.int64(0), np.float32(1.0)) == want
+    with pytest.raises(InvalidInputError, match="strictly positive"):
+        BoundaryPath(Face.SUM_TO_CRITICAL, Q2, (math.nan,))
+
+
 class TestValidate:
     def test_inside_example(self):
         rep = validate(GammaVector((-0.6, -0.6)))

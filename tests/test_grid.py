@@ -5,11 +5,13 @@ kernel and, for higher orders, the permutation sum that defines the
 estimate, written out in 40-digit mpmath; neither shares code with the
 permanent-based estimate.
 """
+import dataclasses
 import hashlib
 import itertools
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -21,7 +23,7 @@ from rosenblatt import (
     required_window,
     tail_fraction,
 )
-from rosenblatt.grid import FAR_CAP
+from rosenblatt.grid import FAR_CAP, GridSpec
 
 
 def exact_tail_order_one(g: float, window: float) -> float:
@@ -171,3 +173,24 @@ def test_n_core_must_be_a_large_enough_integer(n_core):
     # a float would size the core step without complaint; 8 < 8q for q=2
     with pytest.raises(InvalidInputError):
         build_grid(KernelSpec((-0.7, -0.65)), n_core=n_core)
+
+
+def test_grid_is_immutable():
+    # the sampler keeps a grid's far-field root while the grid lives, keyed
+    # by the grid itself, so no field and no edge may change after build
+    edges = np.linspace(-2.0, 1.0, 7)
+    grid = GridSpec(edges=edges, core_left=2.0, mesh=0.5, horizon=1.0, tail_tolerance=1.0, tail_estimate=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.horizon = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.edges = edges
+    with pytest.raises(ValueError):
+        grid.edges[0] = -3.0
+    # the grid holds a float64 copy; the caller's array stays writeable
+    assert grid.edges.dtype == np.float64 and grid.edges is not edges
+    edges[0] = -3.0
+    assert grid.edges[0] == -2.0
+    built = build_grid(KernelSpec((-0.7, -0.65)), n_core=256)
+    assert not built.edges.flags.writeable
+    # grids compare and hash by identity
+    assert grid != GridSpec(**{f.name: getattr(grid, f.name) for f in dataclasses.fields(grid)})

@@ -1,8 +1,11 @@
 """Sampler tests: exact second-moment engine against the independent
 Wick/Isserlis oracle on tiny grids, Monte Carlo moments, reproducibility,
 increment coupling, and NPZ serialization."""
+import gc
 import math
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -415,6 +418,85 @@ class TestReproducibility:
         a = sample_chaos(ker, grid, 100, seed=1)
         b = sample_chaos(ker, grid, 100, seed=2)
         assert not np.allclose(a.values, b.values)
+
+
+def memo_draw(ker, grid, interval, seed=12):
+    return sample_chaos(ker, grid, 70, seed, interval=interval, return_brownian=True, with_second_moment=False)
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.brownian, b.brownian)
+
+
+class TestFarRootMemo:
+    # the far field's latent root is built once per grid and exponent set
+    # and kept while the grid lives; a memo hit must give the bits of a
+    # cold build
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_warm_calls_match_a_fresh_grid(self, gamma, interval):
+        # on grid a the first draw is cold and the rest warm; on grid b,
+        # built afresh, the second moment is cold and the draw warm
+        ker = KernelSpec(gamma)
+        grid_a, grid_b = build_grid(ker), build_grid(ker)
+        first, second = memo_draw(ker, grid_a, interval), memo_draw(ker, grid_a, interval)
+        m2 = discrete_second_moment(ker, grid_a, interval)
+        m2_fresh = discrete_second_moment(ker, grid_b, interval)
+        fresh = memo_draw(ker, grid_b, interval)
+        assert_same_bits(second, first)
+        assert_same_bits(fresh, first)
+        assert m2 == m2_fresh
+
+    def test_the_key_holds_the_exponents(self):
+        # one grid serves two exponent sets of the same horizon; each gets
+        # the bits a fresh copy of the grid gives it
+        built_for, other = KernelSpec((-0.7, -0.65)), KernelSpec((-0.7, -0.6))
+        shared = build_grid(built_for)
+        runs = [(ker, memo_draw(ker, shared, (0.75, 1.0)), discrete_second_moment(ker, shared))
+                for ker in (built_for, other)]
+        for ker, batch, m2 in runs:
+            fresh = build_grid(built_for)
+            assert_same_bits(batch, memo_draw(ker, fresh, (0.75, 1.0)))
+            assert m2 == discrete_second_moment(ker, fresh)
+
+    def test_the_memo_keeps_no_grid_alive(self):
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker, n_core=256)
+        memo_draw(ker, grid, None)
+        assert discrete_second_moment(ker, grid) > 0.0
+        ref = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_on_a_cold_grid_match_a_serial_run(self):
+        # three callers, more than the cores of a small host, race to build
+        # the same root; each stores equal values, so every draw matches a
+        # serial run on a fresh grid
+        ker = KernelSpec((-0.7, -0.65, -0.6))
+        serial = [memo_draw(ker, build_grid(ker), interval) for interval in INTERVALS]
+        grid = build_grid(ker)
+        start = threading.Barrier(len(INTERVALS), timeout=60)
+        out = [None] * len(INTERVALS)
+
+        def run(j):
+            start.wait()
+            out[j] = memo_draw(ker, grid, INTERVALS[j])
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(len(INTERVALS))]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        for got, want in zip(out, serial):
+            assert_same_bits(got, want)
 
 
 class TestIncrements:
