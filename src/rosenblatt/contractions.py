@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import BoundaryPath, GammaVector, TrendTable, _real, face1_trend
+from .domain import BoundaryPath, GammaVector, TrendTable, _integer, _real, face1_trend
 from .errors import DivergentIntegralError, InvalidInputError, QuadratureError, SizeError
 from .kernel import MAX_ORDER, normalizing_constant_sq
 from .quadrature import graded_rule
@@ -68,13 +68,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # contraction specifications
-
-
-def _integer(value, name: str) -> int:
-    # bool is an int subclass, but True is no order and no slot
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _slots(values, name: str) -> tuple:

@@ -43,6 +43,13 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int; anything but an integral, non-bool number raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GammaVector:
     """A nonempty vector of real exponents; the package's one parser of

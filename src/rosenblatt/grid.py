@@ -6,7 +6,7 @@ each kernel factor decays like |x|^g with g in (-1,-1/2), so the variance
 mass below -X vanishes only like X^(1+g_i+g_j), painfully slowly near the
 boundary faces.  The closed-form tail estimator quantifies that and sizes
 the window; where the required window exceeds what float64 can express
-the grid caps out and records the achieved estimate instead.
+the grid caps out there.  The tail estimate is the sampled kernel's.
 
 The grid also fixes the quadrature in the time variable s that the
 sampler uses to factorize kernels: one Gauss-Legendre node per cell inside
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GammaVector
+from .domain import GammaVector, _integer, _real
 from .errors import GridTooSmallError, InvalidInputError
-from .kernel import KernelSpec, normalizing_constant_sq
+from .kernel import KernelSpec, _horizon, normalizing_constant_sq
 from .special import beta_matrix, permanent
 
 __all__ = [
@@ -41,7 +41,8 @@ TAIL_TOLERANCE = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Cell edges plus tail bookkeeping.
+    """Cell edges and their sizing.  A grid keeps no tail estimate: that is
+    the sampled kernel's, so one grid may serve any kernel of its horizon.
 
     A grid is immutable: its fields cannot be reassigned, and it holds a
     read-only float64 copy of the edges it is given.  The sampler keeps
@@ -54,8 +55,6 @@ class GridSpec:
     core_left: float
     mesh: float
     horizon: float
-    tail_tolerance: float
-    tail_estimate: float
     enforce_tail_bound: bool = False
     ratio: float = 1.0
 
@@ -84,17 +83,13 @@ class GridSpec:
             "n_cells": self.n_cells,
             "far_left": self.far_left,
             "ratio": self.ratio,
-            "tail_tolerance": self.tail_tolerance,
-            "tail_estimate": self.tail_estimate,
             "enforce_tail_bound": self.enforce_tail_bound,
         }
 
 
 def _tail_estimator(gamma, horizon: float):
     """`tail_fraction` as a function of the window, its q^2 terms built once."""
-    t = float(horizon)
-    if not 0.0 < t < math.inf:
-        raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
+    t = _horizon(horizon)
     g = GammaVector(gamma).entries
     pairs = list(itertools.product(range(len(g)), repeat=2))
     u = beta_matrix(g)
@@ -124,6 +119,7 @@ def tail_fraction(gamma, window: float, horizon: float = 1.0) -> float:
     r_ij = (q-1) + 2 sum(g) - g_i - g_j being the other pairs' exponent
     sum.  Union bound over coordinates; accurate for window >> horizon.
     """
+    window = _real(window, "window")
     if math.isnan(window):
         raise InvalidInputError("tail fraction of a NaN window")
     return _tail_estimator(gamma, horizon)(window)
@@ -138,12 +134,14 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0) -> float:
     Returns inf when even FAR_CAP = 1e250 misses the tolerance
     (near-face exponents make the requirement leave the float64 range).
     """
+    tolerance = _real(tolerance, "tolerance")
     if not 0 < tolerance < 1:
         raise InvalidInputError(f"tolerance must be in (0,1), got {tolerance}")
-    fraction = _tail_estimator(gamma, horizon)
+    t = _horizon(horizon)
+    fraction = _tail_estimator(gamma, t)
     if fraction(FAR_CAP) > tolerance:
         return math.inf
-    lo, hi = math.log(max(horizon, 1e-6)), math.log(FAR_CAP)
+    lo, hi = math.log(max(t, 1e-6)), math.log(FAR_CAP)
     while lo < (mid := (lo + hi) / 2.0) < hi:
         if fraction(math.exp(mid)) > tolerance:
             lo = mid
@@ -164,16 +162,16 @@ def build_grid(
     exactly on edges (increments over [0,t] then aggregate whole cells).
     The far field extends leftward with widths growing by 1.06 per cell
     for q <= 2 and 1.12 otherwise, until the tail estimate meets
-    TAIL_TOLERANCE = 1e-3 or the window hits FAR_CAP = 1e250; a grid
-    capped there records the tail estimate it reached, and raises at
-    sampling time only when `enforce_tail_bound` is set.  The sampler's
+    TAIL_TOLERANCE = 1e-3 or the window hits FAR_CAP = 1e250.  A kernel
+    sampled here whose own tail misses it (this one capped, or another)
+    raises only when `enforce_tail_bound` is set.  The sampler's
     s-rule has one node per cell inside [0, t], so n_core also sets it.
     """
     q = kernel.q
     if n_core is None:
         n_core = 1024 if q >= 3 else 4096
-    if not isinstance(n_core, (int, np.integer)) or n_core < 8 * q:
-        raise InvalidInputError(f"n_core must be an integer of at least {8 * q} for order {q}, got {n_core!r}")
+    if _integer(n_core, "n_core") < 8 * q:
+        raise InvalidInputError(f"n_core must be at least {8 * q} for order {q}, got {n_core}")
     ratio = 1.06 if q <= 2 else 1.12
     t = kernel.horizon
 
@@ -205,23 +203,23 @@ def build_grid(
         core_left=CORE_LEFT,
         mesh=h,
         horizon=t,
-        tail_tolerance=TAIL_TOLERANCE,
-        tail_estimate=tail_fraction(kernel.gamma.entries, -float(edges[0]), horizon=t),
         enforce_tail_bound=enforce_tail_bound,
         ratio=ratio,
     )
 
 
 def check_tail_bound(grid: GridSpec, kernel: KernelSpec) -> None:
-    """Raise when an enforcing grid misses its own tail tolerance."""
+    """Raise when an enforcing grid's window leaves the sampled kernel's
+    own tail estimate above TAIL_TOLERANCE."""
     if not grid.enforce_tail_bound:
         return
-    if grid.tail_estimate > grid.tail_tolerance:
-        need = required_window(kernel.gamma.entries, grid.tail_tolerance, horizon=kernel.horizon)
+    tail = tail_fraction(kernel.gamma.entries, grid.far_left, horizon=grid.horizon)
+    if tail > TAIL_TOLERANCE:
+        need = required_window(kernel.gamma.entries, TAIL_TOLERANCE, horizon=grid.horizon)
         advice = f"the window must reach {need:.6g}" if need < math.inf else "no window up to FAR_CAP meets it"
         raise GridTooSmallError(
-            f"tail fraction {grid.tail_estimate:.3e} at window {grid.far_left:.6g} exceeds the tolerance "
-            f"{grid.tail_tolerance:.3e}, and {advice}: the slowest tail exponent 1 + 2 max(gamma) is "
+            f"tail fraction {tail:.3e} at window {grid.far_left:.6g} exceeds the tolerance "
+            f"{TAIL_TOLERANCE:.3e}, and {advice}: the slowest tail exponent 1 + 2 max(gamma) is "
             f"{1.0 + 2.0 * max(kernel.gamma.entries):.3g}",
             required_window=need,
         )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import GammaVector, TrendTable, _is_real, face1_trend, validate
+from .domain import GammaVector, TrendTable, _real, face1_trend, validate
 from .errors import DomainError, InvalidInputError, SizeError
 from .quadrature import graded_rule
 from .special import beta_matrix, permanent
@@ -59,6 +59,14 @@ def normalizing_constant(gamma) -> float:
     return math.sqrt(normalizing_constant_sq(gamma))
 
 
+def _horizon(value) -> float:
+    """`value` as a time horizon: a real number in (0, inf)."""
+    t = _real(value, "horizon")
+    if not 0.0 < t < math.inf:
+        raise InvalidInputError(f"horizon must be positive and finite, got {value!r}")
+    return t
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Immutable (gamma, horizon) pair with the constant A computed from gamma."""
@@ -70,10 +78,7 @@ class KernelSpec:
     def __post_init__(self):
         gamma = GammaVector(self.gamma)
         object.__setattr__(self, "gamma", gamma)
-        h = self.horizon
-        if not (_is_real(h) and 0 < h < math.inf):
-            raise InvalidInputError(f"horizon must be positive and finite, got {h}")
-        object.__setattr__(self, "horizon", float(h))
+        object.__setattr__(self, "horizon", _horizon(self.horizon))
         object.__setattr__(self, "constant", normalizing_constant(gamma))
 
     @property

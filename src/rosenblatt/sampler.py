@@ -87,12 +87,13 @@ it depends only on (seed, k, width): not on the worker count or n_samples.
 The far zone and the root do not depend on the interval, so every
 interval on one grid reads the same columns, which couples increments
 and the Brownian value pathwise; the far cells lie left of 0, so the
-Brownian value reads near columns only.  One stream per block, not per
-realization, because a stream's set-up costs about as much as drawing a
-row of normals on a coarse grid and holds the GIL, which the parallel
-chunks would otherwise queue on.  Chunks are whole blocks, so no row is
-drawn twice, and assembled values are the same bits whatever the worker
-count.
+Brownian value reads near columns only.  A degenerate interval lo == hi
+has no s-node, so its values are 0 and its Brownian value is still B(t).
+One stream per block, not per realization, because a stream's set-up
+costs about as much as drawing a row of normals on a coarse grid and
+holds the GIL, which the parallel chunks would otherwise queue on.
+Chunks are whole blocks, so no row is drawn twice, and assembled values
+are the same bits whatever the worker count.
 """
 from __future__ import annotations
 
@@ -110,9 +111,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
-from .domain import _is_real
+from .domain import _integer, _is_real
 from .errors import InvalidInputError, SizeError
-from .grid import GridSpec, check_tail_bound
+from .grid import GridSpec, check_tail_bound, tail_fraction
 from .kernel import KernelSpec
 from .special import permanent
 
@@ -294,19 +295,20 @@ def _far_root(grid: GridSpec, keys: tuple) -> np.ndarray:
     return root
 
 
-def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
-    """The factor table both estimator paths read; None for an empty interval."""
+def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
+    """The factor table both estimator paths read; an empty interval has
+    no s-node, so its table has no column."""
     if kernel.q > 4:
         raise SizeError(f"the sampler supports orders 1..4, got {kernel.q}")
     if grid.horizon != kernel.horizon:
         raise InvalidInputError(f"grid horizon {grid.horizon} differs from the kernel's {kernel.horizon}")
     lo, hi = _span(grid, interval)
-    if lo == hi:
-        return None
     edges = grid.edges
     # the s-rule: one Gauss-Legendre node (the midpoint) per grid cell in
-    # [lo, hi], cut at lo and hi, so every edge kink of b sits on a panel end
+    # [lo, hi], cut at lo and hi, so every edge kink of b sits on a panel
+    # end; a repeated cut is dropped, so lo == hi gives no panel at all
     cuts = np.concatenate(([lo], edges[(edges > lo) & (edges < hi)], [hi]))
+    cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]
     s_nodes, s_w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
     # the far zone and its latent root depend on the grid alone, so every
     # interval reads the same root, mapped to its own s-nodes
@@ -326,8 +328,7 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors | None:
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
     """E[Z_hat^2] from the factor table: one Gram over its rows, whose
     exponent blocks are the G_ij."""
-    n_s = len(fac.s_w)
-    k = fac.table.shape[1] // n_s
+    n_s, k = len(fac.s_w), len(set(fac.slot))
     gram = (fac.table.T @ fac.table).reshape(k, n_s, k, n_s)
     grams_by_slot = [[gram[a, :, b] for b in fac.slot] for a in fac.slot]
     return kernel.constant**2 * float(fac.s_w @ permanent(grams_by_slot) @ fac.s_w)
@@ -341,8 +342,7 @@ def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) ->
     entrywise products.  No Monte Carlo, no continuum approximation: this
     is the estimator's own variance to float precision.
     """
-    fac = _factorize(kernel, grid, interval)
-    return 0.0 if fac is None else _second_moment(kernel, fac)
+    return _second_moment(kernel, _factorize(kernel, grid, interval))
 
 
 @dataclass(eq=False)
@@ -356,12 +356,16 @@ class ChaosSampleBatch:
     grid: GridSpec
     interval: tuple
     second_moment: float
-    tail_estimate: float
     brownian: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @property
+    def tail_estimate(self) -> float:
+        """The sampled kernel's `tail_fraction` on the grid's window."""
+        return tail_fraction(self.kernel.gamma.entries, self.grid.far_left, horizon=self.grid.horizon)
 
     def meta(self) -> dict:
         return {
@@ -418,6 +422,8 @@ def sample_chaos(
     which is how process increments are sampled; the same seed with the
     same kernel and grid reuses the same underlying noise, so increments
     and Brownian values sampled with equal seeds are coupled pathwise.
+    A degenerate interval a == b gives 0, with the same B(t) as any other
+    interval; an enforcing grid checks the sampled kernel's own tail.
 
     Chunks of 256 realizations are drawn and assembled on min(usable
     CPUs, number of chunks) worker threads.  The noise in flight takes
@@ -428,21 +434,12 @@ def sample_chaos(
     for as long as the grid lives, so later calls on the grid skip its
     build.
     """
-    # bool is an int subclass, but True is no count and no seed
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
-        raise InvalidInputError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
-    check_tail_bound(grid, kernel)
-
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if _integer(value, name) < 0:
+            raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
     lo, hi = _span(grid, interval)
     fac = _factorize(kernel, grid, (lo, hi))
-    if fac is None:  # degenerate interval: the functional is 0
-        return ChaosSampleBatch(
-            values=np.zeros(n_samples), seed=int(seed), kernel=kernel, grid=grid,
-            interval=(lo, hi), second_moment=0.0, tail_estimate=grid.tail_estimate,
-            brownian=np.zeros(n_samples) if return_brownian else None,
-        )
+    check_tail_bound(grid, kernel)
 
     slot, r, table = fac.slot, fac.r, fac.table
 
@@ -467,8 +464,7 @@ def sample_chaos(
     # near cells inside [0, horizon] carry the terminal Brownian value;
     # far cells all lie left of 0
     sqrt_w_pos = np.sqrt(grid.widths[fac.n_far :]) * (grid.edges[fac.n_far : -1] >= -1e-12)
-    n_s = len(fac.s_w)
-    k = table.shape[1] // n_s
+    n_s, k = len(fac.s_w), len(set(slot))
 
     def assemble(xi: np.ndarray) -> np.ndarray:
         """The Wick sum over a noise row's live columns, without the
@@ -501,8 +497,7 @@ def sample_chaos(
     m2 = _second_moment(kernel, fac) if with_second_moment else math.nan
     return ChaosSampleBatch(
         values=values, seed=int(seed), kernel=kernel, grid=grid,
-        interval=(lo, hi), second_moment=m2,
-        tail_estimate=grid.tail_estimate, brownian=brownian,
+        interval=(lo, hi), second_moment=m2, brownian=brownian,
     )
 
 

@@ -180,7 +180,7 @@ def tiny_grid(n_cells: int, left: float, horizon: float):
     edges = np.linspace(-left, horizon, n_cells + 1)
     return GridSpec(
         edges=edges, core_left=left, mesh=float(edges[1] - edges[0]),
-        horizon=horizon, tail_tolerance=1.0, tail_estimate=0.0,
+        horizon=horizon,
     )
 
 

@@ -13,6 +13,7 @@ from rosenblatt import (
     PathInfeasibleError,
     TrendTable,
     path_points,
+    required_window,
     tail_fraction,
     validate,
 )
@@ -79,6 +80,13 @@ Q2 = GammaVector((-0.7, -0.65))
                  id="epsilons_scalar"),
     pytest.param(lambda: BoundaryPath(Face.SUM_TO_CRITICAL, Q2, (0.1,), floor_epsilon="x"),
                  "floor_epsilon must be a real number", id="floor_epsilon_str"),
+    pytest.param(lambda: tail_fraction((-0.7,), None), "window must be a real number", id="tail_window_none"),
+    pytest.param(lambda: tail_fraction((-0.7,), True), "window must be a real number", id="tail_window_bool"),
+    pytest.param(lambda: tail_fraction((-0.7,), 3.0, horizon=None), "horizon must be a real number",
+                 id="tail_horizon_none"),
+    pytest.param(lambda: required_window((-0.7,), "x"), "tolerance must be a real number", id="tolerance_str"),
+    pytest.param(lambda: required_window((-0.7,), 1e-3, horizon=True), "horizon must be a real number",
+                 id="window_horizon_bool"),
     pytest.param(lambda: rc.ContractionSpec(2, 2, 1, 2), "slot must be an iterable of integers", id="bare_slot"),
     pytest.param(lambda: rc.ContractionSpec(2, 2, (1,), 2), "image must be an iterable of integers", id="bare_image"),
 ])

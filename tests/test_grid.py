@@ -23,7 +23,7 @@ from rosenblatt import (
     required_window,
     tail_fraction,
 )
-from rosenblatt.grid import FAR_CAP, GridSpec
+from rosenblatt.grid import FAR_CAP, TAIL_TOLERANCE, GridSpec
 
 
 def exact_tail_order_one(g: float, window: float) -> float:
@@ -120,7 +120,7 @@ def test_window_beyond_cap_is_inf():
     assert math.isinf(required_window(gamma, 1e-3))
     grid = build_grid(KernelSpec(gamma), n_core=128)
     assert grid.far_left >= FAR_CAP
-    assert grid.tail_estimate > grid.tail_tolerance
+    assert tail_fraction(gamma, grid.far_left) > TAIL_TOLERANCE
 
 
 # Default-grid windows of the benchmark kernels (the sampler's Monte
@@ -179,7 +179,7 @@ def test_grid_is_immutable():
     # the sampler keeps a grid's far-field root while the grid lives, keyed
     # by the grid itself, so no field and no edge may change after build
     edges = np.linspace(-2.0, 1.0, 7)
-    grid = GridSpec(edges=edges, core_left=2.0, mesh=0.5, horizon=1.0, tail_tolerance=1.0, tail_estimate=0.0)
+    grid = GridSpec(edges=edges, core_left=2.0, mesh=0.5, horizon=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.horizon = 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -13,7 +13,7 @@ import pytest
 import rosenblatt
 import rosenblatt.sampler as sampler_module
 from rosenblatt.errors import GridTooSmallError, InvalidInputError, SizeError
-from rosenblatt.grid import GridSpec, build_grid
+from rosenblatt.grid import TAIL_TOLERANCE, GridSpec, build_grid, tail_fraction
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
     _FAR_NODES,
@@ -277,7 +277,7 @@ class TestNearTable:
         # matches the whole panels'
         h = 2.0 / 15.0
         edges = np.concatenate([-1.0 - h * np.arange(9, 0, -1), np.linspace(-1.0, 0.0, 9)[:-1], np.linspace(0.0, 2.4, 19)])
-        grid = GridSpec(edges=edges, core_left=2.2, mesh=h, horizon=2.4, tail_tolerance=1.0, tail_estimate=0.0)
+        grid = GridSpec(edges=edges, core_left=2.2, mesh=h, horizon=2.4)
         ker = KernelSpec((-0.7, -0.65), horizon=2.4)
         assert near_widths(ker, grid, None)[0] == pytest.approx(h, rel=1e-14)
         for interval in (None, (0.5, 1.7)):
@@ -508,11 +508,21 @@ class TestIncrements:
         assert np.array_equal(a.values, b.values)
 
     def test_degenerate_span_is_zero(self):
-        ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        b = sample_process_increment(ker, grid, (0.5, 0.5), 50, seed=2)
-        assert np.all(b.values == 0.0)
-        assert b.second_moment == 0.0
+        # lo == hi takes the sampler's one path with no s-node: the values
+        # and both second moments are 0, and the Brownian value is the
+        # B(t) every other interval on the grid reads from the same noise;
+        # at 0, at the horizon, on an interior cell edge and inside a cell
+        for gamma in GAMMAS:
+            ker = KernelSpec(gamma)
+            grid = build_grid(ker, n_core=256)
+            assert 0.5 in grid.edges and 0.3 not in grid.edges
+            full = sample_chaos(ker, grid, 70, seed=2, return_brownian=True)
+            for t in (0.0, 1.0, 0.5, 0.3):
+                b = sample_process_increment(ker, grid, (t, t), 70, seed=2, return_brownian=True)
+                assert np.all(b.values == 0.0)
+                assert b.second_moment == 0.0
+                assert discrete_second_moment(ker, grid, (t, t)) == 0.0
+                assert np.array_equal(b.brownian, full.brownian)
 
     def test_pathwise_additivity(self):
         # Z(1) vs Z(0.5) + (Z(1)-Z(0.5)) on shared noise: both sides put
@@ -623,7 +633,8 @@ class TestErrorsAndValidation:
         # near face 1 the required window exceeds even the float64 cap
         ker = KernelSpec((-0.502, -0.7))
         grid = build_grid(ker, n_core=128, enforce_tail_bound=True)
-        assert grid.tail_estimate > grid.tail_tolerance
+        tail = tail_fraction(ker.gamma.entries, grid.far_left)
+        assert tail > TAIL_TOLERANCE
         with pytest.raises(GridTooSmallError) as exc:
             sample_chaos(ker, grid, 10, seed=1)
         assert exc.value.required_window > grid.far_left
@@ -631,9 +642,27 @@ class TestErrorsAndValidation:
         # that no window up to the cap helps, and names the slowest tail
         # exponent 1 + 2 max(gamma) = -0.004
         message = str(exc.value)
-        assert f"{grid.tail_estimate:.3e}" in message and "1.000e-03" in message
+        assert f"{tail:.3e}" in message and "1.000e-03" in message
         assert "no window up to FAR_CAP" in message
         assert "-0.004" in message
+
+    def test_tail_estimate_is_the_sampled_kernels(self):
+        # a grid built for one kernel serves another of the same horizon;
+        # the batch reports, and an enforcing grid checks, the tail of the
+        # kernel sampled: (-0.52, -0.7) decays far slower than the kernel
+        # the window was sized for
+        built_for, other = KernelSpec((-0.7, -0.65)), KernelSpec((-0.52, -0.7))
+        grid = build_grid(built_for, n_core=256)
+        own = sample_chaos(built_for, grid, 10, seed=1)
+        batch = sample_chaos(other, grid, 10, seed=1)
+        assert own.tail_estimate == tail_fraction(built_for.gamma.entries, grid.far_left) <= TAIL_TOLERANCE
+        assert batch.tail_estimate == tail_fraction(other.gamma.entries, grid.far_left)
+        assert batch.tail_estimate == pytest.approx(0.32, abs=0.01)
+        assert batch.meta()["tail_estimate"] == batch.tail_estimate
+        enforcing = build_grid(built_for, n_core=256, enforce_tail_bound=True)
+        with pytest.raises(GridTooSmallError):
+            sample_chaos(other, enforcing, 10, seed=1)
+        assert np.array_equal(sample_chaos(built_for, enforcing, 10, seed=1).values, own.values)
 
     def test_non_enforcing_grid_samples_anyway(self):
         ker = KernelSpec((-0.502, -0.7))
@@ -665,8 +694,8 @@ class TestRefinement:
         ker = KernelSpec((-0.8,))
         for n_core in (1024, 4096, 16384):
             grid = build_grid(ker, n_core=n_core)
-            m2 = discrete_second_moment(ker, grid)
-            assert abs(m2 - (1.0 - grid.tail_estimate)) < 2e-3
+            batch = sample_chaos(ker, grid, 0, seed=1)
+            assert abs(batch.second_moment - (1.0 - batch.tail_estimate)) < 2e-3
 
     def test_order_three_variance_rises_with_the_mesh(self):
         ker = KernelSpec((-0.7, -0.65, -0.6))
