@@ -41,10 +41,3 @@ class PathInfeasibleError(RosenblattError):
         super().__init__(message)
         self.epsilon = epsilon
 
-
-class GridTooSmallError(RosenblattError):
-    """Grid window too small for the requested tail tolerance."""
-
-    def __init__(self, message: str, required_window: float | None = None):
-        super().__init__(message)
-        self.required_window = required_window

@@ -1,12 +1,13 @@
 """Discretization grids for chaos sampling.
 
-A grid covers (x_left, horizon] with a uniform core around the origin
-plus a geometric far-field extension to the left.  The far field matters:
-each kernel factor decays like |x|^g with g in (-1,-1/2), so the variance
-mass below -X vanishes only like X^(1+g_i+g_j), painfully slowly near the
-boundary faces.  The closed-form tail estimator quantifies that and sizes
-the window; where the required window exceeds what float64 can express
-the grid caps out there.  The tail estimate is the sampled kernel's.
+A grid's cells cover [x_left, horizon] with x_left <= -horizon/2, and the
+far past (-inf, x_left] is no cell at all: the sampler draws it from the
+continuum far field, an exact Gram integral (see `sampler`).  So no
+window has to reach far enough for the kernel's slowly decaying tail:
+each kernel factor decays like |x|^g with g in (-1,-1/2), so the
+variance mass below -X vanishes only like X^(1+g_i+g_j), painfully
+slowly near the boundary faces.  `tail_fraction` and `required_window`
+estimate what a grid cut off at a window would miss.
 
 The grid also fixes the quadrature in the time variable s that the
 sampler uses to factorize kernels: one Gauss-Legendre node per cell inside
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import GammaVector, _integer, _real
-from .errors import GridTooSmallError, InvalidInputError
+from .errors import InvalidInputError
 from .kernel import KernelSpec, _horizon, normalizing_constant_sq
 from .special import beta_matrix, permanent
 
@@ -31,37 +32,42 @@ __all__ = [
     "tail_fraction",
     "required_window",
     "build_grid",
-    "check_tail_bound",
 ]
 
 FAR_CAP = 1e250
 CORE_LEFT = 8.0
-TAIL_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Cell edges and their sizing.  A grid keeps no tail estimate: that is
-    the sampled kernel's, so one grid may serve any kernel of its horizon.
+    """Cell edges from edges[0] <= -horizon/2 to at least the horizon;
+    the past left of edges[0] is the sampler's continuum far field.  A
+    grid keeps no kernel: one grid may serve any kernel of its horizon.
 
-    A grid is immutable: its fields cannot be reassigned, and it holds a
-    read-only float64 copy of the edges it is given.  The sampler keeps
-    each grid's far-field latent root for as long as the grid lives, keyed
-    by the grid's identity (grids compare and hash by identity), so a grid
-    that changed after its first use would be sampled with a stale root.
+    The edges must be finite and strictly increasing, reach horizon on
+    the right, and start at or left of -horizon/2: the far field's
+    factors are analytic in s on [0, horizon] only from there on (see
+    `sampler`).  A grid is immutable: its fields cannot be reassigned,
+    and it holds a read-only float64 copy of the edges it is given.
     """
 
     edges: np.ndarray
-    core_left: float
-    mesh: float
     horizon: float
-    enforce_tail_bound: bool = False
-    ratio: float = 1.0
 
     def __post_init__(self):
-        edges = np.array(self.edges, dtype=np.float64)
+        t = _horizon(self.horizon)
+        try:
+            edges = np.array(self.edges, dtype=np.float64)
+        except (TypeError, ValueError):
+            edges = np.empty(0)
+        if edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all() or not (np.diff(edges) > 0).all():
+            raise InvalidInputError(f"grid edges must be at least two finite, strictly increasing numbers, got {self.edges!r}")
+        if not (edges[0] <= -0.5 * t and edges[-1] >= t):
+            raise InvalidInputError(
+                f"grid edges must span [-horizon/2, horizon] = [{-0.5 * t}, {t}], got [{edges[0]}, {edges[-1]}]")
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "horizon", t)
 
     @property
     def n_cells(self) -> int:
@@ -73,18 +79,11 @@ class GridSpec:
 
     @property
     def far_left(self) -> float:
+        """L = -edges[0]: the far field is everything left of -L."""
         return -float(self.edges[0])
 
     def to_dict(self) -> dict:
-        return {
-            "core_left": self.core_left,
-            "mesh": self.mesh,
-            "horizon": self.horizon,
-            "n_cells": self.n_cells,
-            "far_left": self.far_left,
-            "ratio": self.ratio,
-            "enforce_tail_bound": self.enforce_tail_bound,
-        }
+        return {"horizon": self.horizon, "n_cells": self.n_cells, "far_left": self.far_left}
 
 
 def _tail_estimator(gamma, horizon: float):
@@ -150,76 +149,36 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0) -> float:
     return math.exp(hi)
 
 
-def build_grid(
-    kernel: KernelSpec,
-    n_core: int | None = None,
-    enforce_tail_bound: bool = False,
-) -> GridSpec:
-    """Size a grid for the kernel: uniform core, geometric far field.
+def build_grid(kernel: KernelSpec, n_core: int | None = None) -> GridSpec:
+    """The uniform-core grid for the kernel, cut to the sampler's near zone.
 
-    The core is uniform on [-CORE_LEFT, horizon] = [-8, t] with n_core
-    cells (default 4096 for q <= 2, 1024 otherwise); -1 and 0 fall
-    exactly on edges (increments over [0,t] then aggregate whole cells).
-    The far field extends leftward with widths growing by 1.06 per cell
-    for q <= 2 and 1.12 otherwise, until the tail estimate meets
-    TAIL_TOLERANCE = 1e-3 or the window hits FAR_CAP = 1e250.  A kernel
-    sampled here whose own tail misses it (this one capped, or another)
-    raises only when `enforce_tail_bound` is set.  The sampler's
-    s-rule has one node per cell inside [0, t], so n_core also sets it.
+    The core is uniform on [-CORE_LEFT, horizon] = [-8, t] (on [-t/2, t]
+    for t > 16) with n_core cells (default 4096 for q <= 2, 1024
+    otherwise); -1 and 0 fall exactly on edges (increments over [0,t]
+    then aggregate whole cells).  The grid keeps the core's edges from
+    the largest one at or left of -t/2 on: everything further left is
+    the sampler's continuum far field, so the grid holds no window and
+    no tail is cut off.  The sampler's s-rule has one node per cell
+    inside [0, t], so n_core also sets it.
     """
     q = kernel.q
     if n_core is None:
         n_core = 1024 if q >= 3 else 4096
     if _integer(n_core, "n_core") < 8 * q:
         raise InvalidInputError(f"n_core must be at least {8 * q} for order {q}, got {n_core}")
-    ratio = 1.06 if q <= 2 else 1.12
     t = kernel.horizon
+    core_left = max(CORE_LEFT, 0.5 * t)
 
     # uniform core, built piecewise so that -1 and 0 are exact edges; the
     # step is summed in this order because the pinned default grids
     # depend on it bit for bit
-    h = ((1.0 + t) + (CORE_LEFT - 1.0)) / n_core
+    h = ((1.0 + t) + (core_left - 1.0)) / n_core
     n_right = max(1, round(t / h))
     n_mid = max(1, round(1.0 / h))
-    n_left = max(1, round((CORE_LEFT - 1.0) / h))
+    n_left = max(1, round((core_left - 1.0) / h))
     right = np.linspace(0.0, t, n_right + 1)
     mid = np.linspace(-1.0, 0.0, n_mid + 1)
-    left = np.linspace(-CORE_LEFT, -1.0, n_left + 1)
-    core_edges = np.concatenate([left[:-1], mid[:-1], right])
-
-    window = required_window(kernel.gamma.entries, TAIL_TOLERANCE, horizon=t)
-    target = min(max(window, CORE_LEFT), FAR_CAP)
-    far = []
-    x = -CORE_LEFT
-    w = (CORE_LEFT - 1.0) / n_left
-    while -x < target:
-        w *= ratio
-        x -= w
-        far.append(x)
-    edges = np.concatenate([np.array(far[::-1]), core_edges]) if far else core_edges
-
-    return GridSpec(
-        edges=edges,
-        core_left=CORE_LEFT,
-        mesh=h,
-        horizon=t,
-        enforce_tail_bound=enforce_tail_bound,
-        ratio=ratio,
-    )
-
-
-def check_tail_bound(grid: GridSpec, kernel: KernelSpec) -> None:
-    """Raise when an enforcing grid's window leaves the sampled kernel's
-    own tail estimate above TAIL_TOLERANCE."""
-    if not grid.enforce_tail_bound:
-        return
-    tail = tail_fraction(kernel.gamma.entries, grid.far_left, horizon=grid.horizon)
-    if tail > TAIL_TOLERANCE:
-        need = required_window(kernel.gamma.entries, TAIL_TOLERANCE, horizon=grid.horizon)
-        advice = f"the window must reach {need:.6g}" if need < math.inf else "no window up to FAR_CAP meets it"
-        raise GridTooSmallError(
-            f"tail fraction {tail:.3e} at window {grid.far_left:.6g} exceeds the tolerance "
-            f"{TAIL_TOLERANCE:.3e}, and {advice}: the slowest tail exponent 1 + 2 max(gamma) is "
-            f"{1.0 + 2.0 * max(kernel.gamma.entries):.3g}",
-            required_window=need,
-        )
+    left = np.linspace(-core_left, -1.0, n_left + 1)
+    edges = np.concatenate([left[:-1], mid[:-1], right])
+    first = int(np.searchsorted(edges, -0.5 * t, side="right")) - 1
+    return GridSpec(edges=edges[first:], horizon=t)

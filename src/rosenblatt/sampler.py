@@ -22,38 +22,42 @@ unmatched factor is linear in xi, so its weights fold into one mat-vec;
 only the rest need projections, one per distinct exponent.  For q = 1 the
 folded mat-vec is the whole estimator.
 
-Far field.  The far zone is fixed per grid: the cells whose right edge
-lies at or below -t/2, t the horizon.  For s in [0, t] every factor of
-such a cell is analytic in s: in [0, t]'s [-1, 1] coordinates the nearest
-singularity sits at -2 or beyond, outside the Bernstein ellipse of
-parameter rho = 2 + sqrt(3).  Chebyshev interpolation in s therefore
-converges like rho^-R (Trefethen, Approximation Theory and Approximation
-Practice, ch. 8), so the far cells' factors are evaluated at R =
-_FAR_NODES Chebyshev points on [0, t], whatever the interval, and the
-latent root built from them (below) is mapped to its s-nodes by an R x S
-barycentric matrix; R puts rho^-R below 1e-16.
-Cells entirely right of hi have zero factors and are skipped.  No cells x
-s-nodes matrix over the whole grid is formed.  The latent root is built
-once per grid and set of distinct exponents and kept for as long as the
-grid lives: r x k x R doubles for k distinct exponents, 1.6 to 7 KB on
-the default grids of q = 1, 2 and 3.  A later call on that grid maps it
-to its own s-nodes; only the s-rule, that map and the near rows are
-built per call.
+Far field.  Everything left of the grid's first edge -L, L >= t/2 with t
+the horizon, is the far field, and no cell covers it: its projections
+enter only through their covariance, the continuum far Gram
+G[(a,i),(b,j)] = int_L^inf (s_i + y)^g_a (s_j + y)^g_b dy.  With u = L/y
+this is L^(1+g_a+g_b) int_0^1 u^(-2-g_a-g_b) (1 + s_i u/L)^g_a
+(1 + s_j u/L)^g_b du: the end power is a Gauss-Jacobi weight, taken by
+_FAR_GRAM_NODES = 40 nodes, and the rest is analytic on [0, 1], its
+nearest singularity at u = -1/2.  The 40- and 80-node roots' Grams agree
+to within 4.9e-15 of their largest entry, at g = -0.5001 too.  In s the
+integrand is analytic on [0, t] as well: in [0, t]'s [-1, 1] coordinates
+the nearest singularity sits at -2 or beyond, outside the Bernstein
+ellipse of parameter rho = 2 + sqrt(3).  Chebyshev interpolation in s
+therefore converges like rho^-R (Trefethen, Approximation Theory and
+Approximation Practice, ch. 8), so the Gram is built at R = _FAR_NODES
+Chebyshev points on [0, t], whatever the interval, and the latent root
+built from it (below) is mapped to the s-nodes by an R x S barycentric
+matrix; R puts rho^-R below 1e-16.  The root is a pure function of (L, t,
+distinct exponents), cached by value: r x k x R doubles for k distinct
+exponents, 1.6 to 7 KB on the default grids of q = 1, 2 and 3, built in
+0.2 to 1 ms on one core.  A later call maps it to its own s-nodes; only the s-rule,
+that map and the near rows are built per call.
 
-The factor table.  The far projections xi_far @ F, F the far cells x
-(exponents x R) table, are Gaussian with covariance F^T F, whose
-numerical rank r is small because the factors are smooth in s (6 to 10
-on the default grids, against thousands of far cells).  With F^T F =
-V diag(lam) V^T, the sampler keeps the eigenpairs with lam above
-(exponents x R) * eps * max(lam), the usual numerical-rank cut, and draws
-the far projections as eta @ (V diag(lam)^1/2)^T with eta standard normal
-in r dimensions: the same law up to the dropped eigenvalues, which are
-rounding.  Mapped to the s-nodes, the root gives r latent rows whose Gram
-matches the far cells' Gram at the s-nodes to within 1.3e-14 of its
-largest entry on the default grids.  One table then holds every factor
-the sampler reads, one row per live noise column: the r latent rows,
-then the cells right of the far zone, with the exponent blocks side by
-side.  Its blocks b_i give the projections, the covariances C_ij and the
+The factor table.  With G = V diag(lam) V^T, the sampler keeps the
+eigenpairs with lam above (exponents x R) * eps * max(lam), the usual
+numerical-rank cut, and draws the far projections as
+eta @ (V diag(lam)^1/2)^T with eta standard normal in r dimensions: the
+same law up to the dropped eigenvalues, which are rounding.  The rank r
+is small because the integrand is smooth in s (6 to 10 on the default
+grids of the test kernels).  Mapped to the s-nodes, the root gives r
+latent rows whose Gram matches an independent quadrature of the far
+Gram at the s-nodes to within 1.4e-14 of its largest entry on those
+grids, and to 5.3e-15 at g1 = -0.5001.  One table then holds every
+factor the sampler reads, one row per live noise column: the r latent
+rows, then the grid cells left of hi, with the exponent blocks side by
+side.  Cells entirely right of hi have zero factors and are skipped.
+Its blocks b_i give the projections, the covariances C_ij and the
 folded mat-vec, and the second moment: Wick products pair only across
 the two factors, so E[Z_hat^2] = A^2 w^T perm(G) w, with G the q x q
 matrix whose entry G_ij = b_i^T b_j is the S x S Gram over the table's
@@ -62,8 +66,9 @@ taken entrywise.  It is the variance of exactly the columns drawn, and
 the discrete twin of the continuum variance, which is A^2 times the
 permanent of the Beta matrix U (see `kernel`).
 
-Near table.  The near zone [-t/2, hi] lies in the grid's uniform core,
-whose pieces [-8, -1], [-1, 0] and [0, t] each have one width.  Where a
+Near table.  The near zone, the grid's cells left of hi, lies in
+`build_grid`'s uniform core, whose pieces [-8, -1], [-1, 0] and [0, t]
+each have one width.  Where a
 near cell c and a whole s-panel m (a panel that is the full grid cell
 k_m) share the width h, b[c, m] = tau(k_m - c) depends on the lag alone
 and is zero for negative lags.  So each exponent block of the near rows
@@ -74,20 +79,20 @@ direct evaluation to within 1e-13 of the block's largest entry (8.3e-14
 at worst, on a t = 3 grid).  Only what the edges put off that lattice is
 evaluated directly: the at most two end panels that lo and hi cut, and
 the near rows up to the last cell whose width differs from h.  Those are
-all of [-t/2, 0] when [-1, 0] and [0, t] have different widths, and
-otherwise, for t > 2, the cells of [-t/2, -1] when [-8, -1] has another
+all of [-L, 0] when [-1, 0] and [0, t] have different widths, and
+otherwise, for t > 2, the cells of [-L, -1] when [-8, -1] has another
 width.
 
-Randomness: a realization's noise row is [eta (r), xi over the cells
-n_far..n_cells-1], r + n_cells - n_far normals.  Realizations come in
+Randomness: a realization's noise row is [eta (r), xi over every grid
+cell], r + n_cells normals.  Realizations come in
 fixed blocks of 64, and each block has one stream, spawned from the
 master seed with SeedSequence.spawn and drawn with Generator(SFC64(child));
 realization k's noise is row k % 64 of its block's (rows, width) fill, so
 it depends only on (seed, k, width): not on the worker count or n_samples.
-The far zone and the root do not depend on the interval, so every
+The far field and the root do not depend on the interval, so every
 interval on one grid reads the same columns, which couples increments
-and the Brownian value pathwise; the far cells lie left of 0, so the
-Brownian value reads near columns only.  A degenerate interval lo == hi
+and the Brownian value pathwise; the far field lies left of 0, so the
+Brownian value reads cell columns only.  A degenerate interval lo == hi
 has no s-node, so its values are 0 and its Brownian value is still B(t).
 One stream per block, not per realization, because a stream's set-up
 costs about as much as drawing a row of normals on a coarse grid and
@@ -101,10 +106,9 @@ import hashlib
 import json
 import math
 import os
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -113,8 +117,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .domain import _integer, _is_real
 from .errors import InvalidInputError, SizeError
-from .grid import GridSpec, check_tail_bound, tail_fraction
+from .grid import GridSpec
 from .kernel import KernelSpec
+from .quadrature import gauss_jacobi
 from .special import permanent
 
 __all__ = [
@@ -157,7 +162,7 @@ def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray, out: np.ndarra
 
 # Chebyshev points per far-field block: the smallest odd R with rho^-R <
 # 1e-16, rho = 2 + sqrt(3) (see the module docstring); odd R puts a point
-# on the midpoint of [0, t].  The far zone starts t/2 left of 0 rather
+# on the midpoint of [0, t].  The far field starts t/2 left of 0 rather
 # than t: with one s-node per cell a near cell costs more in the
 # projections than the extra Chebyshev points do.
 _FAR_NODES = math.ceil(16.0 / math.log10(2.0 + math.sqrt(3.0))) | 1
@@ -198,14 +203,13 @@ class _Factors(NamedTuple):
     """The factor table of one kernel on one grid and s-interval.
 
     `table` has one row per live noise column, the r latent rows and then
-    the cells n_far.. left of hi, and holds b at the s-nodes for every
+    the grid cells left of hi, and holds b at the s-nodes for every
     distinct exponent side by side; coordinate i reads the exponent
     block slot[i].
     """
 
     s_w: np.ndarray
     r: int
-    n_far: int
     slot: tuple
     table: np.ndarray
 
@@ -264,34 +268,35 @@ def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: floa
         block[:, p0:p1] = sliding_window_view(lags, n_whole)[::-1]
 
 
-def _far_cells(grid: GridSpec) -> int:
-    """The far zone's cell count: the cells whose right edge lies at or
-    below -t/2, t the horizon."""
-    return int(np.searchsorted(grid.edges[1:], -0.5 * grid.horizon, side="right"))
+# Gauss-Jacobi nodes of the far Gram's u-integral (see the module docstring)
+_FAR_GRAM_NODES = 40
 
 
-# The latent roots built so far, per grid and sorted distinct exponents.
-# A grid is immutable and hashes by identity, so a root cannot go stale,
-# and the weak keys drop a grid's roots with the grid.  Only the calling
-# thread factorizes, never a chunk worker; two callers racing on a cold
-# grid each build the same root and store equal values.
-_FAR_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _far_root(grid: GridSpec, keys: tuple) -> np.ndarray:
-    """The r x (k R) latent root of the far cells' factors at the
-    Chebyshev points, k = len(keys) exponent blocks side by side: the
-    eigenpairs of their Gram above the numerical-rank cut, an empty far
-    zone leaving r = 0.  Built once per grid and exponent set."""
-    roots = _FAR_ROOTS.setdefault(grid, {})
-    root = roots.get(keys)
-    if root is None:
-        far = factor_matrix(grid.edges[: _far_cells(grid) + 1], keys, _chebyshev_points(grid.horizon))
-        lam, vec = np.linalg.eigh(far.T @ far)
-        keep = lam > lam.size * np.finfo(float).eps * lam[-1]
-        root = (vec[:, keep] * np.sqrt(lam[keep])).T
-        root.flags.writeable = False
-        roots[keys] = root
+@lru_cache(maxsize=256)
+def _far_root(far_left: float, horizon: float, keys: tuple) -> np.ndarray:
+    """The r x (k R) latent root of the continuum far Gram at the R
+    Chebyshev points on [0, horizon], k = len(keys) exponent blocks side
+    by side: the eigenpairs of the Gram above the numerical-rank cut.
+    A pure function of its arguments, so it is cached by value; only the
+    calling thread factorizes, and two callers racing on a cold key each
+    build the same root."""
+    s = _chebyshev_points(horizon)
+    n = len(s)
+    gram = np.empty((len(keys) * n, len(keys) * n))
+    for a, ga in enumerate(keys):
+        for b, gb in enumerate(keys[a:], start=a):
+            # int_L^inf (s_i + y)^ga (s_j + y)^gb dy at u = L / y
+            power = -2.0 - ga - gb
+            x, w = gauss_jacobi(_FAR_GRAM_NODES, power)
+            base = 1.0 + np.outer(0.5 * (1.0 + x), s / far_left)
+            w = w * far_left ** (1.0 + ga + gb) * 0.5 ** (power + 1.0)
+            block = (base**ga * w[:, None]).T @ base**gb
+            gram[a * n : (a + 1) * n, b * n : (b + 1) * n] = block
+            gram[b * n : (b + 1) * n, a * n : (a + 1) * n] = block.T
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > lam.size * np.finfo(float).eps * lam[-1]
+    root = (vec[:, keep] * np.sqrt(lam[keep])).T
+    root.flags.writeable = False
     return root
 
 
@@ -310,19 +315,18 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
     cuts = np.concatenate(([lo], edges[(edges > lo) & (edges < hi)], [hi]))
     cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]
     s_nodes, s_w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
-    # the far zone and its latent root depend on the grid alone, so every
+    # the far field and its latent root depend on the grid alone, so every
     # interval reads the same root, mapped to its own s-nodes
-    n_far = _far_cells(grid)
     n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
     g = kernel.gamma.entries
     keys = tuple(sorted(set(g)))
-    latent = _far_root(grid, keys)
+    latent = _far_root(grid.far_left, grid.horizon, keys)
     r, k, n_s = len(latent), len(keys), len(s_nodes)
-    table = np.empty((r + n_live - n_far, k * n_s))
+    table = np.empty((r + n_live, k * n_s))
     interp = _chebyshev_interpolation(grid.horizon, s_nodes)
     table[:r] = (latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
-    _near_rows(edges[n_far : n_live + 1], keys, s_nodes, lo, hi, out=table[r:])
-    return _Factors(s_w, r, n_far, tuple(keys.index(v) for v in g), table)
+    _near_rows(edges[: n_live + 1], keys, s_nodes, lo, hi, out=table[r:])
+    return _Factors(s_w, r, tuple(keys.index(v) for v in g), table)
 
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
@@ -362,11 +366,6 @@ class ChaosSampleBatch:
     def n(self) -> int:
         return len(self.values)
 
-    @property
-    def tail_estimate(self) -> float:
-        """The sampled kernel's `tail_fraction` on the grid's window."""
-        return tail_fraction(self.kernel.gamma.entries, self.grid.far_left, horizon=self.grid.horizon)
-
     def meta(self) -> dict:
         return {
             "seed": self.seed,
@@ -375,7 +374,6 @@ class ChaosSampleBatch:
             "grid": self.grid.to_dict(),
             "interval": [self.interval[0], self.interval[1]],
             "second_moment": self.second_moment,
-            "tail_estimate": self.tail_estimate,
             "version": __version__,
         }
 
@@ -423,23 +421,22 @@ def sample_chaos(
     same kernel and grid reuses the same underlying noise, so increments
     and Brownian values sampled with equal seeds are coupled pathwise.
     A degenerate interval a == b gives 0, with the same B(t) as any other
-    interval; an enforcing grid checks the sampled kernel's own tail.
+    interval.
 
     Chunks of 256 realizations are drawn and assembled on min(usable
     CPUs, number of chunks) worker threads.  The noise in flight takes
-    about workers x 256 x (r + near cells) x 8 bytes, r the latent rank,
-    and for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
+    about workers x 256 x (r + cells) x 8 bytes, r the latent rank, and
+    for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
     distinct exponent.  The far field's latent root, r x (distinct
-    exponents) x 29 doubles (1.6 to 7 KB on the default grids), is kept
-    for as long as the grid lives, so later calls on the grid skip its
-    build.
+    exponents) x 29 doubles (1.6 to 7 KB on the default grids), is
+    cached by its far edge, horizon and exponents, up to 256 of them, so
+    later calls on any grid with that far edge skip its build.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if _integer(value, name) < 0:
             raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
     lo, hi = _span(grid, interval)
     fac = _factorize(kernel, grid, (lo, hi))
-    check_tail_bound(grid, kernel)
 
     slot, r, table = fac.slot, fac.r, fac.table
 
@@ -461,9 +458,10 @@ def sample_chaos(
         else:
             products.append(([slot[i] for i in free], c))
 
-    # near cells inside [0, horizon] carry the terminal Brownian value;
-    # far cells all lie left of 0
-    sqrt_w_pos = np.sqrt(grid.widths[fac.n_far :]) * (grid.edges[fac.n_far : -1] >= -1e-12)
+    # the cells inside [0, horizon] carry the terminal Brownian value; the
+    # far field lies left of 0
+    left = grid.edges[:-1]
+    sqrt_w_pos = np.sqrt(grid.widths) * ((left >= -1e-12) & (left < grid.horizon))
     n_s, k = len(fac.s_w), len(set(slot))
 
     def assemble(xi: np.ndarray) -> np.ndarray:
@@ -483,7 +481,7 @@ def sample_chaos(
 
     def run_chunk(start: int) -> None:
         stop = min(start + _CHUNK, n_samples)
-        xi = _noise(streams, start, stop, r + grid.n_cells - fac.n_far)
+        xi = _noise(streams, start, stop, r + grid.n_cells)
         if return_brownian:
             brownian[start:stop] = xi[:, r:] @ sqrt_w_pos
         values[start:stop] = kernel.constant * assemble(xi[:, : len(table)])

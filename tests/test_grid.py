@@ -1,4 +1,5 @@
-"""Tests of the grid's tail estimate and window sizing.
+"""Tests of the grid's edges, its checks, and the tail estimate of a
+window.
 
 The tail oracles are scipy's quadrature of the closed-form order-one
 kernel and, for higher orders, the permutation sum that defines the
@@ -23,7 +24,7 @@ from rosenblatt import (
     required_window,
     tail_fraction,
 )
-from rosenblatt.grid import FAR_CAP, TAIL_TOLERANCE, GridSpec
+from rosenblatt.grid import FAR_CAP, GridSpec
 
 
 def exact_tail_order_one(g: float, window: float) -> float:
@@ -115,48 +116,40 @@ def test_required_window_is_the_smallest(gamma, tolerance):
 
 def test_window_beyond_cap_is_inf():
     # near face 1 even the float64 cap misses the tolerance (the tail
-    # fraction at FAR_CAP is about 0.095), so the grid stops there
+    # fraction at FAR_CAP is about 0.095)
     gamma = (-0.502, -0.7)
     assert math.isinf(required_window(gamma, 1e-3))
-    grid = build_grid(KernelSpec(gamma), n_core=128)
-    assert grid.far_left >= FAR_CAP
-    assert tail_fraction(gamma, grid.far_left) > TAIL_TOLERANCE
+    assert tail_fraction(gamma, FAR_CAP) > 1e-3
 
 
-# Default-grid windows of the benchmark kernels (the sampler's Monte
-# Carlo vectors, the sum-to-critical path points and the face-1 trend
-# vector) before the bisection stopped at convergence.
+# Default grids of the benchmark kernels (the sampler's Monte Carlo
+# vectors, the sum-to-critical path points and the face-1 trend vector).
+# A grid holds only the near zone from the largest core edge at or left
+# of -t/2, so it depends on the order (through n_core) and the horizon
+# alone: 683 cells for q <= 2 and 171 for q = 3.
 PINNED_WINDOWS = [
-    ((-0.8,), 1484.9203774365926, 4277),
-    ((-0.7, -0.65), 63145425.57417757, 4460),
-    ((-0.7, -0.65, -0.6), 21518054767.5245, 1256),
-    ((-0.55, -0.65), 1.1114007760622524e+26, 5181),
-    ((-0.5571428571428572, -0.5428571428571428), 9.002682063703004e+32, 5454),
-    ((-0.6714285714285714, -0.6285714285714286), 4442935463.843083, 4533),
-    ((-0.7227272727272726, -0.6772727272727272), 1516242.770591068, 4396),
-    ((-0.7454545454545454, -0.7045454545454545), 45971.61520754408, 4336),
-    ((-0.5444444444444444, -0.5333333333333333, -0.5222222222222221), 1.1040936325747215e+60, 2266),
-    ((-0.6333333333333332, -0.6, -0.5666666666666667), 3.9942092856228367e+18, 1424),
-    ((-0.6777777777777776, -0.6333333333333333, -0.5888888888888888), 6965016739985.075, 1307),
-    ((-0.6999999999999998, -0.6499999999999999, -0.6), 21518054767.5245, 1256),
+    ((-0.8,), 0.5010989010989011, 683),
+    ((-0.7, -0.65), 0.5010989010989011, 683),
+    ((-0.7, -0.65, -0.6), 0.5, 171),
+    ((-0.55, -0.65), 0.5010989010989011, 683),
+    ((-0.5571428571428572, -0.5428571428571428), 0.5010989010989011, 683),
+    ((-0.6714285714285714, -0.6285714285714286), 0.5010989010989011, 683),
+    ((-0.7227272727272726, -0.6772727272727272), 0.5010989010989011, 683),
+    ((-0.7454545454545454, -0.7045454545454545), 0.5010989010989011, 683),
+    ((-0.5444444444444444, -0.5333333333333333, -0.5222222222222221), 0.5, 171),
+    ((-0.6333333333333332, -0.6, -0.5666666666666667), 0.5, 171),
+    ((-0.6777777777777776, -0.6333333333333333, -0.5888888888888888), 0.5, 171),
+    ((-0.6999999999999998, -0.6499999999999999, -0.6), 0.5, 171),
 ]
 
 
-# sha256 of the same default grids' edges.tobytes(), so that every edge,
-# not only the window and the count, stays bit-identical.
+# sha256 of the same default grids' edges.tobytes() per order, so that
+# every edge, not only the far edge and the count, stays bit-identical;
+# the near factor rows depend on them bit for bit.
 PINNED_EDGE_DIGESTS = {
-    (-0.8,): "1cbd95721c1d7093f51e720b52ee76273c246596a0c4708406c73e023f8f59cc",
-    (-0.7, -0.65): "f3db66264ea932dd0ca99825ff1b22216c3c6b56bcb61a412e1ededfef453035",
-    (-0.7, -0.65, -0.6): "3fb52eb7c4e7dffa05b49ec7c130f8945b18f600b082e2600f887a842f31cc2f",
-    (-0.55, -0.65): "0aed53c730a10c150e73ef40bddc3374deb5cd772e7efd8914edce7ae7e08d07",
-    (-0.5571428571428572, -0.5428571428571428): "9dc6c9e6e58438b16056db1b754379f3d55235eb4f3c524ce90347727ab13b44",
-    (-0.6714285714285714, -0.6285714285714286): "4baa3dee857ea62b92fac52500ccb561ad03bd6196fb8bf68c63408751a1f863",
-    (-0.7227272727272726, -0.6772727272727272): "9732a8f792314ea7d8479e468ff75f5d3bba7887cc7bf6b101adccbacbec1c02",
-    (-0.7454545454545454, -0.7045454545454545): "2cbc3009569ee0ed1aa1fe7f46961c8a9c20c8a31b0d33488208459bca1dad98",
-    (-0.5444444444444444, -0.5333333333333333, -0.5222222222222221): "b84d0917336a4004561cd52ba303297ce38af46e919abb99032a229acb9a10b0",
-    (-0.6333333333333332, -0.6, -0.5666666666666667): "a5f09c4cc8149ebd6ea88351f1267ab01dbe69446ed1615efe2ec01e5e0e0338",
-    (-0.6777777777777776, -0.6333333333333333, -0.5888888888888888): "c855c7832834a1f6723711c10b2c713978e60f21c7dba2a2199debf35a6bf043",
-    (-0.6999999999999998, -0.6499999999999999, -0.6): "3fb52eb7c4e7dffa05b49ec7c130f8945b18f600b082e2600f887a842f31cc2f",
+    1: "49872e333ba15e60bdf319a0c20e04d0c9467243f8e9ab2f7ed749797f35e085",
+    2: "49872e333ba15e60bdf319a0c20e04d0c9467243f8e9ab2f7ed749797f35e085",
+    3: "0d85bced8e5e18017b700c9fa1016d66c4ea72fe429723ba2a971087aadf0604",
 }
 
 
@@ -165,7 +158,18 @@ def test_default_grid_windows_pinned(gamma, far_left, n_cells):
     grid = build_grid(KernelSpec(gamma))
     assert grid.far_left == far_left
     assert grid.n_cells == n_cells
-    assert hashlib.sha256(grid.edges.tobytes()).hexdigest() == PINNED_EDGE_DIGESTS[gamma]
+    assert hashlib.sha256(grid.edges.tobytes()).hexdigest() == PINNED_EDGE_DIGESTS[len(gamma)]
+
+
+@pytest.mark.parametrize("horizon, n_core", [(1.0, None), (0.5, 2048), (2.0, 256), (3.0, 1024), (20.0, 256)])
+def test_grid_starts_at_the_near_zone(horizon, n_core):
+    # the first edge is the largest core edge at or left of -t/2, so no
+    # cell lies left of the far field's edge beyond the one that reaches
+    # -t/2; past t = 16 the core itself starts at -t/2
+    grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), n_core=n_core)
+    assert grid.edges[0] <= -0.5 * horizon < grid.edges[1]
+    assert grid.edges[-1] == horizon and 0.0 in grid.edges
+    assert grid.to_dict() == {"horizon": horizon, "n_cells": grid.n_cells, "far_left": -grid.edges[0]}
 
 
 @pytest.mark.parametrize("n_core", [100.5, 16.0, "64", 8])
@@ -176,10 +180,9 @@ def test_n_core_must_be_a_large_enough_integer(n_core):
 
 
 def test_grid_is_immutable():
-    # the sampler keeps a grid's far-field root while the grid lives, keyed
-    # by the grid itself, so no field and no edge may change after build
+    # no field and no edge may change after the edges are checked
     edges = np.linspace(-2.0, 1.0, 7)
-    grid = GridSpec(edges=edges, core_left=2.0, mesh=0.5, horizon=1.0)
+    grid = GridSpec(edges=edges, horizon=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.horizon = 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -194,3 +197,35 @@ def test_grid_is_immutable():
     assert not built.edges.flags.writeable
     # grids compare and hash by identity
     assert grid != GridSpec(**{f.name: getattr(grid, f.name) for f in dataclasses.fields(grid)})
+
+
+def test_grid_rejects_edges_that_do_not_increase():
+    # decreasing or repeated edges made the sampler return NaN values and
+    # a NaN second moment without an error
+    for edges in ([-1.0, 0.5, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0], [1.0, 0.0, -1.0]):
+        with pytest.raises(InvalidInputError):
+            GridSpec(edges=edges, horizon=1.0)
+
+
+def test_grid_rejects_edges_that_are_not_finite():
+    for edges in ([-1.0, math.nan, 1.0], [-math.inf, 0.0, 1.0], [-1.0, 0.0, math.inf], ["a", "b"], [[-1.0, 1.0]], [1.0]):
+        with pytest.raises(InvalidInputError):
+            GridSpec(edges=edges, horizon=1.0)
+
+
+def test_grid_rejects_edges_short_of_the_horizon():
+    # edges ending at 0.5 on a horizon-1 grid gave a plausible but wrong
+    # m2 (0.268)
+    with pytest.raises(InvalidInputError):
+        GridSpec(edges=np.linspace(-1.0, 0.5, 7), horizon=1.0)
+    GridSpec(edges=np.linspace(-1.0, 1.5, 7), horizon=1.0)
+
+
+def test_grid_rejects_a_first_edge_right_of_half_the_horizon():
+    # the far field's factors are analytic in s on [0, t] only from -t/2
+    # leftwards, where the Chebyshev root's convergence rate is set
+    with pytest.raises(InvalidInputError):
+        GridSpec(edges=np.linspace(-0.4, 1.0, 8), horizon=1.0)
+    with pytest.raises(InvalidInputError):
+        GridSpec(edges=np.linspace(-1.0, 2.0, 8), horizon=2.5)
+    assert GridSpec(edges=np.linspace(-0.5, 1.0, 7), horizon=1.0).far_left == 0.5

@@ -1,24 +1,25 @@
 """Sampler tests: exact second-moment engine against the independent
 Wick/Isserlis oracle on tiny grids, Monte Carlo moments, reproducibility,
 increment coupling, and NPZ serialization."""
-import gc
 import math
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
 
 import rosenblatt
 import rosenblatt.sampler as sampler_module
-from rosenblatt.errors import GridTooSmallError, InvalidInputError, SizeError
-from rosenblatt.grid import TAIL_TOLERANCE, GridSpec, build_grid, tail_fraction
+import wick_oracle
+from rosenblatt.domain import BoundaryPath, Face, GammaVector, path_points
+from rosenblatt.errors import InvalidInputError, SizeError
+from rosenblatt.grid import GridSpec, build_grid
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
     _FAR_NODES,
     ChaosSampleBatch,
     _factorize,
+    _far_root,
     _noise,
     discrete_second_moment,
     factor_matrix,
@@ -32,8 +33,11 @@ from wick_oracle import hermite_expression, wick_moment
 from helpers import (
     cell_s_rule,
     dense_chaos_reference,
+    dense_factors,
     dense_second_moment_reference,
     evaluate_expression,
+    far_gram_quadrature,
+    far_rows,
     gram_sum_reference,
     tiny_grid,
     tiny_hat_tensor,
@@ -43,24 +47,36 @@ from helpers import (
 
 def noise_rows(seed, n, ker, grid):
     # the noise rows sample_chaos draws for realizations 0..n-1: r latent
-    # normals, then one normal per cell right of the far zone
+    # normals, then one normal per grid cell
     fac = _factorize(ker, grid, None)
-    width = fac.r + grid.n_cells - fac.n_far
-    return _noise(np.random.SeedSequence(seed).spawn(math.ceil(n / 64)), 0, n, width)
+    return _noise(np.random.SeedSequence(seed).spawn(math.ceil(n / 64)), 0, n, fac.r + grid.n_cells)
 
 
-def latent_gram_error(ker, grid, interval):
+def latent_gram_error(ker, grid, interval, n_nodes=12):
     # the far projections are drawn as eta @ table[:r], eta standard
     # normal, so their law is right when the latent rows' Gram equals the
-    # far cells' Gram at the s-nodes, from factor_matrix evaluated there
-    # directly; the error relative to that Gram's largest entry
+    # continuum far Gram at the s-nodes, from the quadrature oracle; at
+    # n_nodes s-nodes spread over the interval (all of them when fewer),
+    # the error relative to that Gram's largest entry
     fac = _factorize(ker, grid, interval)
     nodes, _ = cell_s_rule(grid, interval)
-    keys = sorted(set(ker.gamma.entries))
-    direct = factor_matrix(grid.edges[: fac.n_far + 1], keys, nodes)
-    latent = fac.table[: fac.r]
-    gram = direct.T @ direct
+    keys = tuple(sorted(set(ker.gamma.entries)))
+    pick = np.unique(np.linspace(0, len(nodes) - 1, n_nodes).round().astype(int))
+    cols = np.concatenate([j * len(nodes) + pick for j in range(len(keys))])
+    latent = fac.table[: fac.r, cols]
+    gram = far_gram_quadrature(keys, grid.far_left, tuple(nodes[pick]))
     return np.max(np.abs(latent.T @ latent - gram)) / np.max(np.abs(gram))
+
+
+def wick_oracle_m2(ker, grid):
+    # E[Z_hat^2] by the Wick oracle, the far field entering as the
+    # quadrature oracle's latent columns; those are cut at 1e-11 of the
+    # largest eigenvalue, which keeps the q=4 tensor at the oracle's 10^4
+    # tuples and moves its m2 by 1.0e-12 relative
+    nodes, _ = cell_s_rule(grid)
+    far = far_rows(sorted(set(ker.gamma.entries)), grid.far_left, grid.horizon, nodes, rtol=1e-11)
+    h = grid.widths[0]
+    return wick_moment(hermite_expression(tiny_hat_tensor(ker, grid, far), h) ** 2, h)
 
 
 def variance_se(values):
@@ -77,54 +93,53 @@ class TestExactEngineVsWickOracle:
     def test_q2_tiny_grid_exact(self):
         ker = KernelSpec((-0.6, -0.7))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        f_hat = tiny_hat_tensor(ker, grid)
-        h = grid.widths[0]
-        oracle = wick_moment(hermite_expression(f_hat, h) ** 2, h)
+        oracle = wick_oracle_m2(ker, grid)
         engine = discrete_second_moment(ker, grid)
         assert engine == pytest.approx(oracle, rel=1e-10)
 
     def test_q3_tiny_grid_exact(self):
         ker = KernelSpec((-0.55, -0.6, -0.65))
         grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
-        f_hat = tiny_hat_tensor(ker, grid)
-        h = grid.widths[0]
-        oracle = wick_moment(hermite_expression(f_hat, h) ** 2, h)
+        oracle = wick_oracle_m2(ker, grid)
         engine = discrete_second_moment(ker, grid)
         assert engine == pytest.approx(oracle, rel=1e-10)
 
     def test_q4_tiny_grid_exact(self):
         ker = KernelSpec((-0.55, -0.6, -0.6, -0.65))
         grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
-        f_hat = tiny_hat_tensor(ker, grid)
-        h = grid.widths[0]
-        oracle = wick_moment(hermite_expression(f_hat, h) ** 2, h)
+        oracle = wick_oracle_m2(ker, grid)
         engine = discrete_second_moment(ker, grid)
         assert engine == pytest.approx(oracle, rel=1e-10)
 
     def test_q1_norm_identity(self):
         # for q=1 the second moment is just the squared norm of the
-        # discretized kernel; reassemble it directly from factor columns
+        # discretized kernel; reassemble it directly from factor columns,
+        # the far field's from the quadrature oracle
         ker = KernelSpec((-0.6,))
         grid = tiny_grid(n_cells=8, left=3.0, horizon=1.0)
-        nodes, weights = cell_s_rule(grid)
-        b = factor_matrix(grid.edges, (-0.6,), nodes)
+        _, weights, (b,) = dense_factors(ker, grid)
         direct = ker.constant**2 * float(np.sum((b @ weights) ** 2))
         assert discrete_second_moment(ker, grid) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [
         (-0.6, -0.7), (-0.55, -0.6, -0.65), (-0.55, -0.6, -0.6, -0.65),
     ])
-    def test_pathwise_equals_hermite_expression(self, gamma):
-        # each realization is the oracle polynomial evaluated at its cell
-        # increments sqrt(h) xi; the grid reaches only t/2 left of 0, so it
-        # has no far zone and every noise column is one cell's normal
+    def test_pathwise_equals_hermite_expression(self, gamma, monkeypatch):
+        # each realization is the oracle polynomial evaluated at its
+        # increments sqrt(h) xi, the far field entering through the
+        # sampler's own latent rows, one column of variance h each.  At
+        # q=4 the r + 8 columns make (r + 8)^4 > 10^4 tuples, so the cap
+        # that bounds the oracle's cost is raised to the tensor's size
         ker = KernelSpec(gamma)
         grid = tiny_grid(n_cells=8, left=0.5, horizon=1.0)
         h = grid.widths[0]
         batch = sample_chaos(ker, grid, 50, seed=8, with_second_moment=False)
         xi = noise_rows(8, 50, ker, grid)
-        assert xi.shape[1] == grid.n_cells
-        oracle = evaluate_expression(hermite_expression(tiny_hat_tensor(ker, grid), h), np.sqrt(h) * xi)
+        fac = _factorize(ker, grid, None)
+        assert xi.shape[1] == fac.r + grid.n_cells
+        monkeypatch.setattr(wick_oracle, "MAX_TUPLES", max(wick_oracle.MAX_TUPLES, xi.shape[1] ** ker.q))
+        f_hat = tiny_hat_tensor(ker, grid, fac.table[: fac.r])
+        oracle = evaluate_expression(hermite_expression(f_hat, h), np.sqrt(h) * xi)
         assert np.max(np.abs(batch.values - oracle)) <= 1e-12 * np.sqrt(np.mean(oracle**2))
 
 
@@ -133,11 +148,11 @@ INTERVALS = [None, (0.0, 0.25), (0.75, 1.0)]
 
 
 class TestAssemblyVsDenseReference:
-    # the second moment against the dense Gram engine everywhere; the
-    # grouped, folded assembly against the plain Wick sum over dense
-    # factor matrices on the same noise rows where the grid has no far
-    # zone.  A far zone is drawn through latent rows, so there their Gram
-    # is checked, and the assembly against the Wick sum over those rows.
+    # the second moment against the dense Gram engine, its far field from
+    # the quadrature oracle, everywhere; the grouped, folded assembly
+    # against the plain Wick sum over the same noise rows: the sampler's
+    # latent rows, whose Gram is checked against the oracle's, and the
+    # dense factor matrices of every cell
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS)
     @pytest.mark.parametrize("default_grid", [True, False])
@@ -147,10 +162,9 @@ class TestAssemblyVsDenseReference:
         n, seed = 64, 31
         batch = sample_chaos(ker, grid, n, seed, interval=interval)
         if not default_grid:
-            # the tiny grid reaches only t/2 left of 0: no far zone
             xi = noise_rows(seed, n, ker, grid)
-            assert xi.shape[1] == grid.n_cells
-            ref = dense_chaos_reference(ker, grid, xi, interval)
+            fac = _factorize(ker, grid, interval)
+            ref = dense_chaos_reference(ker, grid, xi, fac.table[: fac.r], interval)
             assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
         m2_ref = dense_second_moment_reference(ker, grid, interval)
         assert batch.second_moment == pytest.approx(m2_ref, rel=1e-13, abs=0.0)
@@ -160,29 +174,38 @@ class TestAssemblyVsDenseReference:
     @pytest.mark.parametrize("interval", INTERVALS)
     def test_latent_rows_reproduce_far_gram(self, gamma, interval):
         # the Chebyshev points sit on [0, t] for every interval, so the
-        # latent rows carry the far cells' Gram at any s-nodes in [0, t];
-        # the rank is far below the far table's width
+        # latent rows carry the far Gram at any s-nodes in [0, t]; the
+        # rank is far below the root's width
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
         fac = _factorize(ker, grid, interval)
-        assert fac.n_far > 0
         assert 0 < fac.r < len(set(gamma)) * _FAR_NODES
         assert latent_gram_error(ker, grid, interval) <= 1e-13
+
+    @pytest.mark.parametrize("gamma, horizon, n_core", [
+        ((-0.5001,), 1.0, None), ((-0.5001, -0.7), 1.0, None), ((-0.5001, -0.65, -0.6), 1.0, None),
+        ((-0.5001, -0.7), 1.0, 128), ((-0.7, -0.65), 2.5, 512),
+    ])
+    def test_latent_rows_match_the_oracle_near_face_one(self, gamma, horizon, n_core):
+        # at g1 = -0.5001 the far Gram's weight exponent -2 - 2 g1 is
+        # -0.9998, and the far field carries most of the variance; on
+        # n_core=128 the far edge is -t/2 itself, the nearest singularity
+        ker = KernelSpec(gamma, horizon=horizon)
+        grid = build_grid(ker, n_core=n_core)
+        for interval in (None, (0.3 * horizon, 0.31 * horizon)):
+            assert latent_gram_error(ker, grid, interval) <= 1e-13
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS)
     def test_latent_assembly_matches_wick_sum(self, gamma, interval):
-        # with a far zone the noise row is [eta, xi right of the far zone];
-        # the grouped, folded assembly against the plain Wick sum over the
-        # same columns: the latent rows, then the dense factors of the
-        # cells right of the far zone; the second moment against the plain
-        # Gram engine over the same columns
+        # the noise row is [eta, xi over every cell]; the grouped, folded
+        # assembly against the plain Wick sum over the same columns: the
+        # latent rows, then the dense factors of every cell; the second
+        # moment against the plain Gram engine over the same columns
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
         fac = _factorize(ker, grid, interval)
-        nodes, weights = cell_s_rule(grid, interval)
-        b = [np.vstack([fac.b(j)[: fac.r], factor_matrix(grid.edges[fac.n_far :], (g,), nodes)])
-             for j, g in zip(fac.slot, ker.gamma.entries)]
+        _, weights, b = dense_factors(ker, grid, interval, fac.table[: fac.r])
         n, seed = 64, 31
         xi = noise_rows(seed, n, ker, grid)
         ref = wick_sum_reference(ker, b, weights, xi)
@@ -193,7 +216,7 @@ class TestAssemblyVsDenseReference:
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_sub_intervals_share_the_latent_rows(self, gamma):
-        # the far zone and its root depend on the grid alone, so a
+        # the far field and its root depend on the grid alone, so a
         # sub-interval's latent rows, at the s-nodes it shares with the
         # full interval, are the full interval's; GEMMs of different widths
         # round differently, so the match is to rounding, not bitwise
@@ -215,11 +238,10 @@ class TestAssemblyVsDenseReference:
     def test_s_node_on_a_chebyshev_point(self):
         # one cell on [0, 1] puts its s-node at 1/2, which is also the
         # middle Chebyshev point of the far-field interpolation, where the
-        # barycentric weights would divide by zero; the cell [-2, -1] is far
+        # barycentric weights would divide by zero
         ker = KernelSpec((-0.7, -0.65))
         grid = tiny_grid(n_cells=3, left=2.0, horizon=1.0)
         fac = _factorize(ker, grid, None)
-        assert fac.n_far == 1
         assert 0 < fac.r < len(set(ker.gamma.entries)) * _FAR_NODES
         assert latent_gram_error(ker, grid, None) <= 1e-13
         batch = sample_chaos(ker, grid, 32, 3, with_second_moment=False)
@@ -235,16 +257,15 @@ def near_rows_error(ker, grid, interval):
     hi = grid.horizon if interval is None else interval[1]
     n_live = int(np.searchsorted(grid.edges[:-1], hi, side="left"))
     keys = sorted(set(ker.gamma.entries))
-    direct = factor_matrix(grid.edges[fac.n_far : n_live + 1], keys, nodes).reshape(-1, len(keys), len(nodes))
+    direct = factor_matrix(grid.edges[: n_live + 1], keys, nodes).reshape(-1, len(keys), len(nodes))
     near = fac.table[fac.r :].reshape(direct.shape)
     return np.max(np.max(np.abs(near - direct), axis=(0, 2)) / np.max(np.abs(direct), axis=(0, 2)))
 
 
 def near_widths(ker, grid, interval):
-    # the widths of the near cells left of hi
-    fac = _factorize(ker, grid, interval)
+    # the widths of the cells left of hi
     hi = grid.horizon if interval is None else interval[1]
-    return grid.widths[fac.n_far : int(np.searchsorted(grid.edges[:-1], hi, side="left"))]
+    return grid.widths[: int(np.searchsorted(grid.edges[:-1], hi, side="left"))]
 
 
 class TestNearTable:
@@ -277,7 +298,7 @@ class TestNearTable:
         # matches the whole panels'
         h = 2.0 / 15.0
         edges = np.concatenate([-1.0 - h * np.arange(9, 0, -1), np.linspace(-1.0, 0.0, 9)[:-1], np.linspace(0.0, 2.4, 19)])
-        grid = GridSpec(edges=edges, core_left=2.2, mesh=h, horizon=2.4)
+        grid = GridSpec(edges=edges, horizon=2.4)
         ker = KernelSpec((-0.7, -0.65), horizon=2.4)
         assert near_widths(ker, grid, None)[0] == pytest.approx(h, rel=1e-14)
         for interval in (None, (0.5, 1.7)):
@@ -297,8 +318,7 @@ class TestSampleMoments:
     def test_q2_tiny_grid_second_moment_vs_oracle(self):
         ker = KernelSpec((-0.6, -0.7))
         grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        f_hat = tiny_hat_tensor(ker, grid)
-        oracle = wick_moment(hermite_expression(f_hat, grid.widths[0]) ** 2, grid.widths[0])
+        oracle = wick_oracle_m2(ker, grid)
         batch = sample_chaos(ker, grid, 40000, seed=7)
         var, se = variance_se(batch.values)
         m2 = float(np.mean(batch.values**2))
@@ -307,8 +327,7 @@ class TestSampleMoments:
     def test_q3_tiny_grid_second_moment_vs_oracle(self):
         ker = KernelSpec((-0.55, -0.6, -0.65))
         grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
-        f_hat = tiny_hat_tensor(ker, grid)
-        oracle = wick_moment(hermite_expression(f_hat, grid.widths[0]) ** 2, grid.widths[0])
+        oracle = wick_oracle_m2(ker, grid)
         batch = sample_chaos(ker, grid, 20000, seed=11)
         _, se = variance_se(batch.values)
         m2 = float(np.mean(batch.values**2))
@@ -342,7 +361,7 @@ class TestSampleMoments:
         assert abs(var - batch.second_moment) < 4 * se
 
     def test_order_three_sample_variance_matches_engine_on_default_grid(self):
-        # the same at q=3, where the far zone enters through the latent
+        # the same at q=3, where the far field enters through the latent
         # projections and not only through the folded mat-vec
         ker = KernelSpec((-0.7, -0.65, -0.6))
         grid = build_grid(ker, n_core=1024)
@@ -430,18 +449,21 @@ def assert_same_bits(a, b):
 
 
 class TestFarRootMemo:
-    # the far field's latent root is built once per grid and exponent set
-    # and kept while the grid lives; a memo hit must give the bits of a
-    # cold build
+    # the far field's latent root is a pure function of the far edge, the
+    # horizon and the exponent set, cached by value; a cache hit must give
+    # the bits of a cold build
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS)
     def test_warm_calls_match_a_fresh_grid(self, gamma, interval):
-        # on grid a the first draw is cold and the rest warm; on grid b,
-        # built afresh, the second moment is cold and the draw warm
+        # the first draw builds the root and the second reads it; the
+        # cache is then emptied, so the second moment on a fresh grid
+        # builds it again and that grid's draw reads it
         ker = KernelSpec(gamma)
         grid_a, grid_b = build_grid(ker), build_grid(ker)
+        _far_root.cache_clear()
         first, second = memo_draw(ker, grid_a, interval), memo_draw(ker, grid_a, interval)
         m2 = discrete_second_moment(ker, grid_a, interval)
+        _far_root.cache_clear()
         m2_fresh = discrete_second_moment(ker, grid_b, interval)
         fresh = memo_draw(ker, grid_b, interval)
         assert_same_bits(second, first)
@@ -450,33 +472,39 @@ class TestFarRootMemo:
 
     def test_the_key_holds_the_exponents(self):
         # one grid serves two exponent sets of the same horizon; each gets
-        # the bits a fresh copy of the grid gives it
+        # the bits a cold build gives it
         built_for, other = KernelSpec((-0.7, -0.65)), KernelSpec((-0.7, -0.6))
         shared = build_grid(built_for)
         runs = [(ker, memo_draw(ker, shared, (0.75, 1.0)), discrete_second_moment(ker, shared))
                 for ker in (built_for, other)]
         for ker, batch, m2 in runs:
-            fresh = build_grid(built_for)
-            assert_same_bits(batch, memo_draw(ker, fresh, (0.75, 1.0)))
-            assert m2 == discrete_second_moment(ker, fresh)
+            _far_root.cache_clear()
+            assert_same_bits(batch, memo_draw(ker, build_grid(built_for), (0.75, 1.0)))
+            assert m2 == discrete_second_moment(ker, shared)
 
-    def test_the_memo_keeps_no_grid_alive(self):
+    def test_the_key_is_the_far_edge_not_the_grid(self):
+        # two grids with one far edge and horizon share one root, whatever
+        # their cells; another far edge has its own
         ker = KernelSpec((-0.7, -0.65))
-        grid = build_grid(ker, n_core=256)
-        memo_draw(ker, grid, None)
-        assert discrete_second_moment(ker, grid) > 0.0
-        ref = weakref.ref(grid)
-        del grid
-        gc.collect()
-        assert ref() is None
+        keys = (-0.7, -0.65)
+        built = build_grid(ker, n_core=256)
+        hand = GridSpec(edges=np.concatenate((built.edges[:2], [0.0, 1.0])), horizon=1.0)
+        other = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        for grid in (built, hand, other):
+            sample_chaos(ker, grid, 8, seed=1)
+        root = _far_root(built.far_left, 1.0, keys)
+        assert _far_root(hand.far_left, 1.0, keys) is root
+        assert _far_root(other.far_left, 1.0, keys) is not root
+        assert not root.flags.writeable
 
     def test_threads_on_a_cold_grid_match_a_serial_run(self):
         # three callers, more than the cores of a small host, race to build
         # the same root; each stores equal values, so every draw matches a
-        # serial run on a fresh grid
+        # serial run
         ker = KernelSpec((-0.7, -0.65, -0.6))
         serial = [memo_draw(ker, build_grid(ker), interval) for interval in INTERVALS]
         grid = build_grid(ker)
+        _far_root.cache_clear()
         start = threading.Barrier(len(INTERVALS), timeout=60)
         out = [None] * len(INTERVALS)
 
@@ -538,13 +566,13 @@ class TestIncrements:
         assert rms_ratio < 0.01
 
     def test_quarter_increments_share_the_noise(self):
-        # every interval on a grid reads the same latent and near columns:
+        # every interval on a grid reads the same latent and cell columns:
         # the four quarters see the same Brownian path as the full call,
         # and their increments add up to the full value as in
         # test_pathwise_additivity
         ker = KernelSpec((-0.6, -0.7))
         grid = build_grid(ker, n_core=512)
-        assert _factorize(ker, grid, None).n_far > 0
+        assert _factorize(ker, grid, None).r > 0
         full = sample_chaos(ker, grid, 2000, seed=77, return_brownian=True)
         quarters = [sample_process_increment(ker, grid, (j / 4, (j + 1) / 4), 2000, seed=77,
                                              return_brownian=True) for j in range(4)]
@@ -598,6 +626,19 @@ class TestBrownianOutput:
         assert abs(corr) < 4 / math.sqrt(batch.n)
 
 
+    def test_brownian_stops_at_the_horizon(self):
+        # a grid may reach past its horizon; the cells beyond it carry no
+        # part of B(t)
+        ker = KernelSpec((-0.6, -0.7))
+        grid = GridSpec(edges=np.linspace(-1.0, 2.0, 13), horizon=1.0)
+        batch = sample_chaos(ker, grid, 70, seed=5, return_brownian=True)
+        xi = noise_rows(5, 70, ker, grid)
+        inside = (grid.edges[:-1] >= 0.0) & (grid.edges[:-1] < 1.0)
+        assert inside.sum() == 4
+        assert np.allclose(batch.brownian, xi[:, -grid.n_cells :][:, inside] @ np.sqrt(grid.widths[inside]),
+                           rtol=1e-14, atol=1e-14)
+
+
 class TestErrorsAndValidation:
     def test_order_cap(self):
         ker = KernelSpec((-0.52, -0.55, -0.6, -0.58, -0.54))
@@ -629,46 +670,11 @@ class TestErrorsAndValidation:
         with pytest.raises(InvalidInputError):
             sample_process_increment(ker, grid, (0.0, 0.5), 10, seed=1)
 
-    def test_grid_too_small_enforced(self):
-        # near face 1 the required window exceeds even the float64 cap
-        ker = KernelSpec((-0.502, -0.7))
-        grid = build_grid(ker, n_core=128, enforce_tail_bound=True)
-        tail = tail_fraction(ker.gamma.entries, grid.far_left)
-        assert tail > TAIL_TOLERANCE
-        with pytest.raises(GridTooSmallError) as exc:
-            sample_chaos(ker, grid, 10, seed=1)
-        assert exc.value.required_window > grid.far_left
-        # the message gives the fraction reached and the tolerance, says
-        # that no window up to the cap helps, and names the slowest tail
-        # exponent 1 + 2 max(gamma) = -0.004
-        message = str(exc.value)
-        assert f"{tail:.3e}" in message and "1.000e-03" in message
-        assert "no window up to FAR_CAP" in message
-        assert "-0.004" in message
-
-    def test_tail_estimate_is_the_sampled_kernels(self):
-        # a grid built for one kernel serves another of the same horizon;
-        # the batch reports, and an enforcing grid checks, the tail of the
-        # kernel sampled: (-0.52, -0.7) decays far slower than the kernel
-        # the window was sized for
-        built_for, other = KernelSpec((-0.7, -0.65)), KernelSpec((-0.52, -0.7))
-        grid = build_grid(built_for, n_core=256)
-        own = sample_chaos(built_for, grid, 10, seed=1)
-        batch = sample_chaos(other, grid, 10, seed=1)
-        assert own.tail_estimate == tail_fraction(built_for.gamma.entries, grid.far_left) <= TAIL_TOLERANCE
-        assert batch.tail_estimate == tail_fraction(other.gamma.entries, grid.far_left)
-        assert batch.tail_estimate == pytest.approx(0.32, abs=0.01)
-        assert batch.meta()["tail_estimate"] == batch.tail_estimate
-        enforcing = build_grid(built_for, n_core=256, enforce_tail_bound=True)
-        with pytest.raises(GridTooSmallError):
-            sample_chaos(other, enforcing, 10, seed=1)
-        assert np.array_equal(sample_chaos(built_for, enforcing, 10, seed=1).values, own.values)
-
-    def test_non_enforcing_grid_samples_anyway(self):
+    def test_grid_near_face_one_samples(self):
         ker = KernelSpec((-0.502, -0.7))
         grid = build_grid(ker, n_core=128)
         batch = sample_chaos(ker, grid, 10, seed=1)
-        assert batch.n == 10
+        assert batch.n == 10 and np.all(np.isfinite(batch.values))
 
     def test_empty_batch(self):
         ker = KernelSpec((-0.6,))
@@ -688,14 +694,26 @@ class TestRefinement:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.08
 
-    def test_order_one_variance_is_one_minus_tail(self):
-        # q=1 loses little to the cell averages, so m2 sits near 1 - tail;
-        # an s-rule blind to the cell edges drifts away as the mesh refines
+    def test_order_one_variance_gap_is_the_mesh(self):
+        # with the far field continuous, q=1 loses only the cell averages'
+        # mass, which falls with the mesh: 1 - m2 reads 1.79e-4, 4.26e-5
+        # and 9.32e-6 here, about 0.18 / n_core; an s-rule blind to the
+        # cell edges drifts away as the mesh refines
         ker = KernelSpec((-0.8,))
         for n_core in (1024, 4096, 16384):
             grid = build_grid(ker, n_core=n_core)
             batch = sample_chaos(ker, grid, 0, seed=1)
-            assert abs(batch.second_moment - (1.0 - batch.tail_estimate)) < 2e-3
+            assert 0.0 < 1.0 - batch.second_moment < 0.2 / n_core
+
+    @pytest.mark.parametrize("eps", [3e-3, 1e-3, 1e-4])
+    def test_face_one_variance_is_whole(self, eps):
+        # the face-1 limit lives in the far past: at g1 = -1/2 - eps the
+        # variance mass below -X falls only like X^(-2 eps), and the
+        # continuum far field holds all of it (m2 reads 0.99984, 0.99993
+        # and 0.99997 on the default q=2 grid)
+        path = BoundaryPath(Face.FIRST_EXPONENT_TO_HALF, GammaVector((-0.65,)), (eps,))
+        ker = KernelSpec(path_points(path)[0])
+        assert discrete_second_moment(ker, build_grid(ker)) >= 0.999
 
     def test_order_three_variance_rises_with_the_mesh(self):
         ker = KernelSpec((-0.7, -0.65, -0.6))
