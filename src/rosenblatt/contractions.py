@@ -29,9 +29,12 @@ axis: panel chains shrink geometrically into both ends, the corner panels
 use Gauss-Jacobi rules that absorb the end power exactly, and the f-part
 of every end power is folded into the weights.  The inner sums over a
 block of cells are one product of a (cells x nodes) power table with the
-cached weights.  Cells run in fixed-size blocks and every sum runs over
-fixed-shape arrays in a fixed order, so repeated evaluations are
-bit-identical.
+weights' moments (w, w x).  Every base off + h node of the table is one
+rank-2 product [h, off] @ [node; 1], and the node factors and moments
+are cached per z-rule.  Each tensor sum allocates its tables once and
+hands them to every block, so concurrent calls share no scratch.  Cells
+run in fixed-size blocks and every sum runs over fixed-shape arrays in a
+fixed order, so repeated evaluations are bit-identical.
 
 Two matchings need no quadrature, because the cycle splits.  The empty
 matching (alpha1 = 0) gives the product of the two plain norms,
@@ -41,6 +44,7 @@ product, ((c_plus + c_minus) / ((alpha1 + 1)(alpha1 + 2)))^2.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -50,7 +54,7 @@ import numpy as np
 from .domain import BoundaryPath, GammaVector, TrendTable, _integer, _real, face1_trend
 from .errors import DivergentIntegralError, InvalidInputError, QuadratureError, SizeError
 from .kernel import MAX_ORDER, normalizing_constant_sq
-from .quadrature import graded_rule
+from .quadrature import _frozen, graded_rule
 from .special import beta_matrix
 
 __all__ = [
@@ -248,10 +252,21 @@ _DEFAULT_MESH = _MeshConfig()
 # Entries per block of the (cells x nodes) power tables.  One block's
 # tables (256 KB) stay in cache; blocks of 2^16 entries ran about twice as
 # slow.  Blocks depend only on the mesh, so repeated calls are bit-identical.
+# Each tensor sum allocates one block's scratch, two tables and the
+# (cells x 2) factor [h, off], and a short last block uses its leading rows.
 _BLOCK = 1 << 14
 
 
-def _segment(h, len0, len1, alpha_lo, alpha_hi, cfg, below=(), above=()) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _z_rule(cfg, alpha_lo, alpha_hi):
+    """The z-rule of a gap segment as the rank-2 node factors [x; 1] and
+    [1 - x; 1] and the (nodes x 2) moments (w, w x)."""
+    x, xc, w = graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha_lo, alpha_hi)
+    ones = np.ones_like(x)
+    return _frozen(np.stack((x, ones)), np.stack((xc, ones)), np.stack((w, w * x), axis=1))
+
+
+def _segment(h, len0, len1, alpha_lo, alpha_hi, cfg, scratch, below=(), above=()) -> np.ndarray:
     """One gap segment of width h, integrated in its local coordinate f.
 
     The overlap length is len0 + (len1 - len0) f.  A power whose singular
@@ -261,27 +276,34 @@ def _segment(h, len0, len1, alpha_lo, alpha_hi, cfg, below=(), above=()) -> np.n
     point lies off below the low end, giving (off + h f)^alpha, or off
     above the high end, giving (off + h (1-f))^alpha.  No absolute
     coordinates are differenced, so narrow segments stay finite.
+
+    The power table exp(sum alpha log(off + h node)) is built in the
+    caller's scratch (table, base, coef), cut to the block's rows: coef
+    holds [h, off], each base is one product coef @ [node; 1], the first
+    power is written straight into the table and a second one goes
+    through base.  coef then takes the table's product with the moments.
     """
-    x, xc, w = graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha_lo, alpha_hi)
-    moments = np.stack((w, w * x), axis=1)
+    lo_nodes, hi_nodes, moments = _z_rule(cfg, alpha_lo, alpha_hi)
     if below or above:
-        # the power table is exp(sum alpha log(off + h node)), built in place
-        table, base = np.zeros((len(h), len(x))), np.empty((len(h), len(x)))
-        for nodes, factors in ((x, below), (xc, above)):
-            for off, alpha in factors:
-                np.multiply.outer(h, nodes, out=base)
-                base += off[:, None]
-                np.log(base, out=base)
-                base *= alpha
+        table, base, coef = (a[:len(h)] for a in scratch)
+        coef[:, 0] = h
+        terms = [(lo_nodes, off, alpha) for off, alpha in below] + [(hi_nodes, off, alpha) for off, alpha in above]
+        for k, (nodes, off, alpha) in enumerate(terms):
+            out = base if k else table
+            coef[:, 1] = off
+            np.matmul(coef, nodes, out=out)
+            np.log(out, out=out)
+            out *= alpha
+            if k:
                 table += base
-        s0, s1 = (np.exp(table, out=table) @ moments).T
+        s0, s1 = np.matmul(np.exp(table, out=table), moments, out=coef).T
     else:
         s0, s1 = moments.sum(axis=0)
     power = 1.0 + (alpha_lo or 0.0) + (alpha_hi or 0.0)
     return h ** power * (len0 * s0 + (len1 - len0) * s1)
 
 
-def _gap_same(u, uc, tc, a2, a3, cfg) -> np.ndarray:
+def _gap_same(u, uc, tc, a2, a3, cfg, scratch) -> np.ndarray:
     """Overlap integral for same-orientation gaps u and w = u t < u.
 
     The a3 point z = w - u and the a2 point z = 0 split (w - 1, 1 - u)
@@ -290,13 +312,13 @@ def _gap_same(u, uc, tc, a2, a3, cfg) -> np.ndarray:
     """
     d = u * tc  # u - w
     return (
-        _segment(uc, 0.0, uc, None, a3, cfg, above=((d, a2),))
-        + _segment(d, uc, uc, a3, a2, cfg)
-        + _segment(uc, uc, 0.0, a2, None, cfg, below=((d, a3),))
+        _segment(uc, 0.0, uc, None, a3, cfg, scratch, above=((d, a2),))
+        + _segment(d, uc, uc, a3, a2, cfg, scratch)
+        + _segment(uc, uc, 0.0, a2, None, cfg, scratch, below=((d, a3),))
     )
 
 
-def _gap_opposed_inner(u, uc, v, vc, a2, a3, cfg) -> np.ndarray:
+def _gap_opposed_inner(u, uc, v, vc, a2, a3, cfg, scratch) -> np.ndarray:
     """Overlap integral for opposed gaps u and w = (1 - u) v, so u + w < 1.
 
     Both singular points, z = -(u + w) and z = 0, lie inside (-1, 1-u-w);
@@ -308,16 +330,16 @@ def _gap_opposed_inner(u, uc, v, vc, a2, a3, cfg) -> np.ndarray:
     shorter, longer, total = np.minimum(u, w), np.maximum(u, w), u + w
     end = span + shorter  # 1 - max(u, w)
     return (
-        _segment(span, 0.0, span, None, a3, cfg, above=((total, a2),))
-        + _segment(shorter, span, end, a3, None, cfg, above=((longer, a2),))
-        + _segment(longer - shorter, end, end, None, None, cfg,
+        _segment(span, 0.0, span, None, a3, cfg, scratch, above=((total, a2),))
+        + _segment(shorter, span, end, a3, None, cfg, scratch, above=((longer, a2),))
+        + _segment(longer - shorter, end, end, None, None, cfg, scratch,
                    below=((shorter, a3),), above=((shorter, a2),))
-        + _segment(shorter, end, span, None, a2, cfg, below=((longer, a3),))
-        + _segment(span, span, 0.0, a2, None, cfg, below=((total, a3),))
+        + _segment(shorter, end, span, None, a2, cfg, scratch, below=((longer, a3),))
+        + _segment(span, span, 0.0, a2, None, cfg, scratch, below=((total, a3),))
     )
 
 
-def _gap_opposed_outer(u, uc, v, vc, a2, a3, cfg) -> np.ndarray:
+def _gap_opposed_outer(u, uc, v, vc, a2, a3, cfg, scratch) -> np.ndarray:
     """Overlap integral for opposed gaps u and w = 1 - u v, so u + w > 1.
 
     The a3 point z = -(u + w) has left the window (-1, 1-u-w), u(1-v)
@@ -328,10 +350,10 @@ def _gap_opposed_outer(u, uc, v, vc, a2, a3, cfg) -> np.ndarray:
     end = np.minimum(uc, u * v)  # 1 - max(u, w)
     excess = u * vc  # u + w - 1
     return (
-        _segment(end, 0.0, end, None, None, cfg, below=((excess, a3),), above=((longer, a2),))
-        + _segment(longer - shorter, end, end, None, None, cfg,
+        _segment(end, 0.0, end, None, None, cfg, scratch, below=((excess, a3),), above=((longer, a2),))
+        + _segment(longer - shorter, end, end, None, None, cfg, scratch,
                    below=((shorter, a3),), above=((shorter, a2),))
-        + _segment(end, end, 0.0, None, None, cfg, below=((longer, a3),), above=((excess, a2),))
+        + _segment(end, end, 0.0, None, None, cfg, scratch, below=((longer, a3),), above=((excess, a2),))
     )
 
 
@@ -340,10 +362,11 @@ def _outer_rule(cfg, alpha_lo=None, alpha_hi=None):
 
 
 def _tensor_sum(gap, rule_1, rule_2, cfg) -> float:
-    """Sum of gap(x1, 1-x1, x2, 1-x2) over the tensor grid of two rules.
+    """Sum of gap(x1, 1-x1, x2, 1-x2, scratch) over the tensor grid of two rules.
 
     Cells go through `gap` in blocks of fixed size, and the weighted sum
-    runs once over the full array in a fixed order.
+    runs once over the full array in a fixed order.  The scratch is
+    allocated here, once per call, so no two calls share it.
     """
     x1, c1, w1 = rule_1
     x2, c2, w2 = rule_2
@@ -351,9 +374,11 @@ def _tensor_sum(gap, rule_1, rule_2, cfg) -> float:
     cols = (np.repeat(x1, n2), np.repeat(c1, n2), np.tile(x2, n1), np.tile(c2, n1))
     wgt = np.multiply.outer(w1, w2).ravel()
     vals = np.empty_like(wgt)
-    step = max(1, _BLOCK // (2 * cfg.z_side * cfg.order))
+    nodes = 2 * cfg.z_side * cfg.order
+    step = max(1, _BLOCK // nodes)
+    scratch = (np.empty((step, nodes)), np.empty((step, nodes)), np.empty((step, 2)))
     for i in range(0, len(wgt), step):
-        vals[i:i + step] = gap(*(col[i:i + step] for col in cols))
+        vals[i:i + step] = gap(*(col[i:i + step] for col in cols), scratch)
     return float(np.sum(wgt * vals))
 
 
@@ -365,10 +390,10 @@ def _cycle_same_orientation(a1, a2, a3, cfg, exploit_symmetry=True) -> float:
     (w - u > 0) runs through _gap_same's mirror image of its gap integral.
     """
     rules = _outer_rule(cfg, 2.0 * a1 + 1.0), _outer_rule(cfg, a1)
-    lower = _tensor_sum(lambda u, uc, t, tc: _gap_same(u, uc, tc, a2, a3, cfg), *rules, cfg)
+    lower = _tensor_sum(lambda u, uc, t, tc, scratch: _gap_same(u, uc, tc, a2, a3, cfg, scratch), *rules, cfg)
     if exploit_symmetry:
         return 2.0 * lower
-    return lower + _tensor_sum(lambda u, uc, t, tc: _gap_same(u, uc, tc, a3, a2, cfg), *rules, cfg)
+    return lower + _tensor_sum(lambda u, uc, t, tc, scratch: _gap_same(u, uc, tc, a3, a2, cfg, scratch), *rules, cfg)
 
 
 def _cycle_opposed_orientation(a1, a2, a3, cfg) -> float:
@@ -379,13 +404,13 @@ def _cycle_opposed_orientation(a1, a2, a3, cfg) -> float:
     an edge, so the regime of a cell is fixed by its parametrization.
     """
     inner = _tensor_sum(
-        lambda u, uc, v, vc: _gap_opposed_inner(u, uc, v, vc, a2, a3, cfg),
+        lambda u, uc, v, vc, scratch: _gap_opposed_inner(u, uc, v, vc, a2, a3, cfg, scratch),
         _outer_rule(cfg, a1, a1 + 1.0),
         _outer_rule(cfg, a1),
         cfg,
     )
     outer = _tensor_sum(
-        lambda u, uc, v, vc: (uc + u * vc) ** a1 * _gap_opposed_outer(u, uc, v, vc, a2, a3, cfg),
+        lambda u, uc, v, vc, scratch: (uc + u * vc) ** a1 * _gap_opposed_outer(u, uc, v, vc, a2, a3, cfg, scratch),
         _outer_rule(cfg, a1 + 1.0),
         _outer_rule(cfg),
         cfg,

@@ -421,7 +421,8 @@ def sample_chaos(
     same kernel and grid reuses the same underlying noise, so increments
     and Brownian values sampled with equal seeds are coupled pathwise.
     A degenerate interval a == b gives 0, with the same B(t) as any other
-    interval.
+    interval.  `return_brownian` needs 0 and the horizon on cell edges,
+    as on every `build_grid` grid, and raises InvalidInputError otherwise.
 
     Chunks of 256 realizations are drawn and assembled on min(usable
     CPUs, number of chunks) worker threads.  The noise in flight takes
@@ -435,6 +436,10 @@ def sample_chaos(
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if _integer(value, name) < 0:
             raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
+    # B(t) sums whole cells, so a cell straddling 0 or the horizon would
+    # count in full or not at all
+    if return_brownian and not all(np.abs(grid.edges - x).min() <= 1e-12 for x in (0.0, grid.horizon)):
+        raise InvalidInputError(f"the Brownian value needs 0 and the horizon {grid.horizon} on cell edges")
     lo, hi = _span(grid, interval)
     fac = _factorize(kernel, grid, (lo, hi))
 

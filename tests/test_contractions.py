@@ -13,6 +13,8 @@ face-2 path and a non-path before reading it.
 """
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -82,6 +84,27 @@ class TestPinnedValues:
     def test_repeated_calls_bit_identical(self):
         pf = rc.phi_factors(Q3, spec(Q3, (1,), (2,)))
         assert rc.phi_cycle_integral(pf) == rc.phi_cycle_integral(pf)
+
+    def test_contraction_norm_finer_mesh(self):
+        # mesh_scale 1.5 has 224 z-nodes per segment, so its blocks hold
+        # 73 cells, and the last block of 168^2 cells holds 46
+        got = rc.contraction_norm_sq(Q2, spec(Q2, (1,), (2,)), mesh_scale=1.5)
+        assert rel_err(got, 0.11907453446047866) <= 1e-12
+
+    def test_concurrent_calls_bit_identical(self):
+        # every tensor sum allocates its own scratch, so calls running on
+        # two threads at once give the serial values bit for bit
+        cases = [(Q2, (1,), (2,)), ((-0.6, -0.7), (1,), (1,)), (Q3, (1,), (2,)), (Q3_SPREAD, (1,), (3,))]
+        serial = [rc.contraction_norm_sq(g, spec(g, i, j)) for g, i, j in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(rc.contraction_norm_sq, g, spec(g, i, j)) for g, i, j in cases]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 def full_matching_cycle(gamma, sigma):

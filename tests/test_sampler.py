@@ -638,6 +638,20 @@ class TestBrownianOutput:
         assert np.allclose(batch.brownian, xi[:, -grid.n_cells :][:, inside] @ np.sqrt(grid.widths[inside]),
                            rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("grid", [
+        tiny_grid(8, left=0.5, horizon=1.0),  # 0 inside a cell
+        GridSpec(edges=np.linspace(-1.0, 2.0, 13), horizon=0.9),  # the horizon inside a cell
+    ])
+    def test_brownian_needs_zero_and_horizon_on_edges(self, grid):
+        # a straddling cell would count in full or not at all, so B(t)
+        # would come back quietly short
+        ker = KernelSpec((-0.6, -0.7), horizon=grid.horizon)
+        with pytest.raises(InvalidInputError, match="cell edges"):
+            sample_chaos(ker, grid, 10, seed=5, return_brownian=True)
+        with pytest.raises(InvalidInputError, match="cell edges"):
+            sample_process_increment(ker, grid, (0.0, 0.5), 10, seed=5, return_brownian=True)
+        assert sample_chaos(ker, grid, 10, seed=5).brownian is None
+
 
 class TestErrorsAndValidation:
     def test_order_cap(self):
