@@ -258,10 +258,10 @@ _BLOCK = 1 << 14
 
 
 @functools.lru_cache(maxsize=256)
-def _z_rule(cfg, alpha_lo, alpha_hi):
-    """The z-rule of a gap segment as the rank-2 node factors [x; 1] and
-    [1 - x; 1] and the (nodes x 2) moments (w, w x)."""
-    x, xc, w = graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha_lo, alpha_hi)
+def _z_rule(z_side, z_ratio, order, alpha_lo, alpha_hi):
+    """The z-rule of a gap segment, keyed on plain numbers, as the rank-2
+    node factors [x; 1] and [1 - x; 1] and the (nodes x 2) moments (w, w x)."""
+    x, xc, w = graded_rule(z_side, z_side, z_ratio, order, alpha_lo, alpha_hi)
     ones = np.ones_like(x)
     return _frozen(np.stack((x, ones)), np.stack((xc, ones)), np.stack((w, w * x), axis=1))
 
@@ -283,7 +283,7 @@ def _segment(h, len0, len1, alpha_lo, alpha_hi, cfg, scratch, below=(), above=()
     power is written straight into the table and a second one goes
     through base.  coef then takes the table's product with the moments.
     """
-    lo_nodes, hi_nodes, moments = _z_rule(cfg, alpha_lo, alpha_hi)
+    lo_nodes, hi_nodes, moments = _z_rule(cfg.z_side, cfg.z_ratio, cfg.order, alpha_lo, alpha_hi)
     if below or above:
         table, base, coef = (a[:len(h)] for a in scratch)
         coef[:, 0] = h
@@ -542,13 +542,14 @@ def condition_i_indicator_norm(gamma, a: float, b: float, *,
     def window(s):
         return (np.maximum(s - a, 0.0) ** p - np.maximum(s - b, 0.0) ** p) / p
 
-    # The gap integral over z in (-1, 1) has an even power weight at 0 and
-    # window-width kinks at +-(b - a).  The correlation int T(s) T(s-z) ds
-    # is even in z and the graded rule mirrors, so z in (0, 1) is doubled.
-    width = b - a
-    z_pieces = [(0.0, min(width, 1.0), beta_exp)]
-    if width < 1.0:
-        z_pieces.append((width, 1.0, None))
+    # The gap integral over z in (-1, 1) has an even power weight at 0.  The
+    # correlation int T(s) T(s-z) ds is even in z, so z in (0, 1) is doubled.
+    # The graded rule refines only piece ends, so each kink of it ends one:
+    # z = b - a, 1 - b and 1 - a, where the shifted window's kinks meet the
+    # window's or the end 1, and z = b, where the end s = z does, if T(0) != 0.
+    kinks = (b - a, 1.0 - b, 1.0 - a) + ((b,) if a < 0.0 else ())
+    cuts = sorted({0.0, 1.0} | {c for c in kinks if 0.0 < c < 1.0})
+    z_pieces = [(e0, e1, beta_exp if e0 == 0.0 else None) for e0, e1 in zip(cuts, cuts[1:])]
     zs, wz = [], []
     for e0, e1, alpha in z_pieces:
         x, _, w = graded_rule(cfg.z_side, cfg.z_side, cfg.z_ratio, cfg.order, alpha)

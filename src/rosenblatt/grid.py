@@ -9,6 +9,9 @@ variance mass below -X vanishes only like X^(1+g_i+g_j), painfully
 slowly near the boundary faces.  `tail_fraction` and `required_window`
 estimate what a grid cut off at a window would miss.
 
+The process is H-self-similar (Bai & Taqqu, 2017), so `build_grid`
+scales the unit-horizon grid by the horizon t: one mesh of width t/n.
+
 The grid also fixes the quadrature in the time variable s that the
 sampler uses to factorize kernels: one Gauss-Legendre node per cell inside
 the time interval, cut at the interval's ends.  A grid therefore carries
@@ -35,7 +38,6 @@ __all__ = [
 ]
 
 FAR_CAP = 1e250
-CORE_LEFT = 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,16 +152,18 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0) -> float:
 
 
 def build_grid(kernel: KernelSpec, n_core: int | None = None) -> GridSpec:
-    """The uniform-core grid for the kernel, cut to the sampler's near zone.
+    """The uniform grid for the kernel, cut to the sampler's near zone.
 
-    The core is uniform on [-CORE_LEFT, horizon] = [-8, t] (on [-t/2, t]
-    for t > 16) with n_core cells (default 4096 for q <= 2, 1024
-    otherwise); -1 and 0 fall exactly on edges (increments over [0,t]
-    then aggregate whole cells).  The grid keeps the core's edges from
+    The mesh has n = max(1, round(n_core / 9)) cells of width t/n on each
+    of [-t, 0] and [0, t], t the horizon, so 0 and t are edges (increments
+    over [0, t] then aggregate whole cells), and the grid at horizon t is
+    the unit one scaled by t.  n_core (default 4096 for q <= 2, 1024
+    otherwise) is the cell count of a uniform mesh on [-8, 1] at t = 1,
+    whose width the mesh rounds to 1/n.  The grid keeps the edges from
     the largest one at or left of -t/2 on: everything further left is
-    the sampler's continuum far field, so the grid holds no window and
-    no tail is cut off.  The sampler's s-rule has one node per cell
-    inside [0, t], so n_core also sets it.
+    the sampler's continuum far field, so no tail is cut off.  The
+    sampler's s-rule has one node per cell inside [0, t], so n_core
+    also sets it.
     """
     q = kernel.q
     if n_core is None:
@@ -167,18 +171,7 @@ def build_grid(kernel: KernelSpec, n_core: int | None = None) -> GridSpec:
     if _integer(n_core, "n_core") < 8 * q:
         raise InvalidInputError(f"n_core must be at least {8 * q} for order {q}, got {n_core}")
     t = kernel.horizon
-    core_left = max(CORE_LEFT, 0.5 * t)
-
-    # uniform core, built piecewise so that -1 and 0 are exact edges; the
-    # step is summed in this order because the pinned default grids
-    # depend on it bit for bit
-    h = ((1.0 + t) + (core_left - 1.0)) / n_core
-    n_right = max(1, round(t / h))
-    n_mid = max(1, round(1.0 / h))
-    n_left = max(1, round((core_left - 1.0) / h))
-    right = np.linspace(0.0, t, n_right + 1)
-    mid = np.linspace(-1.0, 0.0, n_mid + 1)
-    left = np.linspace(-core_left, -1.0, n_left + 1)
-    edges = np.concatenate([left[:-1], mid[:-1], right])
+    n = max(1, round(n_core / 9))
+    edges = np.concatenate([np.linspace(-t, 0.0, n + 1)[:-1], np.linspace(0.0, t, n + 1)])
     first = int(np.searchsorted(edges, -0.5 * t, side="right")) - 1
     return GridSpec(edges=edges[first:], horizon=t)

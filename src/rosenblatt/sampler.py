@@ -25,24 +25,27 @@ folded mat-vec is the whole estimator.
 Far field.  Everything left of the grid's first edge -L, L >= t/2 with t
 the horizon, is the far field, and no cell covers it: its projections
 enter only through their covariance, the continuum far Gram
-G[(a,i),(b,j)] = int_L^inf (s_i + y)^g_a (s_j + y)^g_b dy.  With u = L/y
-this is L^(1+g_a+g_b) int_0^1 u^(-2-g_a-g_b) (1 + s_i u/L)^g_a
-(1 + s_j u/L)^g_b du: the end power is a Gauss-Jacobi weight, taken by
-_FAR_GRAM_NODES = 40 nodes, and the rest is analytic on [0, 1], its
-nearest singularity at u = -1/2.  The 40- and 80-node roots' Grams agree
-to within 4.9e-15 of their largest entry, at g = -0.5001 too.  In s the
-integrand is analytic on [0, t] as well: in [0, t]'s [-1, 1] coordinates
-the nearest singularity sits at -2 or beyond, outside the Bernstein
-ellipse of parameter rho = 2 + sqrt(3).  Chebyshev interpolation in s
-therefore converges like rho^-R (Trefethen, Approximation Theory and
-Approximation Practice, ch. 8), so the Gram is built at R = _FAR_NODES
-Chebyshev points on [0, t], whatever the interval, and the latent root
-built from it (below) is mapped to the s-nodes by an R x S barycentric
-matrix; R puts rho^-R below 1e-16.  The root is a pure function of (L, t,
-distinct exponents), cached by value: r x k x R doubles for k distinct
-exponents, 1.6 to 7 KB on the default grids of q = 1, 2 and 3, built in
-0.2 to 1 ms on one core.  A later call maps it to its own s-nodes; only the s-rule,
-that map and the near rows are built per call.
+G[(a,i),(b,j)] = int_L^inf (s_i + y)^g_a (s_j + y)^g_b dy.  With y = t v
+it is t^(1+g_a+g_b) times the Gram of far edge L/t at the nodes s/t, so
+it is built on the unit horizon, where u = L/y makes it L^(1+g_a+g_b)
+int_0^1 u^(-2-g_a-g_b) (1 + s_i u/L)^g_a (1 + s_j u/L)^g_b du, and its
+root's exponent block a is scaled by t^(g_a+1/2).  The end power is a
+Gauss-Jacobi weight, taken by _FAR_GRAM_NODES = 40 nodes, and the rest is
+analytic on [0, 1], its nearest singularity at u = -1/2.  The 40- and
+80-node roots' Grams agree to within 4.9e-15 of their largest entry, at
+g = -0.5001 too.  In s the integrand is analytic on [0, 1] as well: in
+[0, 1]'s [-1, 1] coordinates the nearest singularity sits at -2 or
+beyond, outside the Bernstein ellipse of parameter rho = 2 + sqrt(3).
+Chebyshev interpolation in s therefore converges like rho^-R (Trefethen,
+Approximation Theory and Approximation Practice, ch. 8), so the Gram is
+built at the R = _FAR_NODES points _CHEBYSHEV on [0, 1], whatever the
+interval, and the latent root built from it (below) is mapped to the
+nodes s/t by an R x S barycentric matrix; R puts rho^-R below 1e-16.
+The root is a pure function of (L/t, distinct exponents), cached by
+value across horizons: r x k x R doubles for k distinct exponents, 1.6
+to 7 KB on the default grids of q = 1, 2 and 3, built in 0.2 to 1 ms on
+one core.  Only its scale, the s-rule, the map and the near rows are
+built per call.
 
 The factor table.  With G = V diag(lam) V^T, the sampler keeps the
 eigenpairs with lam above (exponents x R) * eps * max(lam), the usual
@@ -66,22 +69,18 @@ taken entrywise.  It is the variance of exactly the columns drawn, and
 the discrete twin of the continuum variance, which is A^2 times the
 permanent of the Beta matrix U (see `kernel`).
 
-Near table.  The near zone, the grid's cells left of hi, lies in
-`build_grid`'s uniform core, whose pieces [-8, -1], [-1, 0] and [0, t]
-each have one width.  Where a
-near cell c and a whole s-panel m (a panel that is the full grid cell
-k_m) share the width h, b[c, m] = tau(k_m - c) depends on the lag alone
-and is zero for negative lags.  So each exponent block of the near rows
-is written from one lag column: factor_matrix at the last whole panel's
-s-node over the near rows, reversed, left-padded with zeros and read
-through a sliding window one contiguous row at a time.  It matches
-direct evaluation to within 1e-13 of the block's largest entry (8.3e-14
-at worst, on a t = 3 grid).  Only what the edges put off that lattice is
-evaluated directly: the at most two end panels that lo and hi cut, and
-the near rows up to the last cell whose width differs from h.  Those are
-all of [-L, 0] when [-1, 0] and [0, t] have different widths, and
-otherwise, for t > 2, the cells of [-L, -1] when [-8, -1] has another
-width.
+Near table.  Where a near cell c (a grid cell left of hi) and a whole
+s-panel m (a panel that is the full grid cell k_m) share the width h,
+b[c, m] = tau(k_m - c) depends on the lag alone and is zero for negative
+lags.  So each exponent block of the near rows is written from one lag
+column: factor_matrix at the last whole panel's s-node over the near
+rows, reversed, left-padded with zeros and read through a sliding window
+one contiguous row at a time.  It matches direct evaluation to within
+1e-13 of the block's largest entry.  Only what the edges put off that
+lattice is evaluated directly: the at most two end panels that lo and hi
+cut, and the near rows up to the last cell whose width differs from h.
+`build_grid` has one width, t/n, so such rows come only from hand-built
+grids of mixed widths.
 
 Randomness: a realization's noise row is [eta (r), xi over every grid
 cell], r + n_cells normals.  Realizations come in
@@ -116,7 +115,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .domain import _integer, _is_real
-from .errors import InvalidInputError, SizeError
+from .errors import DomainError, InvalidInputError, SizeError
 from .grid import GridSpec
 from .kernel import KernelSpec
 from .quadrature import gauss_jacobi
@@ -162,23 +161,20 @@ def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray, out: np.ndarra
 
 # Chebyshev points per far-field block: the smallest odd R with rho^-R <
 # 1e-16, rho = 2 + sqrt(3) (see the module docstring); odd R puts a point
-# on the midpoint of [0, t].  The far field starts t/2 left of 0 rather
+# on the midpoint of [0, 1].  The far field starts t/2 left of 0 rather
 # than t: with one s-node per cell a near cell costs more in the
 # projections than the extra Chebyshev points do.
 _FAR_NODES = math.ceil(16.0 / math.log10(2.0 + math.sqrt(3.0))) | 1
+# the R Chebyshev points of the second kind on the unit horizon [0, 1]
+_CHEBYSHEV = 0.5 + 0.5 * np.cos(np.pi * np.arange(_FAR_NODES) / (_FAR_NODES - 1))
 
 
-def _chebyshev_points(t: float) -> np.ndarray:
-    """The _FAR_NODES Chebyshev points of the second kind on [0, t]."""
-    return 0.5 * t + 0.5 * t * np.cos(np.pi * np.arange(_FAR_NODES) / (_FAR_NODES - 1))
-
-
-def _chebyshev_interpolation(t: float, s_nodes: np.ndarray) -> np.ndarray:
-    """The R x S barycentric matrix taking values at the Chebyshev points
-    on [0, t] to values at `s_nodes`."""
+def _chebyshev_interpolation(nodes: np.ndarray) -> np.ndarray:
+    """The R x S barycentric matrix taking values at _CHEBYSHEV to values
+    at `nodes` in [0, 1]."""
     w = (-1.0) ** np.arange(_FAR_NODES)
     w[[0, -1]] *= 0.5
-    d = s_nodes[None, :] - _chebyshev_points(t)[:, None]
+    d = nodes[None, :] - _CHEBYSHEV[:, None]
     hit = d == 0.0
     interp = w[:, None] / np.where(hit, 1.0, d)
     interp /= interp.sum(axis=0)
@@ -228,7 +224,7 @@ def _span(grid: GridSpec, interval) -> tuple:
     if len(pair) != 2 or not all(map(_is_real, pair)):
         raise InvalidInputError(f"interval must be a pair of real numbers, got {interval!r}")
     lo, hi = float(pair[0]), float(pair[1])
-    if not (0.0 <= lo <= hi <= grid.horizon + 1e-12):
+    if not (0.0 <= lo <= hi <= grid.horizon + 1e-12 * grid.horizon):
         raise InvalidInputError(f"interval {interval} not inside [0, {grid.horizon}]")
     return lo, hi
 
@@ -273,15 +269,16 @@ _FAR_GRAM_NODES = 40
 
 
 @lru_cache(maxsize=256)
-def _far_root(far_left: float, horizon: float, keys: tuple) -> np.ndarray:
-    """The r x (k R) latent root of the continuum far Gram at the R
-    Chebyshev points on [0, horizon], k = len(keys) exponent blocks side
-    by side: the eigenpairs of the Gram above the numerical-rank cut.
-    A pure function of its arguments, so it is cached by value; only the
-    calling thread factorizes, and two callers racing on a cold key each
-    build the same root."""
-    s = _chebyshev_points(horizon)
-    n = len(s)
+def _far_root(far_left: float, keys: tuple) -> np.ndarray:
+    """The r x (k R) latent root of the unit-horizon continuum far Gram,
+    far edge -far_left, at the R points _CHEBYSHEV, k = len(keys)
+    exponent blocks side by side: the eigenpairs of the Gram above the
+    numerical-rank cut.  A horizon-t grid reads it at far_left = L/t and
+    scales it (see the module docstring), so one entry serves every
+    horizon with that ratio.  A pure function of its arguments, so it is
+    cached by value; only the calling thread factorizes, and two callers
+    racing on a cold key each build the same root."""
+    s, n = _CHEBYSHEV, _FAR_NODES
     gram = np.empty((len(keys) * n, len(keys) * n))
     for a, ga in enumerate(keys):
         for b, gb in enumerate(keys[a:], start=a):
@@ -316,14 +313,16 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
     cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]
     s_nodes, s_w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
     # the far field and its latent root depend on the grid alone, so every
-    # interval reads the same root, mapped to its own s-nodes
+    # interval reads the same root, scaled from the unit horizon by
+    # t^(g+1/2) per exponent block and mapped to its own s-nodes
     n_live = int(np.searchsorted(edges[:-1], hi, side="left"))
     g = kernel.gamma.entries
     keys = tuple(sorted(set(g)))
-    latent = _far_root(grid.far_left, grid.horizon, keys)
+    t = grid.horizon
+    latent = _far_root(grid.far_left / t, keys) * np.repeat(t ** (np.array(keys) + 0.5), _FAR_NODES)
     r, k, n_s = len(latent), len(keys), len(s_nodes)
     table = np.empty((r + n_live, k * n_s))
-    interp = _chebyshev_interpolation(grid.horizon, s_nodes)
+    interp = _chebyshev_interpolation(s_nodes / t)
     table[:r] = (latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
     _near_rows(edges[: n_live + 1], keys, s_nodes, lo, hi, out=table[r:])
     return _Factors(s_w, r, tuple(keys.index(v) for v in g), table)
@@ -331,11 +330,16 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
     """E[Z_hat^2] from the factor table: one Gram over its rows, whose
-    exponent blocks are the G_ij."""
+    exponent blocks are the G_ij.  It grows like t^(2H), so past the
+    float64 range it raises DomainError."""
     n_s, k = len(fac.s_w), len(set(fac.slot))
     gram = (fac.table.T @ fac.table).reshape(k, n_s, k, n_s)
     grams_by_slot = [[gram[a, :, b] for b in fac.slot] for a in fac.slot]
-    return kernel.constant**2 * float(fac.s_w @ permanent(grams_by_slot) @ fac.s_w)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return float(kernel.constant**2 * (fac.s_w @ permanent(grams_by_slot) @ fac.s_w))
+    except FloatingPointError:
+        raise DomainError(f"the second moment, of order t^(2H), leaves float64 at horizon {kernel.horizon}") from None
 
 
 def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) -> float:
@@ -430,18 +434,22 @@ def sample_chaos(
     for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
     distinct exponent.  The far field's latent root, r x (distinct
     exponents) x 29 doubles (1.6 to 7 KB on the default grids), is
-    cached by its far edge, horizon and exponents, up to 256 of them, so
-    later calls on any grid with that far edge skip its build.
+    built on the unit horizon and cached by the far edge over the horizon
+    and the exponents, up to 256 of them, so later calls on any grid with
+    that ratio, at any horizon, skip its build.  The second moment grows
+    like t^(2H); past the float64 range it raises DomainError.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if _integer(value, name) < 0:
             raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
     # B(t) sums whole cells, so a cell straddling 0 or the horizon would
-    # count in full or not at all
-    if return_brownian and not all(np.abs(grid.edges - x).min() <= 1e-12 for x in (0.0, grid.horizon)):
-        raise InvalidInputError(f"the Brownian value needs 0 and the horizon {grid.horizon} on cell edges")
+    # count in full or not at all; edges within 1e-12 t of them count
+    t = grid.horizon
+    if return_brownian and not all(np.abs(grid.edges - x).min() <= 1e-12 * t for x in (0.0, t)):
+        raise InvalidInputError(f"the Brownian value needs 0 and the horizon {t} on cell edges")
     lo, hi = _span(grid, interval)
     fac = _factorize(kernel, grid, (lo, hi))
+    m2 = _second_moment(kernel, fac) if with_second_moment else math.nan
 
     slot, r, table = fac.slot, fac.r, fac.table
 
@@ -466,7 +474,7 @@ def sample_chaos(
     # the cells inside [0, horizon] carry the terminal Brownian value; the
     # far field lies left of 0
     left = grid.edges[:-1]
-    sqrt_w_pos = np.sqrt(grid.widths) * ((left >= -1e-12) & (left < grid.horizon))
+    sqrt_w_pos = np.sqrt(grid.widths) * ((left >= -1e-12 * t) & (left < t))
     n_s, k = len(fac.s_w), len(set(slot))
 
     def assemble(xi: np.ndarray) -> np.ndarray:
@@ -496,8 +504,6 @@ def sample_chaos(
     # its own slices, so the values do not depend on the worker count
     with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
         list(pool.map(run_chunk, starts))  # re-raises a chunk's exception
-
-    m2 = _second_moment(kernel, fac) if with_second_moment else math.nan
     return ChaosSampleBatch(
         values=values, seed=int(seed), kernel=kernel, grid=grid,
         interval=(lo, hi), second_moment=m2, brownian=brownian,

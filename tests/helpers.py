@@ -17,6 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from rosenblatt.errors import DivergentIntegralError, DomainError
+from rosenblatt.kernel import normalizing_constant_sq
 from rosenblatt.special import beta
 
 
@@ -384,3 +385,42 @@ def gram_sum_reference(ker, b, weights) -> float:
             term = term * (b[i].T @ b[j])
         total += float(weights @ term @ weights)
     return ker.constant**2 * total
+
+
+def indicator_norm_quadrature(gamma, a: float, b: float) -> float:
+    """`condition_i_indicator_norm` by nested scipy quad.
+
+    The norm is A sqrt(prod_j>1 U_jj) times the square root of
+    int int T(s1) T(s2) |s1 - s2|^beta over [0, 1]^2, with the window
+    transform T(s) = ((s-a)_+^p - (s-b)_+^p) / p, p = g_1 + 1, and
+    beta = 2 sum_j>1 g_j + (q - 1).  In z = s1 - s2 the integrand is even,
+    so the double integral is twice the z-integral over (0, 1) of
+    z^beta C(z), C(z) = int_z^1 T(s) T(s - z) ds.  The inner quad is cut
+    at the kinks of both window factors; the outer one at every z where
+    C has a kink: z = b - a, 1 - a and 1 - b, where a kink of T(s - z)
+    meets one of T(s) or the end s = 1, and z = b when T(0) != 0, where
+    the lower end s = z meets the kink of T(s).  The z^beta singularity
+    at 0 is scipy's algebraic weight (QAWS).
+    """
+    g = tuple(float(x) for x in gamma)
+    p = g[0] + 1.0
+    beta_exp = 2.0 * sum(g[1:]) + (len(g) - 1)
+
+    def window(s):
+        return (max(s - a, 0.0) ** p - max(s - b, 0.0) ** p) / p
+
+    def corr(z):
+        kinks = sorted(x for x in (a, b, a + z, b + z) if z < x < 1.0)
+        val, _ = integrate.quad(lambda s: window(s) * window(s - z), z, 1.0, points=kinks or None,
+                                epsabs=0.0, epsrel=1e-11, limit=400)
+        return val
+
+    kinks = [b - a, 1.0 - a, 1.0 - b] + ([b] if a < 0.0 else [])
+    cuts = sorted({0.0, 1.0} | {c for c in kinks if 0.0 < c < 1.0})
+    total, _ = integrate.quad(corr, 0.0, cuts[1], weight="alg", wvar=(beta_exp, 0.0), epsabs=0.0, epsrel=1e-10,
+                              limit=400)
+    for lo, hi in zip(cuts[1:], cuts[2:]):
+        val, _ = integrate.quad(lambda z: z**beta_exp * corr(z), lo, hi, epsabs=0.0, epsrel=1e-10, limit=400)
+        total += val
+    coeff = math.prod(beta(gj + 1.0, -2.0 * gj - 1.0) for gj in g[1:])
+    return math.sqrt(normalizing_constant_sq(g) * coeff * 2.0 * total)

@@ -26,7 +26,7 @@ from rosenblatt import (
 )
 from rosenblatt.kernel import MAX_ORDER
 
-from helpers import cycle_mc_oracle
+from helpers import cycle_mc_oracle, indicator_norm_quadrature
 
 Q2 = (-0.7, -0.65)
 Q3 = (-0.7, -0.65, -0.6)
@@ -75,7 +75,9 @@ class TestPinnedValues:
         assert rel_err(got, 115.00143509547985) <= 1e-12
 
     @pytest.mark.parametrize("gamma, a, b, want", [
-        (Q2, 0.2, 0.6, 0.21905911237059034),
+        # re-pinned with the z-pieces cut at 1 - b = 0.4 as well; cut at
+        # b - a alone it read 4.2e-6 high (see the nested-quad test)
+        (Q2, 0.2, 0.6, 0.21905819275989835),
         ((-0.6, -0.7), -0.5, 1.5, 0.5286249840882691),  # window wider than [0, 1]
     ])
     def test_indicator_norm(self, gamma, a, b, want):
@@ -200,6 +202,20 @@ def test_nonfinite_cycle_raises(monkeypatch):
     monkeypatch.setattr(rc, "_segment", lambda *args, **kwargs: math.nan)
     with pytest.raises(QuadratureError):
         rc.phi_cycle_integral(pf)
+
+
+@pytest.mark.parametrize("gamma, a, b", [
+    (Q2, 0.2, 0.6),  # kinks of the correlation at z = 0.4 and 0.8
+    (Q3, 0.1, 0.3),  # at z = 0.2, 0.7 and 0.9
+    ((-0.6, -0.7), -0.3, 0.4),  # T(0) != 0: at z = 0.4 (b) and 0.6
+    ((-0.75, -0.6), 0.3, 1.4),  # a window past 1: at z = 0.7 only
+])
+def test_indicator_norm_against_nested_quad(gamma, a, b):
+    # every kink of the correlation must end a z-piece, since the graded
+    # rule refines only piece ends; cut at b - a alone, these read 4.2e-6
+    # to 4.0e-5 off the oracle at mesh_scale 1, 2 and 3 alike, and the
+    # third one 1.1e-5 off without its cut at z = b
+    assert rel_err(rc.condition_i_indicator_norm(gamma, a, b), indicator_norm_quadrature(gamma, a, b)) <= 1e-8
 
 
 def test_nonfinite_indicator_raises(monkeypatch):

@@ -124,7 +124,7 @@ def test_window_beyond_cap_is_inf():
 
 # Default grids of the benchmark kernels (the sampler's Monte Carlo
 # vectors, the sum-to-critical path points and the face-1 trend vector).
-# A grid holds only the near zone from the largest core edge at or left
+# A grid holds only the near zone from the largest mesh edge at or left
 # of -t/2, so it depends on the order (through n_core) and the horizon
 # alone: 683 cells for q <= 2 and 171 for q = 3.
 PINNED_WINDOWS = [
@@ -163,13 +163,29 @@ def test_default_grid_windows_pinned(gamma, far_left, n_cells):
 
 @pytest.mark.parametrize("horizon, n_core", [(1.0, None), (0.5, 2048), (2.0, 256), (3.0, 1024), (20.0, 256)])
 def test_grid_starts_at_the_near_zone(horizon, n_core):
-    # the first edge is the largest core edge at or left of -t/2, so no
+    # the first edge is the largest mesh edge at or left of -t/2, so no
     # cell lies left of the far field's edge beyond the one that reaches
-    # -t/2; past t = 16 the core itself starts at -t/2
+    # -t/2
     grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), n_core=n_core)
     assert grid.edges[0] <= -0.5 * horizon < grid.edges[1]
     assert grid.edges[-1] == horizon and 0.0 in grid.edges
     assert grid.to_dict() == {"horizon": horizon, "n_cells": grid.n_cells, "far_left": -grid.edges[0]}
+
+
+@pytest.mark.parametrize("horizon", [1e-200, 1e-13, 0.01, 0.5, 3.0, 17.0, 1e100, 1e200])
+@pytest.mark.parametrize("n_core", [16, 100, None])
+def test_grid_is_the_unit_grid_scaled(horizon, n_core):
+    # the process is self-similar, so the mesh is too: one cell count and
+    # one far edge ratio at every horizon, round(n_core / 9) cells on
+    # [0, t], and every edge the unit grid's times t up to rounding
+    ker = KernelSpec((-0.7, -0.65))
+    unit = build_grid(ker, n_core=n_core)
+    grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), n_core=n_core)
+    assert grid.n_cells == unit.n_cells
+    assert np.count_nonzero(grid.edges[:-1] >= 0.0) == round((n_core or 4096) / 9)
+    assert grid.edges[-1] == horizon and 0.0 in grid.edges
+    assert np.max(np.abs(grid.edges / horizon - unit.edges)) <= 4 * np.finfo(float).eps
+    assert np.ptp(grid.widths) <= 1e-13 * grid.widths[0]
 
 
 @pytest.mark.parametrize("n_core", [100.5, 16.0, "64", 8])

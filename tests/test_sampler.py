@@ -12,7 +12,7 @@ import rosenblatt
 import rosenblatt.sampler as sampler_module
 import wick_oracle
 from rosenblatt.domain import BoundaryPath, Face, GammaVector, path_points
-from rosenblatt.errors import InvalidInputError, SizeError
+from rosenblatt.errors import DomainError, InvalidInputError, SizeError
 from rosenblatt.grid import GridSpec, build_grid
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
@@ -21,6 +21,7 @@ from rosenblatt.sampler import (
     _factorize,
     _far_root,
     _noise,
+    _span,
     discrete_second_moment,
     factor_matrix,
     load_npz,
@@ -262,6 +263,19 @@ def near_rows_error(ker, grid, interval):
     return np.max(np.max(np.abs(near - direct), axis=(0, 2)) / np.max(np.abs(direct), axis=(0, 2)))
 
 
+def three_piece_grid(horizon, n_core):
+    # uniform pieces on [-max(8, t/2), -1], [-1, 0] and [0, t], sized from
+    # one step (t + max(8, t/2)) / n_core and cut at the largest edge at or
+    # left of -t/2: the pieces' widths differ, so the near rows left of 0,
+    # and for t > 2 those left of -1, lie off the whole panels' lattice
+    left = max(8.0, 0.5 * horizon)
+    h = (horizon + left) / n_core
+    pieces = [np.linspace(x0, x1, max(1, round((x1 - x0) / h)) + 1) for x0, x1 in ((-left, -1.0), (-1.0, 0.0),
+                                                                                   (0.0, horizon))]
+    edges = np.concatenate([pieces[0][:-1], pieces[1][:-1], pieces[2]])
+    return GridSpec(edges=edges[int(np.searchsorted(edges, -0.5 * horizon, side="right")) - 1 :], horizon=horizon)
+
+
 def near_widths(ker, grid, interval):
     # the widths of the cells left of hi
     hi = grid.horizon if interval is None else interval[1]
@@ -282,10 +296,12 @@ class TestNearTable:
     @pytest.mark.parametrize("horizon, n_core", [(0.5, 2048), (2.0, None), (3.0, 1024)])
     @pytest.mark.parametrize("share", [None, (0.3, 0.62)])
     def test_rows_of_another_width_are_direct(self, horizon, n_core, share):
-        # at these horizons the core piece [-1, 0] has another width than
-        # [0, t], and for t > 2 the near zone reaches into [-8, -1] as well
+        # build_grid's widths are all equal, so the direct rows are checked
+        # on hand-built grids: at these horizons the piece [-1, 0] has
+        # another width than [0, t], and for t > 2 the near zone reaches
+        # into [-8, -1] as well
         ker = KernelSpec((-0.7, -0.65), horizon=horizon)
-        grid = build_grid(ker, n_core=n_core)
+        grid = three_piece_grid(horizon, n_core or 4096)
         interval = None if share is None else (share[0] * horizon, share[1] * horizon)
         widths = near_widths(ker, grid, interval)
         assert np.ptp(widths) > 1e-6 * widths[-1]
@@ -449,9 +465,9 @@ def assert_same_bits(a, b):
 
 
 class TestFarRootMemo:
-    # the far field's latent root is a pure function of the far edge, the
-    # horizon and the exponent set, cached by value; a cache hit must give
-    # the bits of a cold build
+    # the far field's latent root is a pure function of the far edge over
+    # the horizon and the exponent set, cached by value; a cache hit must
+    # give the bits of a cold build
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS)
     def test_warm_calls_match_a_fresh_grid(self, gamma, interval):
@@ -484,17 +500,25 @@ class TestFarRootMemo:
 
     def test_the_key_is_the_far_edge_not_the_grid(self):
         # two grids with one far edge and horizon share one root, whatever
-        # their cells; another far edge has its own
+        # their cells; another far edge has its own; and two horizons with
+        # one ratio L/t share one root, the unit-horizon one (scaling the
+        # edges by 4 is exact)
         ker = KernelSpec((-0.7, -0.65))
         keys = (-0.7, -0.65)
         built = build_grid(ker, n_core=256)
         hand = GridSpec(edges=np.concatenate((built.edges[:2], [0.0, 1.0])), horizon=1.0)
         other = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        for grid in (built, hand, other):
+        wide = GridSpec(edges=4.0 * hand.edges, horizon=4.0)
+        _far_root.cache_clear()
+        sample_chaos(ker, built, 8, seed=1)
+        sample_chaos(KernelSpec(keys, horizon=4.0), wide, 8, seed=1)
+        assert _far_root.cache_info().currsize == 1
+        for grid in (hand, other):
             sample_chaos(ker, grid, 8, seed=1)
-        root = _far_root(built.far_left, 1.0, keys)
-        assert _far_root(hand.far_left, 1.0, keys) is root
-        assert _far_root(other.far_left, 1.0, keys) is not root
+        root = _far_root(built.far_left, keys)
+        assert wide.far_left / wide.horizon == built.far_left
+        assert _far_root(hand.far_left, keys) is root
+        assert _far_root(other.far_left, keys) is not root
         assert not root.flags.writeable
 
     def test_threads_on_a_cold_grid_match_a_serial_run(self):
@@ -641,6 +665,7 @@ class TestBrownianOutput:
     @pytest.mark.parametrize("grid", [
         tiny_grid(8, left=0.5, horizon=1.0),  # 0 inside a cell
         GridSpec(edges=np.linspace(-1.0, 2.0, 13), horizon=0.9),  # the horizon inside a cell
+        GridSpec(edges=1e-13 * np.linspace(-0.5, 1.0, 9), horizon=1e-13),  # 0 inside a cell, 6.25e-15 from an edge
     ])
     def test_brownian_needs_zero_and_horizon_on_edges(self, grid):
         # a straddling cell would count in full or not at all, so B(t)
@@ -733,6 +758,82 @@ class TestRefinement:
         ker = KernelSpec((-0.7, -0.65, -0.6))
         m2 = [discrete_second_moment(ker, build_grid(ker, n_core=n)) for n in (256, 512, 1024, 2048)]
         assert all(b > a for a, b in zip(m2, m2[1:]))
+
+
+SCALE_KERNELS = [(-0.8,), (-0.7, -0.65), (-0.7, -0.65, -0.6)]
+HORIZONS = [1e-200, 0.01, 0.5, 3.0, 17.0, 1e100, 1e200]
+
+
+def hurst(gamma):
+    return 1.0 + sum(gamma) + 0.5 * len(gamma)
+
+
+class TestSelfSimilarity:
+    # the process is H-self-similar with stationary increments, so the
+    # default grid at horizon t is the unit one scaled by t, and what the
+    # sampler computes on it is the unit value times t^H (values) or
+    # t^(2H) (second moments), up to rounding; the kernels' H is 0.7,
+    # 0.65 and 0.55, so t^(2H) stays a normal float from 1e-200 to 1e200
+    @pytest.mark.parametrize("gamma", SCALE_KERNELS)
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_second_moment_scales_as_t_to_the_2h(self, gamma, horizon):
+        unit = discrete_second_moment(KernelSpec(gamma), build_grid(KernelSpec(gamma)))
+        ker = KernelSpec(gamma, horizon=horizon)
+        m2 = discrete_second_moment(ker, build_grid(ker))
+        assert m2 / horizon ** (2.0 * hurst(gamma)) == pytest.approx(unit, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", SCALE_KERNELS)
+    def test_values_scale_as_t_to_the_h(self, gamma):
+        # the same seed draws the same noise, since the grids have one cell
+        # count and the shared unit root one rank
+        unit = sample_chaos(KernelSpec(gamma), build_grid(KernelSpec(gamma)), 128, 9, with_second_moment=False)
+        rms = np.sqrt(np.mean(unit.values**2))
+        for horizon in HORIZONS:
+            ker = KernelSpec(gamma, horizon=horizon)
+            batch = sample_chaos(ker, build_grid(ker), 128, 9, with_second_moment=False)
+            scaled = batch.values / horizon ** hurst(gamma)
+            assert np.max(np.abs(scaled - unit.values)) <= 1e-9 * rms
+
+    def test_brownian_counts_only_the_cells_of_zero_to_t(self):
+        # at t = 1e-13 the cells left of 0 are narrower than 1e-12, so an
+        # absolute tolerance in the mask counted some of them into B(t)
+        t = 1e-13
+        ker = KernelSpec((-0.7, -0.65), horizon=t)
+        grid = build_grid(ker, n_core=256)
+        batch = sample_chaos(ker, grid, 64, seed=5, return_brownian=True)
+        inside = grid.edges[:-1] >= 0.0
+        assert np.sum(grid.widths[inside]) == pytest.approx(t, rel=1e-12)
+        xi = noise_rows(5, 64, ker, grid)
+        want = xi[:, -grid.n_cells :][:, inside] @ np.sqrt(grid.widths[inside])
+        assert np.allclose(batch.brownian, want, rtol=1e-14, atol=1e-14 * math.sqrt(t))
+
+    @pytest.mark.parametrize("horizon", [1e-13, 1.0, 1e13])
+    def test_span_tolerance_is_relative_to_the_horizon(self, horizon):
+        grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), n_core=256)
+        with pytest.raises(InvalidInputError):
+            _span(grid, (0.0, 1.5 * horizon))
+        assert _span(grid, (0.0, horizon * (1.0 + 1e-13))) == (0.0, horizon * (1.0 + 1e-13))
+
+    @pytest.mark.parametrize("gamma", SCALE_KERNELS[:2])
+    def test_second_moment_past_float64_raises(self, gamma):
+        # t^(2H) > t at 1e300 leaves the float64 range; the values, of
+        # order t^H, stay finite
+        ker = KernelSpec(gamma, horizon=1e300)
+        grid = build_grid(ker, n_core=256)
+        with pytest.raises(DomainError, match="horizon 1e\\+300"):
+            discrete_second_moment(ker, grid)
+        with pytest.raises(DomainError):
+            sample_chaos(ker, grid, 8, seed=1)
+        assert np.isfinite(sample_chaos(ker, grid, 8, seed=1, with_second_moment=False).values).all()
+
+    def test_order_three_second_moment_at_1e250_is_finite(self):
+        # H = 0.55, so t^(2H) = 1e275 is still a float64
+        gamma, t = SCALE_KERNELS[2], 1e250
+        unit = discrete_second_moment(KernelSpec(gamma), build_grid(KernelSpec(gamma), n_core=256))
+        ker = KernelSpec(gamma, horizon=t)
+        m2 = sample_chaos(ker, build_grid(ker, n_core=256), 8, seed=1).second_moment
+        assert math.isfinite(m2)
+        assert m2 / t ** (2.0 * hurst(gamma)) == pytest.approx(unit, rel=1e-12, abs=0.0)
 
 
 class TestSerialization:
