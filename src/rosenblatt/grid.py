@@ -10,7 +10,8 @@ slowly near the boundary faces.  `tail_fraction` and `required_window`
 estimate what a grid cut off at a window would miss.
 
 The process is H-self-similar (Bai & Taqqu, 2017), so `build_grid`
-scales the unit-horizon grid by the horizon t: one mesh of width t/n.
+scales the unit-horizon grid by the horizon t: `cells` cells of width
+t/cells on [0, t], and about cells/2 more left of 0 in `n_cells`.
 
 The grid also fixes the quadrature in the time variable s that the
 sampler uses to factorize kernels: one Gauss-Legendre node per cell inside
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import GammaVector, _integer, _real
-from .errors import InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .kernel import KernelSpec, _horizon, normalizing_constant_sq
 from .special import beta_matrix, permanent
 
@@ -61,9 +62,13 @@ class GridSpec:
         try:
             edges = np.array(self.edges, dtype=np.float64)
         except (TypeError, ValueError):
-            edges = np.empty(0)
-        if edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all() or not (np.diff(edges) > 0).all():
-            raise InvalidInputError(f"grid edges must be at least two finite, strictly increasing numbers, got {self.edges!r}")
+            raise InvalidInputError(f"grid edges must be real numbers, got {type(self.edges).__name__}") from None
+        if edges.ndim != 1 or len(edges) < 2:
+            raise InvalidInputError(f"grid edges must be at least two numbers in one dimension, got shape {edges.shape}")
+        bad = np.flatnonzero(~np.isfinite(edges) | np.r_[False, edges[1:] <= edges[:-1]])
+        if bad.size:
+            raise InvalidInputError(
+                f"grid edges must be finite and strictly increasing: edge {bad[0]} of {len(edges)} is not")
         if not (edges[0] <= -0.5 * t and edges[-1] >= t):
             raise InvalidInputError(
                 f"grid edges must span [-horizon/2, horizon] = [{-0.5 * t}, {t}], got [{edges[0]}, {edges[-1]}]")
@@ -151,27 +156,25 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0) -> float:
     return math.exp(hi)
 
 
-def build_grid(kernel: KernelSpec, n_core: int | None = None) -> GridSpec:
+def build_grid(kernel: KernelSpec, cells: int | None = None) -> GridSpec:
     """The uniform grid for the kernel, cut to the sampler's near zone.
 
-    The mesh has n = max(1, round(n_core / 9)) cells of width t/n on each
-    of [-t, 0] and [0, t], t the horizon, so 0 and t are edges (increments
-    over [0, t] then aggregate whole cells), and the grid at horizon t is
-    the unit one scaled by t.  n_core (default 4096 for q <= 2, 1024
-    otherwise) is the cell count of a uniform mesh on [-8, 1] at t = 1,
-    whose width the mesh rounds to 1/n.  The grid keeps the edges from
-    the largest one at or left of -t/2 on: everything further left is
-    the sampler's continuum far field, so no tail is cut off.  The
-    sampler's s-rule has one node per cell inside [0, t], so n_core
-    also sets it.
+    `cells` (default 455 for q <= 2, 114 otherwise) cells of width
+    t/cells cover [0, t], t the horizon, so increments over [0, t]
+    aggregate whole cells, and the sampler's s-rule, one node per cell
+    inside [0, t], refines with them.  The mesh runs on to the largest
+    edge at or left of -t/2, beyond which lies the sampler's continuum
+    far field, so `n_cells` is about 1.5 x `cells` (683 and 171 by
+    default).  The grid at horizon t is the unit one scaled by t; a mesh
+    width t/cells below the smallest normal float raises DomainError.
     """
-    q = kernel.q
-    if n_core is None:
-        n_core = 1024 if q >= 3 else 4096
-    if _integer(n_core, "n_core") < 8 * q:
-        raise InvalidInputError(f"n_core must be at least {8 * q} for order {q}, got {n_core}")
+    if cells is None:
+        cells = 114 if kernel.q >= 3 else 455
+    if _integer(cells, "cells") < 1:
+        raise InvalidInputError(f"cells must be a positive integer, got {cells}")
     t = kernel.horizon
-    n = max(1, round(n_core / 9))
-    edges = np.concatenate([np.linspace(-t, 0.0, n + 1)[:-1], np.linspace(0.0, t, n + 1)])
+    if t / cells < np.finfo(float).tiny:
+        raise DomainError(f"the mesh width t/{cells} is subnormal at horizon {t}")
+    edges = np.concatenate([np.linspace(-t, 0.0, cells + 1)[:-1], np.linspace(0.0, t, cells + 1)])
     first = int(np.searchsorted(edges, -0.5 * t, side="right")) - 1
     return GridSpec(edges=edges[first:], horizon=t)

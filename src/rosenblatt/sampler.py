@@ -72,15 +72,14 @@ permanent of the Beta matrix U (see `kernel`).
 Near table.  Where a near cell c (a grid cell left of hi) and a whole
 s-panel m (a panel that is the full grid cell k_m) share the width h,
 b[c, m] = tau(k_m - c) depends on the lag alone and is zero for negative
-lags.  So each exponent block of the near rows is written from one lag
-column: factor_matrix at the last whole panel's s-node over the near
-rows, reversed, left-padded with zeros and read through a sliding window
-one contiguous row at a time.  It matches direct evaluation to within
-1e-13 of the block's largest entry.  Only what the edges put off that
-lattice is evaluated directly: the at most two end panels that lo and hi
-cut, and the near rows up to the last cell whose width differs from h.
-`build_grid` has one width, t/n, so such rows come only from hand-built
-grids of mixed widths.
+lags.  So on a uniform mesh, which every `build_grid` grid is, each
+exponent block of the near rows is written from one lag column:
+factor_matrix at the last whole panel's s-node over the near rows,
+reversed, left-padded with zeros and read through a sliding window one
+contiguous row at a time, with the at most two end panels that lo and hi
+cut evaluated directly.  It matches direct evaluation to within 1e-13 of
+the block's largest entry.  A table with no whole panel, or with near
+cells of mixed widths (hand-built grids only), is evaluated directly.
 
 Randomness: a realization's noise row is [eta (r), xi over every grid
 cell], r + n_cells normals.  Realizations come in
@@ -230,33 +229,29 @@ def _span(grid: GridSpec, interval) -> tuple:
 
 
 def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: float, out: np.ndarray) -> None:
-    """factor_matrix(edges, keys, s_nodes, out) for the near cells, built
-    by lag (see the module docstring): s-panel p lies in cell first + p,
-    first the cell holding lo, and each exponent block is one lag column,
-    at the last whole panel, read through a sliding window.  The cut
-    panels and the rows off the whole panels' lattice are evaluated
-    directly."""
+    """factor_matrix(edges, keys, s_nodes, out) for the near cells.  On a
+    uniform mesh they are built by lag (see the module docstring): s-panel
+    p lies in cell first + p, first the cell holding lo, each exponent
+    block is one lag column, at the last whole panel, read through a
+    sliding window, and the cut panels are evaluated directly.  With no
+    whole panel, or cells of mixed widths, all of it is direct."""
     n_s = len(s_nodes)
     first = int(np.searchsorted(edges, lo, side="right")) - 1
     # panels p0..p1-1 are whole grid cells; at most the two end panels are cut
     p0, p1 = int(edges[first] != lo), n_s - int(edges[-1] != hi)
-    if p1 <= p0:
+    # the lag needs every width equal to the last whole panel's, up to the
+    # edges' rounding
+    widths, tol = np.diff(edges), 8.0 * np.spacing(np.abs(edges[[0, -1]]).max())
+    if p1 <= p0 or (np.abs(widths - widths[first + p1 - 1]) > tol).any():
         factor_matrix(edges, keys, s_nodes, out=out)
         return
-    # rows from the last width mismatch on are on the whole panels' lattice,
-    # their widths equal to the last whole panel's up to the edges' rounding
-    widths = np.diff(edges)
-    off = np.abs(widths - widths[first + p1 - 1]) > 8.0 * np.spacing(np.abs(edges[[0, -1]]).max())
-    n_dir = int(np.flatnonzero(off)[-1]) + 1 if off.any() else 0
-    if n_dir:
-        factor_matrix(edges[: n_dir + 1], keys, s_nodes, out=out[:n_dir])
     cut = [*range(p0), *range(p1, n_s)]
     cols = cut + [p1 - 1]
-    direct = factor_matrix(edges[n_dir:], keys, s_nodes[cols])
+    direct = factor_matrix(edges, keys, s_nodes[cols])
     n_whole, n_c = p1 - p0, len(cols)
     pad = np.zeros(n_whole - 1)
     for j in range(len(keys)):
-        block = out[n_dir:, j * n_s : (j + 1) * n_s]
+        block = out[:, j * n_s : (j + 1) * n_s]
         block[:, cut] = direct[:, j * n_c : j * n_c + n_c - 1]
         # b[c, p] = tau(first + p - c): row c reads the lag vector from
         # lag first + p0 - c on, so the rows are its windows in reverse order
@@ -330,16 +325,17 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
     """E[Z_hat^2] from the factor table: one Gram over its rows, whose
-    exponent blocks are the G_ij.  It grows like t^(2H), so past the
-    float64 range it raises DomainError."""
+    exponent blocks are the G_ij.  It scales like t^(2H), H = 1 + sum(g)
+    + q/2, so where t^(2H) leaves float64's normal range it raises
+    DomainError."""
+    t, g = kernel.horizon, kernel.gamma.entries
+    log_scale = (2.0 + 2.0 * sum(g) + len(g)) * math.log(t)
+    if not math.log(np.finfo(float).tiny) <= log_scale <= math.log(np.finfo(float).max):
+        raise DomainError(f"the second moment, of order t^(2H), leaves float64's normal range at horizon {t}")
     n_s, k = len(fac.s_w), len(set(fac.slot))
     gram = (fac.table.T @ fac.table).reshape(k, n_s, k, n_s)
     grams_by_slot = [[gram[a, :, b] for b in fac.slot] for a in fac.slot]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return float(kernel.constant**2 * (fac.s_w @ permanent(grams_by_slot) @ fac.s_w))
-    except FloatingPointError:
-        raise DomainError(f"the second moment, of order t^(2H), leaves float64 at horizon {kernel.horizon}") from None
+    return float(kernel.constant**2 * (fac.s_w @ permanent(grams_by_slot) @ fac.s_w))
 
 
 def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) -> float:
@@ -436,8 +432,8 @@ def sample_chaos(
     exponents) x 29 doubles (1.6 to 7 KB on the default grids), is
     built on the unit horizon and cached by the far edge over the horizon
     and the exponents, up to 256 of them, so later calls on any grid with
-    that ratio, at any horizon, skip its build.  The second moment grows
-    like t^(2H); past the float64 range it raises DomainError.
+    that ratio, at any horizon, skip its build.  The second moment scales
+    like t^(2H); outside float64's normal range it raises DomainError.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if _integer(value, name) < 0:

@@ -303,3 +303,48 @@ def test_numpy_integers_accepted():
     assert s == rc.ContractionSpec(2, 2, (2,), (1,))
     assert type(s.q) is int and type(s.indices[0]) is int
     assert len(rc.enumerate_contractions(np.int64(2), 2, np.int8(1))) == 4
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: rc.ContractionSpec(0, 2, (), ()), InvalidInputError, "orders must be positive, got q=0, m=2",
+                 id="spec_order_zero"),
+    pytest.param(lambda: rc.ContractionSpec(2, 2, (1, 2), (1,)), InvalidInputError, "2 matched slots against 1 images",
+                 id="spec_length_mismatch"),
+    pytest.param(lambda: rc.ContractionSpec(2, 2, (1, 1), (1, 2)), InvalidInputError,
+                 r"repeated first-kernel slot in \(1, 1\)", id="spec_repeated_slot"),
+    pytest.param(lambda: rc.ContractionSpec(2, 2, (1, 2), (2, 2)), InvalidInputError,
+                 r"not one-to-one: repeated image in \(2, 2\)", id="spec_repeated_image"),
+    pytest.param(lambda: rc.ContractionSpec(2, 3, (3,), (1,)), InvalidInputError, r"slot out of range 1\.\.2 in \(3,\)",
+                 id="spec_slot_out_of_range"),
+    pytest.param(lambda: rc.ContractionSpec(2, 3, (1,), (0,)), InvalidInputError,
+                 r"image out of range 1\.\.3 in \(0,\)", id="spec_image_out_of_range"),
+    pytest.param(lambda: rc.enumerate_contractions(2, 0, 0), InvalidInputError, "orders must be positive, got q=2, m=0",
+                 id="enumerate_order_zero"),
+    pytest.param(lambda: rc.enumerate_contractions(2, 3, 3), InvalidInputError, r"r=3 not in 0\.\.min\(2,3\)",
+                 id="enumerate_r_too_large"),
+    pytest.param(lambda: rc.enumerate_contractions(2, 3, -1), InvalidInputError, r"r=-1 not in 0\.\.min\(2,3\)",
+                 id="enumerate_r_negative"),
+    pytest.param(lambda: rc.phi_factors((-0.7, -0.45), spec(Q2, (1,), (2,))), InvalidInputError,
+                 r"exponent -0\.45 at slot 2 outside \(-1, -1/2\)", id="exponent_outside"),
+    pytest.param(lambda: rc.phi_factors(Q2, ((1,), (2,))), InvalidInputError, "spec must be a ContractionSpec",
+                 id="phi_spec_not_a_spec"),
+    pytest.param(lambda: rc.phi_factors(Q2, rc.ContractionSpec(2, 3, (1,), (2,))), InvalidInputError,
+                 "needs q == m == len\\(gamma\\); got q=2, m=3, len=2", id="phi_orders_differ"),
+    pytest.param(lambda: rc.phi_factors(Q3, spec(Q2, (1,), (2,))), InvalidInputError,
+                 "needs q == m == len\\(gamma\\); got q=2, m=2, len=3", id="phi_length_differs"),
+    *(pytest.param(lambda s=s: rc.contraction_norm_sq(Q2, spec(Q2, (1,), (2,)), mesh_scale=s), InvalidInputError,
+                   f"mesh_scale must be positive, got {s}", id=f"mesh_scale_{s}") for s in (0.0, -1.5, math.inf)),
+    pytest.param(lambda: rc.condition_i_indicator_norm((-0.7,), 0.2, 0.6), InvalidInputError,
+                 "need order at least 2", id="indicator_order_one"),
+    pytest.param(lambda: rc.condition_i_indicator_norm(Q2, 0.6, 0.2), InvalidInputError,
+                 r"window needs a < b, got \[0\.6, 0\.2\]", id="indicator_reversed_window"),
+    pytest.param(lambda: rc.condition_i_indicator_norm(Q2, 0.2, math.inf), InvalidInputError,
+                 r"window needs a < b, got \[0\.2, inf\]", id="indicator_infinite_window"),
+    pytest.param(lambda: rc.condition_i_indicator_norm((-0.7, -0.8, -0.75), 0.2, 0.6), DivergentIntegralError,
+                 "tail exponent -1.1 at or below -1", id="indicator_divergent_tail"),
+])
+def test_named_errors(call, error, match):
+    """Each malformed or out-of-domain input raises its own error class,
+    with a message that names what is wrong."""
+    with pytest.raises(error, match=match):
+        call()

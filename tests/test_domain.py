@@ -192,6 +192,18 @@ class TestPaths:
         with pytest.raises(PathInfeasibleError):
             path_points(path)
 
+    @pytest.mark.parametrize("base, eps, floor_epsilon, move", [
+        pytest.param((-0.9, -0.5), 0.2, 0.05, r"0\.0999", id="up_with_a_slot_at_minus_half"),
+        pytest.param((-0.51, -0.9), 0.05, 0.1, r"-0\.0399", id="down_with_a_slot_at_the_floor"),
+    ])
+    def test_face2_without_slack(self, base, eps, floor_epsilon, move):
+        # a slot with no room in the direction of the move would take a
+        # zero share of it, so the point is refused with the move named
+        path = BoundaryPath(Face.SUM_TO_CRITICAL, GammaVector(base), (eps,), floor_epsilon=floor_epsilon)
+        with pytest.raises(PathInfeasibleError, match=f"epsilon={eps}: no slack to move the sum by {move}") as info:
+            path_points(path)
+        assert info.value.epsilon == eps
+
     def test_epsilon_validation(self):
         base = GammaVector((-0.7,))
         with pytest.raises(InvalidInputError):

@@ -17,6 +17,7 @@ import pytest
 from scipy import integrate
 
 from rosenblatt import (
+    DomainError,
     InvalidInputError,
     KernelSpec,
     build_grid,
@@ -125,7 +126,7 @@ def test_window_beyond_cap_is_inf():
 # Default grids of the benchmark kernels (the sampler's Monte Carlo
 # vectors, the sum-to-critical path points and the face-1 trend vector).
 # A grid holds only the near zone from the largest mesh edge at or left
-# of -t/2, so it depends on the order (through n_core) and the horizon
+# of -t/2, so it depends on the order (through cells) and the horizon
 # alone: 683 cells for q <= 2 and 171 for q = 3.
 PINNED_WINDOWS = [
     ((-0.8,), 0.5010989010989011, 683),
@@ -161,38 +162,67 @@ def test_default_grid_windows_pinned(gamma, far_left, n_cells):
     assert hashlib.sha256(grid.edges.tobytes()).hexdigest() == PINNED_EDGE_DIGESTS[len(gamma)]
 
 
-@pytest.mark.parametrize("horizon, n_core", [(1.0, None), (0.5, 2048), (2.0, 256), (3.0, 1024), (20.0, 256)])
-def test_grid_starts_at_the_near_zone(horizon, n_core):
+@pytest.mark.parametrize("horizon, cells", [(1.0, None), (0.5, 228), (2.0, 28), (3.0, 114), (20.0, 28)])
+def test_grid_starts_at_the_near_zone(horizon, cells):
     # the first edge is the largest mesh edge at or left of -t/2, so no
     # cell lies left of the far field's edge beyond the one that reaches
     # -t/2
-    grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), n_core=n_core)
+    grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), cells=cells)
     assert grid.edges[0] <= -0.5 * horizon < grid.edges[1]
     assert grid.edges[-1] == horizon and 0.0 in grid.edges
     assert grid.to_dict() == {"horizon": horizon, "n_cells": grid.n_cells, "far_left": -grid.edges[0]}
 
 
-@pytest.mark.parametrize("horizon", [1e-200, 1e-13, 0.01, 0.5, 3.0, 17.0, 1e100, 1e200])
-@pytest.mark.parametrize("n_core", [16, 100, None])
-def test_grid_is_the_unit_grid_scaled(horizon, n_core):
+@pytest.mark.parametrize("horizon", [1e-300, 1e-200, 1e-13, 0.01, 0.5, 3.0, 17.0, 1e100, 1e200])
+@pytest.mark.parametrize("cells", [1, 2, 11, None])
+def test_grid_is_the_unit_grid_scaled(horizon, cells):
     # the process is self-similar, so the mesh is too: one cell count and
-    # one far edge ratio at every horizon, round(n_core / 9) cells on
-    # [0, t], and every edge the unit grid's times t up to rounding
+    # one far edge ratio at every horizon, `cells` cells on [0, t], and
+    # every edge the unit grid's times t up to rounding
     ker = KernelSpec((-0.7, -0.65))
-    unit = build_grid(ker, n_core=n_core)
-    grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), n_core=n_core)
+    unit = build_grid(ker, cells=cells)
+    grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), cells=cells)
     assert grid.n_cells == unit.n_cells
-    assert np.count_nonzero(grid.edges[:-1] >= 0.0) == round((n_core or 4096) / 9)
+    assert np.count_nonzero(grid.edges[:-1] >= 0.0) == (cells or 455)
     assert grid.edges[-1] == horizon and 0.0 in grid.edges
     assert np.max(np.abs(grid.edges / horizon - unit.edges)) <= 4 * np.finfo(float).eps
     assert np.ptp(grid.widths) <= 1e-13 * grid.widths[0]
 
 
-@pytest.mark.parametrize("n_core", [100.5, 16.0, "64", 8])
-def test_n_core_must_be_a_large_enough_integer(n_core):
-    # a float would size the core step without complaint; 8 < 8q for q=2
-    with pytest.raises(InvalidInputError):
-        build_grid(KernelSpec((-0.7, -0.65)), n_core=n_core)
+@pytest.mark.parametrize("cells", [100.5, 16.0, "64", True, 0, -3])
+def test_cells_must_be_a_positive_integer(cells):
+    # a float would size the mesh without complaint
+    with pytest.raises(InvalidInputError, match="cells must be"):
+        build_grid(KernelSpec((-0.7, -0.65)), cells=cells)
+
+
+@pytest.mark.parametrize("gamma, horizon", [((-0.7, -0.65, -0.6), 1e-307), ((-0.8,), 5e-324),
+                                            ((-0.7, -0.65, -0.6), 5e-324)])
+def test_a_subnormal_mesh_width_raises(gamma, horizon):
+    # at 1e-307 the q=3 width t/114 is subnormal, and the grid had 172
+    # cells, not 171; at 5e-324 the edges were refused with all of them in
+    # the message; at 1e-300 the mesh is normal and the unit grid's
+    with pytest.raises(DomainError, match=f"subnormal at horizon {horizon}"):
+        build_grid(KernelSpec(gamma, horizon=horizon))
+    assert build_grid(KernelSpec(gamma, horizon=1e-300)).n_cells == build_grid(KernelSpec(gamma)).n_cells
+
+
+def test_grid_rejection_names_the_first_bad_edge():
+    # the message listed every edge, 2365 characters for the q=1 grid at
+    # t = 5e-324; it names the first bad edge and the count instead: a
+    # repeated edge before a NaN, then an infinite edge before both
+    edges = np.linspace(-1.0, 1.0, 1001)
+    edges[[400, 700]] = edges[399], math.nan
+    for index in (400, 3):
+        with pytest.raises(InvalidInputError, match=f"strictly increasing: edge {index} of 1001 is not$"):
+            GridSpec(edges=edges, horizon=1.0)
+        edges[3] = math.inf
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_required_window_needs_a_tolerance_inside_zero_one(tolerance):
+    with pytest.raises(InvalidInputError, match=f"tolerance must be in \\(0,1\\), got {tolerance}"):
+        required_window((-0.7,), tolerance)
 
 
 def test_grid_is_immutable():
@@ -209,7 +239,7 @@ def test_grid_is_immutable():
     assert grid.edges.dtype == np.float64 and grid.edges is not edges
     edges[0] = -3.0
     assert grid.edges[0] == -2.0
-    built = build_grid(KernelSpec((-0.7, -0.65)), n_core=256)
+    built = build_grid(KernelSpec((-0.7, -0.65)), cells=28)
     assert not built.edges.flags.writeable
     # grids compare and hash by identity
     assert grid != GridSpec(**{f.name: getattr(grid, f.name) for f in dataclasses.fields(grid)})

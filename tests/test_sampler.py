@@ -2,6 +2,7 @@
 Wick/Isserlis oracle on tiny grids, Monte Carlo moments, reproducibility,
 increment coupling, and NPZ serialization."""
 import math
+import re
 import sys
 import threading
 
@@ -183,16 +184,16 @@ class TestAssemblyVsDenseReference:
         assert 0 < fac.r < len(set(gamma)) * _FAR_NODES
         assert latent_gram_error(ker, grid, interval) <= 1e-13
 
-    @pytest.mark.parametrize("gamma, horizon, n_core", [
+    @pytest.mark.parametrize("gamma, horizon, cells", [
         ((-0.5001,), 1.0, None), ((-0.5001, -0.7), 1.0, None), ((-0.5001, -0.65, -0.6), 1.0, None),
-        ((-0.5001, -0.7), 1.0, 128), ((-0.7, -0.65), 2.5, 512),
+        ((-0.5001, -0.7), 1.0, 14), ((-0.7, -0.65), 2.5, 57),
     ])
-    def test_latent_rows_match_the_oracle_near_face_one(self, gamma, horizon, n_core):
+    def test_latent_rows_match_the_oracle_near_face_one(self, gamma, horizon, cells):
         # at g1 = -0.5001 the far Gram's weight exponent -2 - 2 g1 is
         # -0.9998, and the far field carries most of the variance; on
-        # n_core=128 the far edge is -t/2 itself, the nearest singularity
+        # cells=14 the far edge is -t/2 itself, the nearest singularity
         ker = KernelSpec(gamma, horizon=horizon)
-        grid = build_grid(ker, n_core=n_core)
+        grid = build_grid(ker, cells=cells)
         for interval in (None, (0.3 * horizon, 0.31 * horizon)):
             assert latent_gram_error(ker, grid, interval) <= 1e-13
 
@@ -283,9 +284,10 @@ def near_widths(ker, grid, interval):
 
 
 class TestNearTable:
-    # the near rows are built from one lag vector per exponent; only the
-    # cut panels and the rows off the whole panels' lattice are evaluated
-    # directly, and every case must match direct evaluation
+    # on a uniform mesh the near rows are built from one lag vector per
+    # exponent, with only the cut panels evaluated directly; a table with
+    # cells of mixed widths is evaluated directly as a whole, so it is
+    # factor_matrix's own, bit for bit
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS + [(0.3, 0.31)])
     def test_near_rows_match_factor_matrix(self, gamma, interval):
@@ -296,7 +298,7 @@ class TestNearTable:
     @pytest.mark.parametrize("horizon, n_core", [(0.5, 2048), (2.0, None), (3.0, 1024)])
     @pytest.mark.parametrize("share", [None, (0.3, 0.62)])
     def test_rows_of_another_width_are_direct(self, horizon, n_core, share):
-        # build_grid's widths are all equal, so the direct rows are checked
+        # build_grid's widths are all equal, so the direct path is checked
         # on hand-built grids: at these horizons the piece [-1, 0] has
         # another width than [0, t], and for t > 2 the near zone reaches
         # into [-8, -1] as well
@@ -305,20 +307,20 @@ class TestNearTable:
         interval = None if share is None else (share[0] * horizon, share[1] * horizon)
         widths = near_widths(ker, grid, interval)
         assert np.ptp(widths) > 1e-6 * widths[-1]
-        assert near_rows_error(ker, grid, interval) <= 1e-13
+        assert near_rows_error(ker, grid, interval) == 0.0
 
     def test_a_piece_of_equal_width_off_the_lattice(self):
         # [-2.2, -1] has the width 2/15 of [0, 2.4], but [-1, 0] has 8 cells
         # of 1/8, so the cells left of -1 sit half a cell off the lattice of
-        # [0, 2.4]: they must be evaluated directly although their width
-        # matches the whole panels'
+        # [0, 2.4]: the table must be evaluated directly although their
+        # width matches the whole panels'
         h = 2.0 / 15.0
         edges = np.concatenate([-1.0 - h * np.arange(9, 0, -1), np.linspace(-1.0, 0.0, 9)[:-1], np.linspace(0.0, 2.4, 19)])
         grid = GridSpec(edges=edges, horizon=2.4)
         ker = KernelSpec((-0.7, -0.65), horizon=2.4)
         assert near_widths(ker, grid, None)[0] == pytest.approx(h, rel=1e-14)
         for interval in (None, (0.5, 1.7)):
-            assert near_rows_error(ker, grid, interval) <= 1e-13
+            assert near_rows_error(ker, grid, interval) == 0.0
 
     def test_zero_off_the_edges(self):
         # on tiny_grid(8, left=0.5) the edges are -0.5 + 0.1875 k, so 0 is
@@ -352,7 +354,7 @@ class TestSampleMoments:
     def test_q1_mean_and_variance(self):
         # linear Gaussian functional: mean 0, variance = discrete norm
         ker = KernelSpec((-0.6,))
-        grid = build_grid(ker, n_core=256)
+        grid = build_grid(ker, cells=28)
         batch = sample_chaos(ker, grid, 100_000, seed=3)
         target = batch.second_moment
         var, se = variance_se(batch.values)
@@ -371,7 +373,7 @@ class TestSampleMoments:
     def test_sample_variance_matches_engine_on_default_grid(self):
         # end-to-end: MC variance vs the exact engine on a real grid
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=1024)
+        grid = build_grid(ker, cells=114)
         batch = sample_chaos(ker, grid, 8000, seed=123)
         var, se = variance_se(batch.values)
         assert abs(var - batch.second_moment) < 4 * se
@@ -380,7 +382,7 @@ class TestSampleMoments:
         # the same at q=3, where the far field enters through the latent
         # projections and not only through the folded mat-vec
         ker = KernelSpec((-0.7, -0.65, -0.6))
-        grid = build_grid(ker, n_core=1024)
+        grid = build_grid(ker, cells=114)
         batch = sample_chaos(ker, grid, 8000, seed=123)
         var, se = variance_se(batch.values)
         assert abs(var - batch.second_moment) < 4 * se
@@ -505,7 +507,7 @@ class TestFarRootMemo:
         # edges by 4 is exact)
         ker = KernelSpec((-0.7, -0.65))
         keys = (-0.7, -0.65)
-        built = build_grid(ker, n_core=256)
+        built = build_grid(ker, cells=28)
         hand = GridSpec(edges=np.concatenate((built.edges[:2], [0.0, 1.0])), horizon=1.0)
         other = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
         wide = GridSpec(edges=4.0 * hand.edges, horizon=4.0)
@@ -566,7 +568,7 @@ class TestIncrements:
         # at 0, at the horizon, on an interior cell edge and inside a cell
         for gamma in GAMMAS:
             ker = KernelSpec(gamma)
-            grid = build_grid(ker, n_core=256)
+            grid = build_grid(ker, cells=28)
             assert 0.5 in grid.edges and 0.3 not in grid.edges
             full = sample_chaos(ker, grid, 70, seed=2, return_brownian=True)
             for t in (0.0, 1.0, 0.5, 0.3):
@@ -581,7 +583,7 @@ class TestIncrements:
         # one s-node in each cell, except that the increments cut the cell
         # holding 0.5 in two, so the residual is that cell's share
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=512)
+        grid = build_grid(ker, cells=57)
         full = sample_chaos(ker, grid, 2000, seed=77)
         first = sample_process_increment(ker, grid, (0.0, 0.5), 2000, seed=77)
         second = sample_process_increment(ker, grid, (0.5, 1.0), 2000, seed=77)
@@ -595,7 +597,7 @@ class TestIncrements:
         # and their increments add up to the full value as in
         # test_pathwise_additivity
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=512)
+        grid = build_grid(ker, cells=57)
         assert _factorize(ker, grid, None).r > 0
         full = sample_chaos(ker, grid, 2000, seed=77, return_brownian=True)
         quarters = [sample_process_increment(ker, grid, (j / 4, (j + 1) / 4), 2000, seed=77,
@@ -611,7 +613,7 @@ class TestIncrements:
         # s-independent in the continuum; exact discrete m2 should agree
         # across two scales to within discretization error
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=2048)
+        grid = build_grid(ker, cells=228)
         ratios = []
         for s in (0.2, 0.4):
             inc = discrete_second_moment(ker, grid, interval=(s, 2 * s))
@@ -640,7 +642,7 @@ class TestIncrements:
 class TestBrownianOutput:
     def test_terminal_brownian_variance_and_orthogonality(self):
         ker = KernelSpec((-0.6, -0.7))
-        grid = build_grid(ker, n_core=512)
+        grid = build_grid(ker, cells=57)
         batch = sample_chaos(ker, grid, 20000, seed=13, return_brownian=True)
         w = batch.brownian
         var, se = variance_se(w)
@@ -711,7 +713,7 @@ class TestErrorsAndValidation:
 
     def test_grid_near_face_one_samples(self):
         ker = KernelSpec((-0.502, -0.7))
-        grid = build_grid(ker, n_core=128)
+        grid = build_grid(ker, cells=14)
         batch = sample_chaos(ker, grid, 10, seed=1)
         assert batch.n == 10 and np.all(np.isfinite(batch.values))
 
@@ -727,8 +729,8 @@ class TestRefinement:
         # |m2 - 1| must decrease at each mesh doubling
         ker = KernelSpec((-0.6, -0.7))
         gaps = []
-        for n_core in (512, 1024, 2048, 4096):
-            grid = build_grid(ker, n_core=n_core)
+        for cells in (57, 114, 228, 455):
+            grid = build_grid(ker, cells=cells)
             gaps.append(abs(discrete_second_moment(ker, grid) - 1.0))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.08
@@ -736,13 +738,13 @@ class TestRefinement:
     def test_order_one_variance_gap_is_the_mesh(self):
         # with the far field continuous, q=1 loses only the cell averages'
         # mass, which falls with the mesh: 1 - m2 reads 1.79e-4, 4.26e-5
-        # and 9.32e-6 here, about 0.18 / n_core; an s-rule blind to the
+        # and 9.32e-6 here, about 0.02 / cells; an s-rule blind to the
         # cell edges drifts away as the mesh refines
         ker = KernelSpec((-0.8,))
-        for n_core in (1024, 4096, 16384):
-            grid = build_grid(ker, n_core=n_core)
+        for cells, bound in ((114, 0.2 / 1024), (455, 0.2 / 4096), (1820, 0.2 / 16384)):
+            grid = build_grid(ker, cells=cells)
             batch = sample_chaos(ker, grid, 0, seed=1)
-            assert 0.0 < 1.0 - batch.second_moment < 0.2 / n_core
+            assert 0.0 < 1.0 - batch.second_moment < bound
 
     @pytest.mark.parametrize("eps", [3e-3, 1e-3, 1e-4])
     def test_face_one_variance_is_whole(self, eps):
@@ -756,7 +758,7 @@ class TestRefinement:
 
     def test_order_three_variance_rises_with_the_mesh(self):
         ker = KernelSpec((-0.7, -0.65, -0.6))
-        m2 = [discrete_second_moment(ker, build_grid(ker, n_core=n)) for n in (256, 512, 1024, 2048)]
+        m2 = [discrete_second_moment(ker, build_grid(ker, cells=n)) for n in (28, 57, 114, 228)]
         assert all(b > a for a, b in zip(m2, m2[1:]))
 
 
@@ -799,7 +801,7 @@ class TestSelfSimilarity:
         # absolute tolerance in the mask counted some of them into B(t)
         t = 1e-13
         ker = KernelSpec((-0.7, -0.65), horizon=t)
-        grid = build_grid(ker, n_core=256)
+        grid = build_grid(ker, cells=28)
         batch = sample_chaos(ker, grid, 64, seed=5, return_brownian=True)
         inside = grid.edges[:-1] >= 0.0
         assert np.sum(grid.widths[inside]) == pytest.approx(t, rel=1e-12)
@@ -809,30 +811,36 @@ class TestSelfSimilarity:
 
     @pytest.mark.parametrize("horizon", [1e-13, 1.0, 1e13])
     def test_span_tolerance_is_relative_to_the_horizon(self, horizon):
-        grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), n_core=256)
+        grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), cells=28)
         with pytest.raises(InvalidInputError):
             _span(grid, (0.0, 1.5 * horizon))
         assert _span(grid, (0.0, horizon * (1.0 + 1e-13))) == (0.0, horizon * (1.0 + 1e-13))
 
-    @pytest.mark.parametrize("gamma", SCALE_KERNELS[:2])
-    def test_second_moment_past_float64_raises(self, gamma):
-        # t^(2H) > t at 1e300 leaves the float64 range; the values, of
-        # order t^H, stay finite
-        ker = KernelSpec(gamma, horizon=1e300)
-        grid = build_grid(ker, n_core=256)
-        with pytest.raises(DomainError, match="horizon 1e\\+300"):
+    @pytest.mark.parametrize("gamma, horizon", [*((g, 1e300) for g in SCALE_KERNELS[:2]),
+                                                *((g, 1e-250) for g in SCALE_KERNELS[:2]),
+                                                *((g, 1e-300) for g in SCALE_KERNELS)])
+    def test_second_moment_outside_float64_raises(self, gamma, horizon):
+        # t^(2H) leaves float64's normal range: above it at 1e300, where the
+        # second moment read NaN, and below it at 1e-250 (1e-350, 1e-325)
+        # and 1e-300 (1e-420 to 1e-330), where it read 0.0; the values, of
+        # order t^H, still sample
+        ker = KernelSpec(gamma, horizon=horizon)
+        grid = build_grid(ker)
+        with pytest.raises(DomainError, match=re.escape(f"normal range at horizon {horizon}")):
             discrete_second_moment(ker, grid)
         with pytest.raises(DomainError):
             sample_chaos(ker, grid, 8, seed=1)
-        assert np.isfinite(sample_chaos(ker, grid, 8, seed=1, with_second_moment=False).values).all()
+        values = sample_chaos(ker, grid, 8, seed=1, with_second_moment=False).values
+        assert np.isfinite(values).all() and np.all(values != 0.0)
 
-    def test_order_three_second_moment_at_1e250_is_finite(self):
-        # H = 0.55, so t^(2H) = 1e275 is still a float64
-        gamma, t = SCALE_KERNELS[2], 1e250
-        unit = discrete_second_moment(KernelSpec(gamma), build_grid(KernelSpec(gamma), n_core=256))
+    @pytest.mark.parametrize("t", [1e250, 1e-250])
+    def test_order_three_second_moment_stays_finite(self, t):
+        # H = 0.55, so t^(2H) = 1e275 and 1e-275 are still normal floats
+        gamma = SCALE_KERNELS[2]
+        unit = discrete_second_moment(KernelSpec(gamma), build_grid(KernelSpec(gamma), cells=28))
         ker = KernelSpec(gamma, horizon=t)
-        m2 = sample_chaos(ker, build_grid(ker, n_core=256), 8, seed=1).second_moment
-        assert math.isfinite(m2)
+        m2 = sample_chaos(ker, build_grid(ker, cells=28), 8, seed=1).second_moment
+        assert math.isfinite(m2) and m2 > 0.0
         assert m2 / t ** (2.0 * hurst(gamma)) == pytest.approx(unit, rel=1e-12, abs=0.0)
 
 
