@@ -1,17 +1,19 @@
 """Discretization grids for chaos sampling.
 
-A grid's cells cover [x_left, horizon] with x_left <= -horizon/2, and the
-far past (-inf, x_left] is no cell at all: the sampler draws it from the
-continuum far field, an exact Gram integral (see `sampler`).  So no
-window has to reach far enough for the kernel's slowly decaying tail:
-each kernel factor decays like |x|^g with g in (-1,-1/2), so the
-variance mass below -X vanishes only like X^(1+g_i+g_j), painfully
+A grid is one uniform mesh: `cells` cells of width t/cells on [0, t], t
+the horizon, continued left of 0 down to the largest mesh edge at or left
+of -t/2.  The far past beyond that edge is no cell at all: the sampler
+draws it from the continuum far field, an exact Gram integral (see
+`sampler`).  So no window has to reach far enough for the kernel's slowly
+decaying tail: each kernel factor decays like |x|^g with g in (-1,-1/2),
+so the variance mass below -X vanishes only like X^(1+g_i+g_j), painfully
 slowly near the boundary faces.  `tail_fraction` and `required_window`
 estimate what a grid cut off at a window would miss.
 
-The process is H-self-similar (Bai & Taqqu, 2017), so `build_grid`
-scales the unit-horizon grid by the horizon t: `cells` cells of width
-t/cells on [0, t], and about cells/2 more left of 0 in `n_cells`.
+The process is H-self-similar with stationary increments (Bai & Taqqu,
+2017), so a grid's shape does not depend on the horizon: the grid at
+horizon t is the unit one scaled by t, with `cells` cells on [0, t] and
+about cells/2 more left of 0 in `n_cells`.
 
 The grid also fixes the quadrature in the time variable s that the
 sampler uses to factorize kernels: one Gauss-Legendre node per cell inside
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,38 +45,35 @@ FAR_CAP = 1e250
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Cell edges from edges[0] <= -horizon/2 to at least the horizon;
-    the past left of edges[0] is the sampler's continuum far field.  A
-    grid keeps no kernel: one grid may serve any kernel of its horizon.
+    """The uniform mesh of `cells` cells of width t/cells on [0, t], t the
+    horizon, cut on the left at the largest mesh edge at or left of -t/2;
+    the past left of that edge is the sampler's continuum far field, whose
+    factors are analytic in s on [0, t] only from -t/2 on (see `sampler`).
+    A grid keeps no kernel: one grid may serve any kernel of its horizon.
 
-    The edges must be finite and strictly increasing, reach horizon on
-    the right, and start at or left of -horizon/2: the far field's
-    factors are analytic in s on [0, horizon] only from there on (see
-    `sampler`).  A grid is immutable: its fields cannot be reassigned,
-    and it holds a read-only float64 copy of the edges it is given.
+    `cells` is a positive integer, and a mesh width t/cells below the
+    smallest normal float raises DomainError.  A grid is immutable: its
+    fields cannot be reassigned, and its `edges` are a read-only float64
+    array derived from (horizon, cells).
     """
 
-    edges: np.ndarray
     horizon: float
+    cells: int
+    edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = _horizon(self.horizon)
-        try:
-            edges = np.array(self.edges, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"grid edges must be real numbers, got {type(self.edges).__name__}") from None
-        if edges.ndim != 1 or len(edges) < 2:
-            raise InvalidInputError(f"grid edges must be at least two numbers in one dimension, got shape {edges.shape}")
-        bad = np.flatnonzero(~np.isfinite(edges) | np.r_[False, edges[1:] <= edges[:-1]])
-        if bad.size:
-            raise InvalidInputError(
-                f"grid edges must be finite and strictly increasing: edge {bad[0]} of {len(edges)} is not")
-        if not (edges[0] <= -0.5 * t and edges[-1] >= t):
-            raise InvalidInputError(
-                f"grid edges must span [-horizon/2, horizon] = [{-0.5 * t}, {t}], got [{edges[0]}, {edges[-1]}]")
+        cells = _integer(self.cells, "cells")
+        if cells < 1:
+            raise InvalidInputError(f"cells must be a positive integer, got {self.cells}")
+        if t / cells < np.finfo(float).tiny:
+            raise DomainError(f"the mesh width t/{cells} is subnormal at horizon {t}")
+        edges = np.concatenate([np.linspace(-t, 0.0, cells + 1)[:-1], np.linspace(0.0, t, cells + 1)])
         edges.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
+        edges = edges[int(np.searchsorted(edges, -0.5 * t, side="right")) - 1 :]
         object.__setattr__(self, "horizon", t)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n_cells(self) -> int:
@@ -157,24 +156,9 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0) -> float:
 
 
 def build_grid(kernel: KernelSpec, cells: int | None = None) -> GridSpec:
-    """The uniform grid for the kernel, cut to the sampler's near zone.
-
-    `cells` (default 455 for q <= 2, 114 otherwise) cells of width
-    t/cells cover [0, t], t the horizon, so increments over [0, t]
-    aggregate whole cells, and the sampler's s-rule, one node per cell
-    inside [0, t], refines with them.  The mesh runs on to the largest
-    edge at or left of -t/2, beyond which lies the sampler's continuum
-    far field, so `n_cells` is about 1.5 x `cells` (683 and 171 by
-    default).  The grid at horizon t is the unit one scaled by t; a mesh
-    width t/cells below the smallest normal float raises DomainError.
-    """
+    """The kernel's grid: GridSpec(kernel.horizon, cells), with `cells`
+    defaulting to 455 for q <= 2 and 114 otherwise, so `n_cells` is 683
+    and 171 by default."""
     if cells is None:
         cells = 114 if kernel.q >= 3 else 455
-    if _integer(cells, "cells") < 1:
-        raise InvalidInputError(f"cells must be a positive integer, got {cells}")
-    t = kernel.horizon
-    if t / cells < np.finfo(float).tiny:
-        raise DomainError(f"the mesh width t/{cells} is subnormal at horizon {t}")
-    edges = np.concatenate([np.linspace(-t, 0.0, cells + 1)[:-1], np.linspace(0.0, t, cells + 1)])
-    first = int(np.searchsorted(edges, -0.5 * t, side="right")) - 1
-    return GridSpec(edges=edges[first:], horizon=t)
+    return GridSpec(kernel.horizon, cells)

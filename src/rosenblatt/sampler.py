@@ -69,17 +69,16 @@ taken entrywise.  It is the variance of exactly the columns drawn, and
 the discrete twin of the continuum variance, which is A^2 times the
 permanent of the Beta matrix U (see `kernel`).
 
-Near table.  Where a near cell c (a grid cell left of hi) and a whole
-s-panel m (a panel that is the full grid cell k_m) share the width h,
-b[c, m] = tau(k_m - c) depends on the lag alone and is zero for negative
-lags.  So on a uniform mesh, which every `build_grid` grid is, each
-exponent block of the near rows is written from one lag column:
-factor_matrix at the last whole panel's s-node over the near rows,
-reversed, left-padded with zeros and read through a sliding window one
-contiguous row at a time, with the at most two end panels that lo and hi
-cut evaluated directly.  It matches direct evaluation to within 1e-13 of
-the block's largest entry.  A table with no whole panel, or with near
-cells of mixed widths (hand-built grids only), is evaluated directly.
+Near table.  Every grid is a uniform mesh, so where a near cell c (a
+grid cell left of hi) meets a whole s-panel m (a panel that is the full
+grid cell k_m), b[c, m] = tau(k_m - c) depends on the lag alone and is
+zero for negative lags.  Each exponent block of the near rows is
+therefore written from one lag column: factor_matrix at the last whole
+panel's s-node over the near rows, reversed, left-padded with zeros and
+read through a sliding window one contiguous row at a time.  It matches
+direct evaluation to within 1e-13 of the block's largest entry.  The at
+most two end panels that lo and hi cut are evaluated directly, so an
+interval with no whole panel is factor_matrix's own output, bit for bit.
 
 Randomness: a realization's noise row is [eta (r), xi over every grid
 cell], r + n_cells normals.  Realizations come in
@@ -90,7 +89,7 @@ it depends only on (seed, k, width): not on the worker count or n_samples.
 The far field and the root do not depend on the interval, so every
 interval on one grid reads the same columns, which couples increments
 and the Brownian value pathwise; the far field lies left of 0, so the
-Brownian value reads cell columns only.  A degenerate interval lo == hi
+Brownian value reads the columns of the last `cells` cells, [0, t], only.  A degenerate interval lo == hi
 has no s-node, so its values are 0 and its Brownian value is still B(t).
 One stream per block, not per realization, because a stream's set-up
 costs about as much as drawing a row of normals on a coarse grid and
@@ -200,9 +199,10 @@ class _Factors(NamedTuple):
     `table` has one row per live noise column, the r latent rows and then
     the grid cells left of hi, and holds b at the s-nodes for every
     distinct exponent side by side; coordinate i reads the exponent
-    block slot[i].
+    block slot[i].  `span` is the s-interval (lo, hi).
     """
 
+    span: tuple
     s_w: np.ndarray
     r: int
     slot: tuple
@@ -213,7 +213,8 @@ class _Factors(NamedTuple):
 
 
 def _span(grid: GridSpec, interval) -> tuple:
-    """(lo, hi) of an s-interval inside [0, horizon]; None is the whole."""
+    """(lo, hi) of an s-interval inside [0, horizon]; None is the whole.
+    An end up to 1e-12 horizon past the horizon is the horizon."""
     if interval is None:
         return 0.0, grid.horizon
     try:
@@ -223,40 +224,36 @@ def _span(grid: GridSpec, interval) -> tuple:
     if len(pair) != 2 or not all(map(_is_real, pair)):
         raise InvalidInputError(f"interval must be a pair of real numbers, got {interval!r}")
     lo, hi = float(pair[0]), float(pair[1])
-    if not (0.0 <= lo <= hi <= grid.horizon + 1e-12 * grid.horizon):
-        raise InvalidInputError(f"interval {interval} not inside [0, {grid.horizon}]")
-    return lo, hi
+    t = grid.horizon
+    if not (0.0 <= lo <= hi <= t + 1e-12 * t):
+        raise InvalidInputError(f"interval {interval} not inside [0, {t}]")
+    return min(lo, t), min(hi, t)
 
 
 def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: float, out: np.ndarray) -> None:
-    """factor_matrix(edges, keys, s_nodes, out) for the near cells.  On a
-    uniform mesh they are built by lag (see the module docstring): s-panel
-    p lies in cell first + p, first the cell holding lo, each exponent
-    block is one lag column, at the last whole panel, read through a
-    sliding window, and the cut panels are evaluated directly.  With no
-    whole panel, or cells of mixed widths, all of it is direct."""
+    """factor_matrix(edges, keys, s_nodes, out) for the near cells, built
+    by lag (see the module docstring): s-panel p lies in cell first + p,
+    first the cell holding lo, each exponent block's whole panels are one
+    lag column, at the last whole panel, read through a sliding window,
+    and the cut panels are evaluated directly."""
     n_s = len(s_nodes)
     first = int(np.searchsorted(edges, lo, side="right")) - 1
     # panels p0..p1-1 are whole grid cells; at most the two end panels are cut
     p0, p1 = int(edges[first] != lo), n_s - int(edges[-1] != hi)
-    # the lag needs every width equal to the last whole panel's, up to the
-    # edges' rounding
-    widths, tol = np.diff(edges), 8.0 * np.spacing(np.abs(edges[[0, -1]]).max())
-    if p1 <= p0 or (np.abs(widths - widths[first + p1 - 1]) > tol).any():
-        factor_matrix(edges, keys, s_nodes, out=out)
-        return
-    cut = [*range(p0), *range(p1, n_s)]
-    cols = cut + [p1 - 1]
+    cut = [p for p in range(n_s) if not p0 <= p < p1]
+    n_whole = max(p1 - p0, 0)
+    # the cut panels' columns, then the last whole panel's lag column
+    cols = cut + ([p1 - 1] if n_whole else [])
     direct = factor_matrix(edges, keys, s_nodes[cols])
-    n_whole, n_c = p1 - p0, len(cols)
-    pad = np.zeros(n_whole - 1)
+    n_c = len(cols)
     for j in range(len(keys)):
         block = out[:, j * n_s : (j + 1) * n_s]
-        block[:, cut] = direct[:, j * n_c : j * n_c + n_c - 1]
-        # b[c, p] = tau(first + p - c): row c reads the lag vector from
-        # lag first + p0 - c on, so the rows are its windows in reverse order
-        lags = np.concatenate((pad, direct[::-1, j * n_c + n_c - 1]))
-        block[:, p0:p1] = sliding_window_view(lags, n_whole)[::-1]
+        block[:, cut] = direct[:, j * n_c : j * n_c + len(cut)]
+        if n_whole:
+            # b[c, p] = tau(first + p - c): row c reads the lag vector from
+            # lag first + p0 - c on, so the rows are its windows in reverse order
+            lags = np.concatenate((np.zeros(n_whole - 1), direct[::-1, j * n_c + n_c - 1]))
+            block[:, p0:p1] = sliding_window_view(lags, n_whole)[::-1]
 
 
 # Gauss-Jacobi nodes of the far Gram's u-integral (see the module docstring)
@@ -320,14 +317,15 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
     interp = _chebyshev_interpolation(s_nodes / t)
     table[:r] = (latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
     _near_rows(edges[: n_live + 1], keys, s_nodes, lo, hi, out=table[r:])
-    return _Factors(s_w, r, tuple(keys.index(v) for v in g), table)
+    return _Factors((lo, hi), s_w, r, tuple(keys.index(v) for v in g), table)
 
 
 def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
     """E[Z_hat^2] from the factor table: one Gram over its rows, whose
     exponent blocks are the G_ij.  It scales like t^(2H), H = 1 + sum(g)
     + q/2, so where t^(2H) leaves float64's normal range it raises
-    DomainError."""
+    DomainError; so does a nonempty interval whose second moment falls
+    below that range, as one much shorter than a cell can."""
     t, g = kernel.horizon, kernel.gamma.entries
     log_scale = (2.0 + 2.0 * sum(g) + len(g)) * math.log(t)
     if not math.log(np.finfo(float).tiny) <= log_scale <= math.log(np.finfo(float).max):
@@ -335,7 +333,10 @@ def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
     n_s, k = len(fac.s_w), len(set(fac.slot))
     gram = (fac.table.T @ fac.table).reshape(k, n_s, k, n_s)
     grams_by_slot = [[gram[a, :, b] for b in fac.slot] for a in fac.slot]
-    return float(kernel.constant**2 * (fac.s_w @ permanent(grams_by_slot) @ fac.s_w))
+    m2 = float(kernel.constant**2 * (fac.s_w @ permanent(grams_by_slot) @ fac.s_w))
+    if n_s and m2 < np.finfo(float).tiny:
+        raise DomainError(f"the second moment over the interval {fac.span} falls below float64's normal range")
+    return m2
 
 
 def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) -> float:
@@ -421,8 +422,7 @@ def sample_chaos(
     same kernel and grid reuses the same underlying noise, so increments
     and Brownian values sampled with equal seeds are coupled pathwise.
     A degenerate interval a == b gives 0, with the same B(t) as any other
-    interval.  `return_brownian` needs 0 and the horizon on cell edges,
-    as on every `build_grid` grid, and raises InvalidInputError otherwise.
+    interval; B(t) sums the grid's last `cells` cells, which tile [0, t].
 
     Chunks of 256 realizations are drawn and assembled on min(usable
     CPUs, number of chunks) worker threads.  The noise in flight takes
@@ -433,18 +433,13 @@ def sample_chaos(
     built on the unit horizon and cached by the far edge over the horizon
     and the exponents, up to 256 of them, so later calls on any grid with
     that ratio, at any horizon, skip its build.  The second moment scales
-    like t^(2H); outside float64's normal range it raises DomainError.
+    like t^(2H); outside float64's normal range it raises DomainError,
+    as it does where a nonempty interval's falls below that range.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if _integer(value, name) < 0:
             raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
-    # B(t) sums whole cells, so a cell straddling 0 or the horizon would
-    # count in full or not at all; edges within 1e-12 t of them count
-    t = grid.horizon
-    if return_brownian and not all(np.abs(grid.edges - x).min() <= 1e-12 * t for x in (0.0, t)):
-        raise InvalidInputError(f"the Brownian value needs 0 and the horizon {t} on cell edges")
-    lo, hi = _span(grid, interval)
-    fac = _factorize(kernel, grid, (lo, hi))
+    fac = _factorize(kernel, grid, interval)
     m2 = _second_moment(kernel, fac) if with_second_moment else math.nan
 
     slot, r, table = fac.slot, fac.r, fac.table
@@ -467,10 +462,10 @@ def sample_chaos(
         else:
             products.append(([slot[i] for i in free], c))
 
-    # the cells inside [0, horizon] carry the terminal Brownian value; the
-    # far field lies left of 0
-    left = grid.edges[:-1]
-    sqrt_w_pos = np.sqrt(grid.widths) * ((left >= -1e-12 * t) & (left < t))
+    # the last `cells` cells, [0, horizon], carry the terminal Brownian
+    # value; the product runs over every cell column, zeros left of 0
+    sqrt_w_pos = np.sqrt(grid.widths)
+    sqrt_w_pos[: grid.n_cells - grid.cells] = 0.0
     n_s, k = len(fac.s_w), len(set(slot))
 
     def assemble(xi: np.ndarray) -> np.ndarray:
@@ -502,7 +497,7 @@ def sample_chaos(
         list(pool.map(run_chunk, starts))  # re-raises a chunk's exception
     return ChaosSampleBatch(
         values=values, seed=int(seed), kernel=kernel, grid=grid,
-        interval=(lo, hi), second_moment=m2, brownian=brownian,
+        interval=fac.span, second_moment=m2, brownian=brownian,
     )
 
 

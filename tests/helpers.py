@@ -174,14 +174,6 @@ def cycle_mc_oracle(gamma, pairs, n_points: int, seed: int):
     return mean, math.sqrt(var / n_points)
 
 
-def tiny_grid(n_cells: int, left: float, horizon: float):
-    """Small uniform hand grid for oracle comparisons (equal cell widths
-    so variance-h Wick arithmetic applies directly)."""
-    from rosenblatt.grid import GridSpec
-
-    return GridSpec(edges=np.linspace(-left, horizon, n_cells + 1), horizon=horizon)
-
-
 @functools.lru_cache(maxsize=None)
 def _far_gram_entry(ga: float, gb: float, si: float, sj: float, far_left: float) -> float:
     # 1 + ga + gb, exact up to one rounding however close it is to 0

@@ -41,7 +41,6 @@ from helpers import (
     far_gram_quadrature,
     far_rows,
     gram_sum_reference,
-    tiny_grid,
     tiny_hat_tensor,
     wick_sum_reference,
 )
@@ -94,21 +93,23 @@ class TestExactEngineVsWickOracle:
     # the oracle's Hermite-complete sum is the estimator's exact form
     def test_q2_tiny_grid_exact(self):
         ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         oracle = wick_oracle_m2(ker, grid)
         engine = discrete_second_moment(ker, grid)
         assert engine == pytest.approx(oracle, rel=1e-10)
 
     def test_q3_tiny_grid_exact(self):
         ker = KernelSpec((-0.55, -0.6, -0.65))
-        grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
+        grid = GridSpec(1.0, 3)
         oracle = wick_oracle_m2(ker, grid)
         engine = discrete_second_moment(ker, grid)
         assert engine == pytest.approx(oracle, rel=1e-10)
 
     def test_q4_tiny_grid_exact(self):
+        # 2 cells on [0, 1] make 3 in all and leave 6 far columns, so the
+        # q=4 tensor stays within the oracle's 10^4 tuples
         ker = KernelSpec((-0.55, -0.6, -0.6, -0.65))
-        grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
+        grid = GridSpec(1.0, 2)
         oracle = wick_oracle_m2(ker, grid)
         engine = discrete_second_moment(ker, grid)
         assert engine == pytest.approx(oracle, rel=1e-10)
@@ -118,7 +119,7 @@ class TestExactEngineVsWickOracle:
         # discretized kernel; reassemble it directly from factor columns,
         # the far field's from the quadrature oracle
         ker = KernelSpec((-0.6,))
-        grid = tiny_grid(n_cells=8, left=3.0, horizon=1.0)
+        grid = GridSpec(1.0, 5)
         _, weights, (b,) = dense_factors(ker, grid)
         direct = ker.constant**2 * float(np.sum((b @ weights) ** 2))
         assert discrete_second_moment(ker, grid) == pytest.approx(direct, rel=1e-12)
@@ -133,7 +134,7 @@ class TestExactEngineVsWickOracle:
         # q=4 the r + 8 columns make (r + 8)^4 > 10^4 tuples, so the cap
         # that bounds the oracle's cost is raised to the tensor's size
         ker = KernelSpec(gamma)
-        grid = tiny_grid(n_cells=8, left=0.5, horizon=1.0)
+        grid = GridSpec(1.0, 5)
         h = grid.widths[0]
         batch = sample_chaos(ker, grid, 50, seed=8, with_second_moment=False)
         xi = noise_rows(8, 50, ker, grid)
@@ -160,7 +161,7 @@ class TestAssemblyVsDenseReference:
     @pytest.mark.parametrize("default_grid", [True, False])
     def test_matches_dense_reference(self, gamma, interval, default_grid):
         ker = KernelSpec(gamma)
-        grid = build_grid(ker) if default_grid else tiny_grid(n_cells=6, left=0.5, horizon=1.0)
+        grid = build_grid(ker) if default_grid else GridSpec(1.0, 4)
         n, seed = 64, 31
         batch = sample_chaos(ker, grid, n, seed, interval=interval)
         if not default_grid:
@@ -242,7 +243,7 @@ class TestAssemblyVsDenseReference:
         # middle Chebyshev point of the far-field interpolation, where the
         # barycentric weights would divide by zero
         ker = KernelSpec((-0.7, -0.65))
-        grid = tiny_grid(n_cells=3, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 1)
         fac = _factorize(ker, grid, None)
         assert 0 < fac.r < len(set(ker.gamma.entries)) * _FAR_NODES
         assert latent_gram_error(ker, grid, None) <= 1e-13
@@ -250,92 +251,51 @@ class TestAssemblyVsDenseReference:
         assert np.all(np.isfinite(batch.values))
 
 
-def near_rows_error(ker, grid, interval):
-    # the near rows of the table, built by lag, against factor_matrix
-    # evaluated directly over the same cells and s-nodes; the largest error
-    # in each exponent block relative to that block's largest entry
+def near_rows(ker, grid, interval):
+    # the near rows of the table, built by lag, and factor_matrix evaluated
+    # directly over the same cells and s-nodes, as (cells, exponents, nodes)
     fac = _factorize(ker, grid, interval)
     nodes, _ = cell_s_rule(grid, interval)
     hi = grid.horizon if interval is None else interval[1]
     n_live = int(np.searchsorted(grid.edges[:-1], hi, side="left"))
     keys = sorted(set(ker.gamma.entries))
     direct = factor_matrix(grid.edges[: n_live + 1], keys, nodes).reshape(-1, len(keys), len(nodes))
-    near = fac.table[fac.r :].reshape(direct.shape)
-    return np.max(np.max(np.abs(near - direct), axis=(0, 2)) / np.max(np.abs(direct), axis=(0, 2)))
-
-
-def three_piece_grid(horizon, n_core):
-    # uniform pieces on [-max(8, t/2), -1], [-1, 0] and [0, t], sized from
-    # one step (t + max(8, t/2)) / n_core and cut at the largest edge at or
-    # left of -t/2: the pieces' widths differ, so the near rows left of 0,
-    # and for t > 2 those left of -1, lie off the whole panels' lattice
-    left = max(8.0, 0.5 * horizon)
-    h = (horizon + left) / n_core
-    pieces = [np.linspace(x0, x1, max(1, round((x1 - x0) / h)) + 1) for x0, x1 in ((-left, -1.0), (-1.0, 0.0),
-                                                                                   (0.0, horizon))]
-    edges = np.concatenate([pieces[0][:-1], pieces[1][:-1], pieces[2]])
-    return GridSpec(edges=edges[int(np.searchsorted(edges, -0.5 * horizon, side="right")) - 1 :], horizon=horizon)
-
-
-def near_widths(ker, grid, interval):
-    # the widths of the cells left of hi
-    hi = grid.horizon if interval is None else interval[1]
-    return grid.widths[: int(np.searchsorted(grid.edges[:-1], hi, side="left"))]
+    return fac.table[fac.r :].reshape(direct.shape), direct
 
 
 class TestNearTable:
-    # on a uniform mesh the near rows are built from one lag vector per
-    # exponent, with only the cut panels evaluated directly; a table with
-    # cells of mixed widths is evaluated directly as a whole, so it is
-    # factor_matrix's own, bit for bit
+    # the near rows are built from one lag vector per exponent, with only
+    # the cut panels evaluated directly
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("interval", INTERVALS + [(0.3, 0.31)])
     def test_near_rows_match_factor_matrix(self, gamma, interval):
-        # (0.3, 0.31) is cut at both ends; (0.75, 1) at its left end
+        # (0.3, 0.31) is cut at both ends; (0.75, 1) at its left end; the
+        # largest error in each exponent block relative to that block's
+        # largest entry
         ker = KernelSpec(gamma)
-        assert near_rows_error(ker, build_grid(ker), interval) <= 1e-13
+        near, direct = near_rows(ker, build_grid(ker), interval)
+        err = np.max(np.abs(near - direct), axis=(0, 2)) / np.max(np.abs(direct), axis=(0, 2))
+        assert np.max(err) <= 1e-13
 
-    @pytest.mark.parametrize("horizon, n_core", [(0.5, 2048), (2.0, None), (3.0, 1024)])
-    @pytest.mark.parametrize("share", [None, (0.3, 0.62)])
-    def test_rows_of_another_width_are_direct(self, horizon, n_core, share):
-        # build_grid's widths are all equal, so the direct path is checked
-        # on hand-built grids: at these horizons the piece [-1, 0] has
-        # another width than [0, t], and for t > 2 the near zone reaches
-        # into [-8, -1] as well
-        ker = KernelSpec((-0.7, -0.65), horizon=horizon)
-        grid = three_piece_grid(horizon, n_core or 4096)
-        interval = None if share is None else (share[0] * horizon, share[1] * horizon)
-        widths = near_widths(ker, grid, interval)
-        assert np.ptp(widths) > 1e-6 * widths[-1]
-        assert near_rows_error(ker, grid, interval) == 0.0
-
-    def test_a_piece_of_equal_width_off_the_lattice(self):
-        # [-2.2, -1] has the width 2/15 of [0, 2.4], but [-1, 0] has 8 cells
-        # of 1/8, so the cells left of -1 sit half a cell off the lattice of
-        # [0, 2.4]: the table must be evaluated directly although their
-        # width matches the whole panels'
-        h = 2.0 / 15.0
-        edges = np.concatenate([-1.0 - h * np.arange(9, 0, -1), np.linspace(-1.0, 0.0, 9)[:-1], np.linspace(0.0, 2.4, 19)])
-        grid = GridSpec(edges=edges, horizon=2.4)
-        ker = KernelSpec((-0.7, -0.65), horizon=2.4)
-        assert near_widths(ker, grid, None)[0] == pytest.approx(h, rel=1e-14)
-        for interval in (None, (0.5, 1.7)):
-            assert near_rows_error(ker, grid, interval) == 0.0
-
-    def test_zero_off_the_edges(self):
-        # on tiny_grid(8, left=0.5) the edges are -0.5 + 0.1875 k, so 0 is
-        # no edge and panel 0 of [0, 1] is cut
-        grid = tiny_grid(n_cells=8, left=0.5, horizon=1.0)
-        assert 0.0 not in grid.edges
-        for gamma in [(-0.6, -0.7), (-0.55, -0.6, -0.65)]:
-            for interval in (None, (0.0, 0.25), (0.3, 0.31), (0.0625, 0.625)):
-                assert near_rows_error(KernelSpec(gamma), grid, interval) <= 1e-13
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_no_whole_panel_is_factor_matrix_bit_for_bit(self, gamma):
+        # with no whole panel every column is a cut panel's, evaluated
+        # directly: (0.6, 0.6001) and (0.3, 0.3001) lie inside one cell of
+        # width 1/455 (1/114 at q=3), the second cut at both ends, and the
+        # last interval holds the two cut panels on either side of one edge
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        edge, h = grid.edges[-grid.cells // 3], grid.widths[-1]
+        for interval, n_panels in (((0.6, 0.6001), 1), ((0.3, 0.3001), 1), ((edge - h / 3, edge + h / 4), 2)):
+            near, direct = near_rows(ker, grid, interval)
+            assert direct.shape[2] == n_panels
+            assert np.array_equal(near, direct)
 
 
 class TestSampleMoments:
     def test_q2_tiny_grid_second_moment_vs_oracle(self):
         ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         oracle = wick_oracle_m2(ker, grid)
         batch = sample_chaos(ker, grid, 40000, seed=7)
         var, se = variance_se(batch.values)
@@ -344,7 +304,7 @@ class TestSampleMoments:
 
     def test_q3_tiny_grid_second_moment_vs_oracle(self):
         ker = KernelSpec((-0.55, -0.6, -0.65))
-        grid = tiny_grid(n_cells=5, left=1.5, horizon=1.0)
+        grid = GridSpec(1.0, 3)
         oracle = wick_oracle_m2(ker, grid)
         batch = sample_chaos(ker, grid, 20000, seed=11)
         _, se = variance_se(batch.values)
@@ -365,7 +325,7 @@ class TestSampleMoments:
     def test_mean_zero_q2_q3(self):
         for gamma, m in [((-0.6, -0.7), 20000), ((-0.55, -0.6, -0.65), 10000)]:
             ker = KernelSpec(gamma)
-            grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+            grid = GridSpec(1.0, 4)
             batch = sample_chaos(ker, grid, m, seed=19)
             mean_se = np.std(batch.values) / math.sqrt(m)
             assert abs(np.mean(batch.values)) < 4 * mean_se
@@ -391,7 +351,7 @@ class TestSampleMoments:
 class TestReproducibility:
     def test_same_seed_bit_identical(self):
         ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         a = sample_chaos(ker, grid, 500, seed=42)
         b = sample_chaos(ker, grid, 500, seed=42)
         assert np.array_equal(a.values, b.values)
@@ -402,7 +362,7 @@ class TestReproducibility:
         # host) give the same bits; 800 realizations make 4 chunks of at
         # most 256, and a short switch interval makes the threads
         # interleave often
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -444,14 +404,14 @@ class TestReproducibility:
     def test_prefix_stability(self):
         # first k realizations of a longer batch equal the shorter batch
         ker = KernelSpec((-0.6,))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         a = sample_chaos(ker, grid, 100, seed=5)
         b = sample_chaos(ker, grid, 40, seed=5)
         assert np.array_equal(a.values[:40], b.values)
 
     def test_different_seeds_differ(self):
         ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         a = sample_chaos(ker, grid, 100, seed=1)
         b = sample_chaos(ker, grid, 100, seed=2)
         assert not np.allclose(a.values, b.values)
@@ -501,25 +461,23 @@ class TestFarRootMemo:
             assert m2 == discrete_second_moment(ker, shared)
 
     def test_the_key_is_the_far_edge_not_the_grid(self):
-        # two grids with one far edge and horizon share one root, whatever
-        # their cells; another far edge has its own; and two horizons with
-        # one ratio L/t share one root, the unit-horizon one (scaling the
-        # edges by 4 is exact)
+        # two grids with one far edge ratio L/t share one root, whatever
+        # their cells: 28 and 2 cells both cut at -t/2, and so does the
+        # 2-cell grid at horizon 4, whose edges are the unit ones times 4
+        # exactly; 3 cells cut at -2t/3 and have their own root
         ker = KernelSpec((-0.7, -0.65))
         keys = (-0.7, -0.65)
-        built = build_grid(ker, cells=28)
-        hand = GridSpec(edges=np.concatenate((built.edges[:2], [0.0, 1.0])), horizon=1.0)
-        other = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
-        wide = GridSpec(edges=4.0 * hand.edges, horizon=4.0)
+        built, coarse, other, wide = build_grid(ker, cells=28), GridSpec(1.0, 2), GridSpec(1.0, 3), GridSpec(4.0, 2)
+        assert built.far_left == coarse.far_left == wide.far_left / wide.horizon == 0.5
+        assert other.far_left == pytest.approx(2.0 / 3.0, rel=1e-15)
         _far_root.cache_clear()
         sample_chaos(ker, built, 8, seed=1)
         sample_chaos(KernelSpec(keys, horizon=4.0), wide, 8, seed=1)
+        sample_chaos(ker, coarse, 8, seed=1)
         assert _far_root.cache_info().currsize == 1
-        for grid in (hand, other):
-            sample_chaos(ker, grid, 8, seed=1)
+        sample_chaos(ker, other, 8, seed=1)
         root = _far_root(built.far_left, keys)
-        assert wide.far_left / wide.horizon == built.far_left
-        assert _far_root(hand.far_left, keys) is root
+        assert _far_root(coarse.far_left, keys) is root
         assert _far_root(other.far_left, keys) is not root
         assert not root.flags.writeable
 
@@ -556,7 +514,7 @@ class TestFarRootMemo:
 class TestIncrements:
     def test_full_interval_matches_plain_call(self):
         ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         a = sample_chaos(ker, grid, 200, seed=21)
         b = sample_process_increment(ker, grid, (0.0, 1.0), 200, seed=21)
         assert np.array_equal(a.values, b.values)
@@ -623,7 +581,7 @@ class TestIncrements:
 
     def test_span_validation(self):
         ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         # reversed or outside [0, t]; not a pair; not real numbers, and
         # bool is an int subclass, but True is no time
         for bad in [(0.5, 0.2), (-0.1, 0.5), (0.1,), "ab", 0.5, (0.1, 0.2, 0.9), (True, 1), (0.1, "0.2"), (0.1, None)]:
@@ -652,38 +610,10 @@ class TestBrownianOutput:
         assert abs(corr) < 4 / math.sqrt(batch.n)
 
 
-    def test_brownian_stops_at_the_horizon(self):
-        # a grid may reach past its horizon; the cells beyond it carry no
-        # part of B(t)
-        ker = KernelSpec((-0.6, -0.7))
-        grid = GridSpec(edges=np.linspace(-1.0, 2.0, 13), horizon=1.0)
-        batch = sample_chaos(ker, grid, 70, seed=5, return_brownian=True)
-        xi = noise_rows(5, 70, ker, grid)
-        inside = (grid.edges[:-1] >= 0.0) & (grid.edges[:-1] < 1.0)
-        assert inside.sum() == 4
-        assert np.allclose(batch.brownian, xi[:, -grid.n_cells :][:, inside] @ np.sqrt(grid.widths[inside]),
-                           rtol=1e-14, atol=1e-14)
-
-    @pytest.mark.parametrize("grid", [
-        tiny_grid(8, left=0.5, horizon=1.0),  # 0 inside a cell
-        GridSpec(edges=np.linspace(-1.0, 2.0, 13), horizon=0.9),  # the horizon inside a cell
-        GridSpec(edges=1e-13 * np.linspace(-0.5, 1.0, 9), horizon=1e-13),  # 0 inside a cell, 6.25e-15 from an edge
-    ])
-    def test_brownian_needs_zero_and_horizon_on_edges(self, grid):
-        # a straddling cell would count in full or not at all, so B(t)
-        # would come back quietly short
-        ker = KernelSpec((-0.6, -0.7), horizon=grid.horizon)
-        with pytest.raises(InvalidInputError, match="cell edges"):
-            sample_chaos(ker, grid, 10, seed=5, return_brownian=True)
-        with pytest.raises(InvalidInputError, match="cell edges"):
-            sample_process_increment(ker, grid, (0.0, 0.5), 10, seed=5, return_brownian=True)
-        assert sample_chaos(ker, grid, 10, seed=5).brownian is None
-
-
 class TestErrorsAndValidation:
     def test_order_cap(self):
         ker = KernelSpec((-0.52, -0.55, -0.6, -0.58, -0.54))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         with pytest.raises(SizeError):
             sample_chaos(ker, grid, 10, seed=1)
         with pytest.raises(SizeError):
@@ -691,7 +621,7 @@ class TestErrorsAndValidation:
 
     def test_seed_and_count_validation(self):
         ker = KernelSpec((-0.6,))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         # bool is an int subclass: True is neither a count nor a seed
         for bad in (-1, 2.5, 3.0, "3", True, False):
             with pytest.raises(InvalidInputError):
@@ -702,7 +632,7 @@ class TestErrorsAndValidation:
 
     def test_horizon_mismatch(self):
         # a horizon-2 kernel on a horizon-1 grid would quietly give Z(1)
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         ker = KernelSpec((-0.6, -0.7), horizon=2.0)
         with pytest.raises(InvalidInputError):
             sample_chaos(ker, grid, 10, seed=1)
@@ -719,7 +649,7 @@ class TestErrorsAndValidation:
 
     def test_empty_batch(self):
         ker = KernelSpec((-0.6,))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         batch = sample_chaos(ker, grid, 0, seed=1)
         assert batch.n == 0
 
@@ -811,10 +741,25 @@ class TestSelfSimilarity:
 
     @pytest.mark.parametrize("horizon", [1e-13, 1.0, 1e13])
     def test_span_tolerance_is_relative_to_the_horizon(self, horizon):
+        # an end inside the slack is the horizon itself
         grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), cells=28)
         with pytest.raises(InvalidInputError):
             _span(grid, (0.0, 1.5 * horizon))
-        assert _span(grid, (0.0, horizon * (1.0 + 1e-13))) == (0.0, horizon * (1.0 + 1e-13))
+        assert _span(grid, (0.0, horizon * (1.0 + 1e-13))) == (0.0, horizon)
+        assert _span(grid, (horizon * (1.0 + 1e-13),) * 2) == (horizon, horizon)
+
+    @pytest.mark.parametrize("horizon", [1e-13, 1.0, 1e13])
+    def test_an_end_in_the_slack_gives_the_horizon_bit_for_bit(self, horizon):
+        # kept as given, hi = t (1 + 1e-13) made one more s-panel right of
+        # the last cell, its node outside [0, t]: m2 read
+        # 0.9425967829041533 over (0, 1 + 5e-13) against 0.9425967829034745
+        ker = KernelSpec((-0.7, -0.65), horizon=horizon)
+        grid = build_grid(ker)
+        want = sample_chaos(ker, grid, 70, seed=6, interval=(0.0, horizon), return_brownian=True)
+        got = sample_chaos(ker, grid, 70, seed=6, interval=(0.0, horizon * (1.0 + 1e-13)), return_brownian=True)
+        assert_same_bits(got, want)
+        assert got.second_moment == want.second_moment == discrete_second_moment(ker, grid, (0.0, horizon * (1.0 + 1e-13)))
+        assert got.interval == want.interval == (0.0, horizon)
 
     @pytest.mark.parametrize("gamma, horizon", [*((g, 1e300) for g in SCALE_KERNELS[:2]),
                                                 *((g, 1e-250) for g in SCALE_KERNELS[:2]),
@@ -833,6 +778,27 @@ class TestSelfSimilarity:
         values = sample_chaos(ker, grid, 8, seed=1, with_second_moment=False).values
         assert np.isfinite(values).all() and np.all(values != 0.0)
 
+    @pytest.mark.parametrize("hi", [1e-200, 1e-250])
+    def test_a_sub_interval_second_moment_below_float64_raises(self, hi):
+        # t^(2H) is 1 here, but (0, hi) is the cut share of one cell of
+        # width 1/455, and its second moment read 0.0; the values still
+        # sample, and an empty interval there still reads 0.0
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        with pytest.raises(DomainError, match=re.escape(f"over the interval (0.0, {hi}) falls below")):
+            discrete_second_moment(ker, grid, (0.0, hi))
+        with pytest.raises(DomainError, match=re.escape(f"(0.0, {hi})")):
+            sample_chaos(ker, grid, 8, seed=1, interval=(0.0, hi))
+        values = sample_chaos(ker, grid, 8, seed=1, interval=(0.0, hi), with_second_moment=False).values
+        assert np.isfinite(values).all()
+        assert discrete_second_moment(ker, grid, (hi, hi)) == 0.0
+        assert sample_chaos(ker, grid, 8, seed=1, interval=(hi, hi)).second_moment == 0.0
+
+    def test_a_sub_interval_second_moment_in_range_is_kept(self):
+        # (0, 1e-150) is still a normal float64, and reads what it did
+        ker = KernelSpec((-0.7, -0.65))
+        assert discrete_second_moment(ker, build_grid(ker), (0.0, 1e-150)) == 7.865086110924961e-299
+
     @pytest.mark.parametrize("t", [1e250, 1e-250])
     def test_order_three_second_moment_stays_finite(self, t):
         # H = 0.55, so t^(2H) = 1e275 and 1e-275 are still normal floats
@@ -847,7 +813,7 @@ class TestSelfSimilarity:
 class TestSerialization:
     def test_npz_roundtrip(self, tmp_path):
         ker = KernelSpec((-0.6, -0.7))
-        grid = tiny_grid(n_cells=6, left=2.0, horizon=1.0)
+        grid = GridSpec(1.0, 4)
         for n in (25, 0):
             batch = sample_chaos(ker, grid, n, seed=4, return_brownian=True)
             path = tmp_path / f"batch{n}.npz"
