@@ -89,8 +89,9 @@ it depends only on (seed, k, width): not on the worker count or n_samples.
 The far field and the root do not depend on the interval, so every
 interval on one grid reads the same columns, which couples increments
 and the Brownian value pathwise; the far field lies left of 0, so the
-Brownian value reads the columns of the last `cells` cells, [0, t], only.  A degenerate interval lo == hi
-has no s-node, so its values are 0 and its Brownian value is still B(t).
+Brownian value reads the columns of the last `cells` cells, [0, t],
+only.  A degenerate interval lo == hi has no s-node, so its values are 0
+and its Brownian value is still B(t).
 One stream per block, not per realization, because a stream's set-up
 costs about as much as drawing a row of normals on a coarse grid and
 holds the GIL, which the parallel chunks would otherwise queue on.
