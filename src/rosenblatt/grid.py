@@ -2,7 +2,7 @@
 
 A grid is one uniform mesh: `cells` cells of width t/cells on [0, t], t
 the horizon, continued left of 0 down to the largest mesh edge at or left
-of -t/2.  The far past beyond that edge is no cell at all: the sampler
+of -t/8.  The far past beyond that edge is no cell at all: the sampler
 draws it from the continuum far field, an exact Gram integral (see
 `sampler`).  So no window has to reach far enough for the kernel's slowly
 decaying tail: each kernel factor decays like |x|^g with g in (-1,-1/2),
@@ -13,7 +13,7 @@ estimate what a grid cut off at a window would miss.
 The process is H-self-similar with stationary increments (Bai & Taqqu,
 2017), so a grid's shape does not depend on the horizon: the grid at
 horizon t is the unit one scaled by t, with `cells` cells on [0, t] and
-about cells/2 more left of 0 in `n_cells`.
+ceil(cells/8) more left of 0 in `n_cells`.
 
 The grid also fixes the quadrature in the time variable s that the
 sampler uses to factorize kernels: one Gauss-Legendre node per cell inside
@@ -41,15 +41,18 @@ __all__ = [
 ]
 
 FAR_CAP = 1e250
+# the far field starts at the largest mesh edge at or left of -t/_FAR_DIVISOR
+_FAR_DIVISOR = 8
 
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """The uniform mesh of `cells` cells of width t/cells on [0, t], t the
-    horizon, cut on the left at the largest mesh edge at or left of -t/2;
-    the past left of that edge is the sampler's continuum far field, whose
-    factors are analytic in s on [0, t] only from -t/2 on (see `sampler`).
-    A grid keeps no kernel: one grid may serve any kernel of its horizon.
+    horizon, continued left of 0 by ceil(cells/8) cells of the same width,
+    so its first edge is the largest mesh edge at or left of -t/8; the past
+    left of that edge is the sampler's continuum far field, whose factors
+    are analytic in s on [0, t] (see `sampler`).  A grid keeps no kernel:
+    one grid may serve any kernel of its horizon.
 
     `cells` is a positive integer, and a mesh width t/cells below the
     smallest normal float raises DomainError.  A grid is immutable: its
@@ -70,7 +73,11 @@ class GridSpec:
             raise DomainError(f"the mesh width t/{cells} is subnormal at horizon {t}")
         edges = np.concatenate([np.linspace(-t, 0.0, cells + 1)[:-1], np.linspace(0.0, t, cells + 1)])
         edges.flags.writeable = False
-        edges = edges[int(np.searchsorted(edges, -0.5 * t, side="right")) - 1 :]
+        # ceil(cells/8) cells left of 0, counted rather than found by
+        # comparing edges with -t/8, which a rounded edge just right of
+        # -t/8 would pass by one cell at some horizons
+        left = -(-cells // _FAR_DIVISOR)
+        edges = edges[cells - left :]
         object.__setattr__(self, "horizon", t)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "edges", edges)
@@ -157,8 +164,8 @@ def required_window(gamma, tolerance: float, horizon: float = 1.0) -> float:
 
 def build_grid(kernel: KernelSpec, cells: int | None = None) -> GridSpec:
     """The kernel's grid: GridSpec(kernel.horizon, cells), with `cells`
-    defaulting to 455 for q <= 2 and 114 otherwise, so `n_cells` is 683
-    and 171 by default."""
+    defaulting to 455 for q <= 2 and 114 otherwise, so `n_cells` is 512
+    and 129 by default: cells/8 of them, rounded up, lie left of 0."""
     if cells is None:
         cells = 114 if kernel.q >= 3 else 455
     return GridSpec(kernel.horizon, cells)

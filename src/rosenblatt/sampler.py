@@ -22,7 +22,7 @@ unmatched factor is linear in xi, so its weights fold into one mat-vec;
 only the rest need projections, one per distinct exponent.  For q = 1 the
 folded mat-vec is the whole estimator.
 
-Far field.  Everything left of the grid's first edge -L, L >= t/2 with t
+Far field.  Everything left of the grid's first edge -L, L >= t/8 with t
 the horizon, is the far field, and no cell covers it: its projections
 enter only through their covariance, the continuum far Gram
 G[(a,i),(b,j)] = int_L^inf (s_i + y)^g_a (s_j + y)^g_b dy.  With y = t v
@@ -30,44 +30,47 @@ it is t^(1+g_a+g_b) times the Gram of far edge L/t at the nodes s/t, so
 it is built on the unit horizon, where u = L/y makes it L^(1+g_a+g_b)
 int_0^1 u^(-2-g_a-g_b) (1 + s_i u/L)^g_a (1 + s_j u/L)^g_b du, and its
 root's exponent block a is scaled by t^(g_a+1/2).  The end power is a
-Gauss-Jacobi weight, taken by _FAR_GRAM_NODES = 40 nodes, and the rest is
-analytic on [0, 1], its nearest singularity at u = -1/2.  The 40- and
-80-node roots' Grams agree to within 4.9e-15 of their largest entry, at
-g = -0.5001 too.  In s the integrand is analytic on [0, 1] as well: in
-[0, 1]'s [-1, 1] coordinates the nearest singularity sits at -2 or
-beyond, outside the Bernstein ellipse of parameter rho = 2 + sqrt(3).
-Chebyshev interpolation in s therefore converges like rho^-R (Trefethen,
-Approximation Theory and Approximation Practice, ch. 8), so the Gram is
-built at the R = _FAR_NODES points _CHEBYSHEV on [0, 1], whatever the
-interval, and the latent root built from it (below) is mapped to the
-nodes s/t by an R x S barycentric matrix; R puts rho^-R below 1e-16.
-The root is a pure function of (L/t, distinct exponents), cached by
-value across horizons: r x k x R doubles for k distinct exponents, 1.6
-to 7 KB on the default grids of q = 1, 2 and 3, built in 0.2 to 1 ms on
-one core.  Only its scale, the s-rule, the map and the near rows are
-built per call.
+Gauss-Jacobi weight, taken by _FAR_GRAM_NODES = 40 nodes, and the rest
+is analytic on [0, 1], its nearest singularity at u = -L/t, no nearer
+than -1/8.  At L/t = 1/8 the 40- and 80-node roots' Grams agree to
+within 5.4e-15 of their largest entry, at g = -0.5001 too; at the
+default grids' L/t and g = -0.5001 they differ by up to 2.1e-14, as much
+as 80- and 160-node roots do, so that is rounding.  In s the integrand
+is analytic on [0, 1] as well: in [0, 1]'s [-1, 1] coordinates the
+nearest singularity sits at -1 - 2L/t <= -1.25, on or outside the
+Bernstein ellipse of parameter rho = 2.  Chebyshev interpolation in s
+therefore converges like rho^-R (Trefethen, Approximation Theory and
+Approximation Practice, ch. 8), so the Gram is built at the R =
+_FAR_NODES = 55 points _CHEBYSHEV on [0, 1], whatever the interval, and
+the latent root built from it (below) is mapped to the nodes s/t by an
+R x S barycentric matrix; R puts rho^-R below 1e-16.  The root is a pure
+function of (L/t, distinct exponents), cached by value across horizons,
+with L/t taken from the cell counts: r x k x R doubles for k distinct
+exponents, about 3 to 16 KB on the default grids of q = 1, 2 and 3,
+built in 0.25 to 2 ms on one core.  Only its scale, the s-rule, the map
+and the near rows are built per call.
 
 The factor table.  With G = V diag(lam) V^T, the sampler keeps the
 eigenpairs with lam above (exponents x R) * eps * max(lam), the usual
 numerical-rank cut, and draws the far projections as
 eta @ (V diag(lam)^1/2)^T with eta standard normal in r dimensions: the
 same law up to the dropped eigenvalues, which are rounding.  The rank r
-is small because the integrand is smooth in s (6 to 10 on the default
-grids of the test kernels).  Mapped to the s-nodes, the root gives r
-latent rows whose Gram matches an independent quadrature of the far
-Gram at the s-nodes to within 1.4e-14 of its largest entry on those
-grids, and to 5.3e-15 at g1 = -0.5001.  One table then holds every
-factor the sampler reads, one row per live noise column: the r latent
-rows, then the grid cells left of hi, with the exponent blocks side by
-side.  Cells entirely right of hi have zero factors and are skipped.
-Its blocks b_i give the projections, the covariances C_ij and the
-folded mat-vec, and the second moment: Wick products pair only across
-the two factors, so E[Z_hat^2] = A^2 w^T perm(G) w, with G the q x q
-matrix whose entry G_ij = b_i^T b_j is the S x S Gram over the table's
-rows, one block of the table's own Gram, and the permanent's products
-taken entrywise.  It is the variance of exactly the columns drawn, and
-the discrete twin of the continuum variance, which is A^2 times the
-permanent of the Beta matrix U (see `kernel`).
+is small because the integrand is smooth in s (8 to 12 on the default
+grids of the test kernels, 6 to 9 at g1 = -0.5001).  Mapped to the
+s-nodes, the root gives r latent rows whose Gram matches an independent
+quadrature of the far Gram at the s-nodes to within 5.8e-14 of its
+largest entry on those grids, and to 3.5e-14 at g1 = -0.5001.  One
+table then holds every factor the sampler reads, one row per live noise
+column: the r latent rows, then the grid cells left of hi, with the
+exponent blocks side by side.  Cells entirely right of hi have zero
+factors and are skipped.  Its blocks b_i give the projections, the
+covariances C_ij and the folded mat-vec, and the second moment: Wick
+products pair only across the two factors, so E[Z_hat^2] = A^2 w^T
+perm(G) w, with G the q x q matrix whose entry G_ij = b_i^T b_j is the
+S x S Gram over the table's rows, one block of the table's own Gram, and
+the permanent's products taken entrywise.  It is the variance of exactly
+the columns drawn, and the discrete twin of the continuum variance,
+which is A^2 times the permanent of the Beta matrix U (see `kernel`).
 
 Near table.  Every grid is a uniform mesh, so where a near cell c (a
 grid cell left of hi) meets a whole s-panel m (a panel that is the full
@@ -115,7 +118,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .domain import _integer, _is_real
 from .errors import DomainError, InvalidInputError, SizeError
-from .grid import GridSpec
+from .grid import _FAR_DIVISOR, GridSpec
 from .kernel import KernelSpec
 from .quadrature import gauss_jacobi
 from .special import permanent
@@ -159,11 +162,17 @@ def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray, out: np.ndarra
 
 
 # Chebyshev points per far-field block: the smallest odd R with rho^-R <
-# 1e-16, rho = 2 + sqrt(3) (see the module docstring); odd R puts a point
-# on the midpoint of [0, 1].  The far field starts t/2 left of 0 rather
-# than t: with one s-node per cell a near cell costs more in the
-# projections than the extra Chebyshev points do.
-_FAR_NODES = math.ceil(16.0 / math.log10(2.0 + math.sqrt(3.0))) | 1
+# 1e-16 (see the module docstring); odd R puts a point on the midpoint of
+# [0, 1].  A far edge at or left of -t/8 puts the nearest singularity at
+# -1 - 2/8 = -1.25 in [0, 1]'s [-1, 1] coordinates, so rho = 2 and R = 55.
+# Each near cell costs one normal and one table row per realization, so
+# the edge sits at t/8 rather than t/2: the default tables shrink from
+# 692 to 522 rows at q=2 and from 181 to 141 at q=3, for 26 more
+# Chebyshev points (29 at rho = 2 + sqrt(3)) and a rank of 10 rather
+# than 9 at q=2 and 12 rather than 10 at q=3.  At t/16 the q=3 latent
+# rows' error would reach 1.0e-13, the tests' bound.
+_FAR_RHO = (1.0 + 2.0 / _FAR_DIVISOR) + math.sqrt((1.0 + 2.0 / _FAR_DIVISOR) ** 2 - 1.0)
+_FAR_NODES = math.ceil(16.0 / math.log10(_FAR_RHO)) | 1
 # the R Chebyshev points of the second kind on the unit horizon [0, 1]
 _CHEBYSHEV = 0.5 + 0.5 * np.cos(np.pi * np.arange(_FAR_NODES) / (_FAR_NODES - 1))
 
@@ -312,7 +321,11 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
     g = kernel.gamma.entries
     keys = tuple(sorted(set(g)))
     t = grid.horizon
-    latent = _far_root(grid.far_left / t, keys) * np.repeat(t ** (np.array(keys) + 0.5), _FAR_NODES)
+    # keyed on the far edge's ratio to t from integers, not on far_left / t,
+    # which rounds differently at some horizons and would build a second,
+    # slightly rotated root
+    ratio = (grid.n_cells - grid.cells) / grid.cells
+    latent = _far_root(ratio, keys) * np.repeat(t ** (np.array(keys) + 0.5), _FAR_NODES)
     r, k, n_s = len(latent), len(keys), len(s_nodes)
     table = np.empty((r + n_live, k * n_s))
     interp = _chebyshev_interpolation(s_nodes / t)
@@ -427,10 +440,11 @@ def sample_chaos(
 
     Chunks of 256 realizations are drawn and assembled on min(usable
     CPUs, number of chunks) worker threads.  The noise in flight takes
-    about workers x 256 x (r + cells) x 8 bytes, r the latent rank, and
-    for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
+    about workers x 256 x (r + n_cells) x 8 bytes, r the latent rank
+    (r + n_cells is 522 on the default q=2 grid, about 1 MB per worker),
+    and for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
     distinct exponent.  The far field's latent root, r x (distinct
-    exponents) x 29 doubles (1.6 to 7 KB on the default grids), is
+    exponents) x 55 doubles (about 3 to 16 KB on the default grids), is
     built on the unit horizon and cached by the far edge over the horizon
     and the exponents, up to 256 of them, so later calls on any grid with
     that ratio, at any horizon, skip its build.  The second moment scales

@@ -199,9 +199,11 @@ def far_gram_quadrature(keys, far_left: float, nodes) -> np.ndarray:
     (1 + (g_a s_i + g_b s_j)/y), integrate in closed form, and quad takes
     the remainder, which decays two powers faster, so the slow tail near
     g_a + g_b = -1 costs it nothing.  Against 40-digit hypergeometric
-    closed forms the entries are within 1.1e-14 relative over 1500 random
-    cases with horizons 0.5 to 3, L >= horizon/2 and exponents down to
-    -0.9999 and up to -0.5001.
+    closed forms the entries are within 1.2e-14 relative over 1500 random
+    cases with horizons 0.5 to 3, horizon/8 <= L <= horizon/2 and
+    exponents from -0.9999 to -0.5001, and within 1.5e-14 at the corner
+    (-0.9999, -0.5001); `tests/test_sampler.py` checks them against
+    mpmath at L = horizon/8 and horizon/2.
     """
     cols = [(g, float(s)) for g in keys for s in nodes]
     out = np.empty((len(cols), len(cols)))
@@ -221,10 +223,12 @@ def far_rows(keys, far_left: float, horizon: float, nodes, rtol: float = 0.0) ->
     above rtol times its largest eigenvalue, each row a latent column.
 
     The Gram is analytic in each node on [0, horizon] (its singularities
-    sit at s = -y <= -horizon/2), so it is taken from the quadrature at
-    40 Chebyshev roots on [0, horizon] per exponent and interpolated in
-    both nodes by numpy's Chebyshev series: 455 nodes would cost the
-    quadrature a minute.
+    sit at s = -y <= -L, and grids put L >= horizon/8), so it is taken
+    from the quadrature at 40 Chebyshev roots on [0, horizon] per
+    exponent and interpolated in both nodes by numpy's Chebyshev series:
+    455 nodes would cost the quadrature a minute.  At L = horizon/8 the
+    interpolated Gram is within 2.4e-14 of its largest entry (3e-15 at
+    horizon/2).
     """
     roots = np.cos(np.pi * (np.arange(_ORACLE_POINTS) + 0.5) / _ORACLE_POINTS)
     vander = np.polynomial.chebyshev.chebvander

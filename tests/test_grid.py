@@ -126,21 +126,21 @@ def test_window_beyond_cap_is_inf():
 # Default grids of the benchmark kernels (the sampler's Monte Carlo
 # vectors, the sum-to-critical path points and the face-1 trend vector).
 # A grid holds only the near zone from the largest mesh edge at or left
-# of -t/2, so it depends on the order (through cells) and the horizon
-# alone: 683 cells for q <= 2 and 171 for q = 3.
+# of -t/8, so it depends on the order (through cells) and the horizon
+# alone: 512 cells for q <= 2 and 129 for q = 3.
 PINNED_WINDOWS = [
-    ((-0.8,), 0.5010989010989011, 683),
-    ((-0.7, -0.65), 0.5010989010989011, 683),
-    ((-0.7, -0.65, -0.6), 0.5, 171),
-    ((-0.55, -0.65), 0.5010989010989011, 683),
-    ((-0.5571428571428572, -0.5428571428571428), 0.5010989010989011, 683),
-    ((-0.6714285714285714, -0.6285714285714286), 0.5010989010989011, 683),
-    ((-0.7227272727272726, -0.6772727272727272), 0.5010989010989011, 683),
-    ((-0.7454545454545454, -0.7045454545454545), 0.5010989010989011, 683),
-    ((-0.5444444444444444, -0.5333333333333333, -0.5222222222222221), 0.5, 171),
-    ((-0.6333333333333332, -0.6, -0.5666666666666667), 0.5, 171),
-    ((-0.6777777777777776, -0.6333333333333333, -0.5888888888888888), 0.5, 171),
-    ((-0.6999999999999998, -0.6499999999999999, -0.6), 0.5, 171),
+    ((-0.8,), 0.12527472527472527, 512),
+    ((-0.7, -0.65), 0.12527472527472527, 512),
+    ((-0.7, -0.65, -0.6), 0.13157894736842113, 129),
+    ((-0.55, -0.65), 0.12527472527472527, 512),
+    ((-0.5571428571428572, -0.5428571428571428), 0.12527472527472527, 512),
+    ((-0.6714285714285714, -0.6285714285714286), 0.12527472527472527, 512),
+    ((-0.7227272727272726, -0.6772727272727272), 0.12527472527472527, 512),
+    ((-0.7454545454545454, -0.7045454545454545), 0.12527472527472527, 512),
+    ((-0.5444444444444444, -0.5333333333333333, -0.5222222222222221), 0.13157894736842113, 129),
+    ((-0.6333333333333332, -0.6, -0.5666666666666667), 0.13157894736842113, 129),
+    ((-0.6777777777777776, -0.6333333333333333, -0.5888888888888888), 0.13157894736842113, 129),
+    ((-0.6999999999999998, -0.6499999999999999, -0.6), 0.13157894736842113, 129),
 ]
 
 
@@ -148,9 +148,9 @@ PINNED_WINDOWS = [
 # every edge, not only the far edge and the count, stays bit-identical;
 # the near factor rows depend on them bit for bit.
 PINNED_EDGE_DIGESTS = {
-    1: "49872e333ba15e60bdf319a0c20e04d0c9467243f8e9ab2f7ed749797f35e085",
-    2: "49872e333ba15e60bdf319a0c20e04d0c9467243f8e9ab2f7ed749797f35e085",
-    3: "0d85bced8e5e18017b700c9fa1016d66c4ea72fe429723ba2a971087aadf0604",
+    1: "e977d66e91f14346c4b003e67291eaf60a8aa7e3c642599fb26dc4f3c9a0eaba",
+    2: "e977d66e91f14346c4b003e67291eaf60a8aa7e3c642599fb26dc4f3c9a0eaba",
+    3: "f2554ebfc34fbebe5608b59c809ee662aef148c1233678c620c20d43a55c9082",
 }
 
 
@@ -164,11 +164,11 @@ def test_default_grid_windows_pinned(gamma, far_left, n_cells):
 
 @pytest.mark.parametrize("horizon, cells", [(1.0, None), (0.5, 228), (2.0, 28), (3.0, 114), (20.0, 28)])
 def test_grid_starts_at_the_near_zone(horizon, cells):
-    # the first edge is the largest mesh edge at or left of -t/2, so no
+    # the first edge is the largest mesh edge at or left of -t/8, so no
     # cell lies left of the far field's edge beyond the one that reaches
-    # -t/2
+    # -t/8
     grid = build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), cells=cells)
-    assert grid.edges[0] <= -0.5 * horizon < grid.edges[1]
+    assert grid.edges[0] <= -0.125 * horizon < grid.edges[1]
     assert grid.edges[-1] == horizon and 0.0 in grid.edges
     assert grid.to_dict() == {"horizon": horizon, "n_cells": grid.n_cells, "far_left": -grid.edges[0]}
 
@@ -207,8 +207,8 @@ def test_grid_needs_a_positive_finite_horizon(horizon):
 @pytest.mark.parametrize("gamma, horizon", [((-0.7, -0.65, -0.6), 1e-307), ((-0.8,), 5e-324),
                                             ((-0.7, -0.65, -0.6), 5e-324)])
 def test_a_subnormal_mesh_width_raises(gamma, horizon):
-    # at 1e-307 the q=3 width t/114 is subnormal, and the grid had 172
-    # cells, not 171; at 5e-324 the edges were refused with all of them in
+    # at 1e-307 the q=3 width t/114 is subnormal, and the grid had one
+    # cell too many; at 5e-324 the edges were refused with all of them in
     # the message; at 1e-300 the mesh is normal and the unit grid's
     with pytest.raises(DomainError, match=f"subnormal at horizon {horizon}"):
         build_grid(KernelSpec(gamma, horizon=horizon))
@@ -242,11 +242,22 @@ def test_grid_is_immutable():
 @pytest.mark.parametrize("cells", [1, 2, 3, 18, 455])
 def test_grid_is_the_uniform_mesh(horizon, cells):
     # `cells` cells of width t/cells on [0, t], and the same mesh left of
-    # 0 down to -ceil(cells/2) t/cells, the largest edge at or left of
-    # -t/2; build_grid's grid is GridSpec's, bit for bit
+    # 0 down to -ceil(cells/8) t/cells, the largest edge at or left of
+    # -t/8; build_grid's grid is GridSpec's, bit for bit
     grid = GridSpec(horizon, cells)
-    m = -(-cells // 2)
+    m = -(-cells // 8)
     assert grid.cells == cells and grid.n_cells == cells + m
     assert np.max(np.abs(grid.edges - horizon * np.arange(-m, cells + 1) / cells)) <= 4 * np.finfo(float).eps * horizon
-    assert grid.edges[0] <= -0.5 * horizon < grid.edges[1] and grid.edges[m] == 0.0 and grid.edges[-1] == horizon
+    assert grid.edges[0] <= -0.125 * horizon < grid.edges[1] and grid.edges[m] == 0.0 and grid.edges[-1] == horizon
     assert grid.edges.tobytes() == build_grid(KernelSpec((-0.7, -0.65), horizon=horizon), cells=cells).edges.tobytes()
+
+
+@pytest.mark.parametrize("horizon, cells", [(1e-300, 8), (1e-13, 8), (0.7, 72), (1.3, 456)])
+def test_the_cut_is_counted_in_cells(horizon, cells):
+    # on these meshes the edge at -t/8 rounds to just right of -t/8, so a
+    # cut found by comparing edges with -t/8 took one cell more; the cut
+    # is ceil(cells/8) cells, with its edge -t/8 up to rounding
+    grid = GridSpec(horizon, cells)
+    assert grid.edges[0] > -0.125 * horizon
+    assert grid.n_cells == cells + cells // 8
+    assert abs(grid.edges[0] + 0.125 * horizon) <= 4 * np.finfo(float).eps * horizon

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,6 +147,36 @@ class TestExactEngineVsWickOracle:
         assert np.max(np.abs(batch.values - oracle)) <= 1e-12 * np.sqrt(np.mean(oracle**2))
 
 
+def far_gram_entry_closed_form(ga, gb, si, sj, far_left):
+    # int_L^inf (s_i + y)^ga (s_j + y)^gb dy in 30 digits: with c = L + s_j
+    # and w = c / (s_j + y) it is c^(1+ga+gb) / B int_0^1 B w^(B-1)
+    # (1 + (s_i - s_j) w / c)^ga dw, B = -1 - ga - gb, and Euler's
+    # integral makes that 2F1(-ga, B; B + 1; -(s_i - s_j) / c)
+    with mpmath.workdps(30):
+        ga, gb = mpmath.mpf(ga), mpmath.mpf(gb)
+        c, d = mpmath.mpf(far_left) + mpmath.mpf(sj), mpmath.mpf(si) - mpmath.mpf(sj)
+        big_b = -1 - ga - gb
+        return float(c ** (-big_b) / big_b * mpmath.hyp2f1(-ga, big_b, big_b + 1, -d / c))
+
+
+class TestFarGramOracle:
+    # the quadrature oracle the latent rows are checked against, itself
+    # against mpmath's hypergeometric function, at the nearest far edge the
+    # grid allows, t/8, and at t/2; exponent sums down to -1.9998 and up to
+    # -1.0002
+    @pytest.mark.parametrize("keys", [(-0.7, -0.65), (-0.7, -0.5001), (-0.9999, -0.5001), (-0.65, -0.6, -0.55)])
+    @pytest.mark.parametrize("horizon", [1.0, 2.5])
+    @pytest.mark.parametrize("ratio", [0.125, 0.5])
+    def test_far_gram_quadrature_against_hypergeometric(self, keys, horizon, ratio):
+        nodes = (0.0, 0.3 * horizon, horizon)
+        far_left = ratio * horizon
+        got = far_gram_quadrature(keys, far_left, nodes)
+        cols = [(g, s) for g in keys for s in nodes]
+        want = np.array([[far_gram_entry_closed_form(ga, gb, si, sj, far_left) for gb, sj in cols]
+                         for ga, si in cols])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-14
+
+
 GAMMAS = [(-0.8,), (-0.7, -0.65), (-0.7, -0.7), (-0.7, -0.65, -0.6), (-0.65, -0.65, -0.6)]
 INTERVALS = [None, (0.0, 0.25), (0.75, 1.0)]
 
@@ -188,11 +219,13 @@ class TestAssemblyVsDenseReference:
     @pytest.mark.parametrize("gamma, horizon, cells", [
         ((-0.5001,), 1.0, None), ((-0.5001, -0.7), 1.0, None), ((-0.5001, -0.65, -0.6), 1.0, None),
         ((-0.5001, -0.7), 1.0, 14), ((-0.7, -0.65), 2.5, 57),
+        ((-0.5001, -0.7), 1.0, 16), ((-0.7, -0.65, -0.6), 2.5, 40),
     ])
     def test_latent_rows_match_the_oracle_near_face_one(self, gamma, horizon, cells):
         # at g1 = -0.5001 the far Gram's weight exponent -2 - 2 g1 is
         # -0.9998, and the far field carries most of the variance; on
-        # cells=14 the far edge is -t/2 itself, the nearest singularity
+        # cells=16 and 40 the far edge is -t/8 itself, the nearest
+        # singularity the Chebyshev count allows for
         ker = KernelSpec(gamma, horizon=horizon)
         grid = build_grid(ker, cells=cells)
         for interval in (None, (0.3 * horizon, 0.31 * horizon)):
@@ -249,6 +282,23 @@ class TestAssemblyVsDenseReference:
         assert latent_gram_error(ker, grid, None) <= 1e-13
         batch = sample_chaos(ker, grid, 32, 3, with_second_moment=False)
         assert np.all(np.isfinite(batch.values))
+
+    @pytest.mark.parametrize("keys", [(-0.8,), (-0.7, -0.65), (-0.7, -0.65, -0.6), (-0.7, -0.5001),
+                                      (-0.65, -0.6, -0.5001), (-0.9999, -0.5001)])
+    def test_far_gram_nodes_suffice_at_the_nearest_edge(self, keys, monkeypatch):
+        # at L/t = 1/8 the u-integrand's singularity sits at u = -1/8, the
+        # nearest the grid allows; doubling the Gauss-Jacobi nodes moves
+        # the root's Gram by rounding only
+        grams = []
+        try:
+            for n in (40, 80):
+                monkeypatch.setattr(sampler_module, "_FAR_GRAM_NODES", n)
+                _far_root.cache_clear()
+                root = _far_root(0.125, keys)
+                grams.append(root.T @ root)
+        finally:
+            _far_root.cache_clear()
+        assert np.max(np.abs(grams[0] - grams[1])) <= 1e-14 * np.max(np.abs(grams[1]))
 
 
 def near_rows(ker, grid, interval):
@@ -462,24 +512,37 @@ class TestFarRootMemo:
 
     def test_the_key_is_the_far_edge_not_the_grid(self):
         # two grids with one far edge ratio L/t share one root, whatever
-        # their cells: 28 and 2 cells both cut at -t/2, and so does the
-        # 2-cell grid at horizon 4, whose edges are the unit ones times 4
-        # exactly; 3 cells cut at -2t/3 and have their own root
+        # their cells: 24, 16 and 8 cells all cut at -t/8, and so does the
+        # 8-cell grid at horizon 4, whose edges are the unit ones times 4
+        # exactly; 3 cells cut at -t/3 and have their own root
         ker = KernelSpec((-0.7, -0.65))
         keys = (-0.7, -0.65)
-        built, coarse, other, wide = build_grid(ker, cells=28), GridSpec(1.0, 2), GridSpec(1.0, 3), GridSpec(4.0, 2)
-        assert built.far_left == coarse.far_left == wide.far_left / wide.horizon == 0.5
-        assert other.far_left == pytest.approx(2.0 / 3.0, rel=1e-15)
+        built, fine, coarse, other, wide = (build_grid(ker, cells=24), GridSpec(1.0, 16), GridSpec(1.0, 8),
+                                            GridSpec(1.0, 3), GridSpec(4.0, 8))
+        assert built.far_left == fine.far_left == coarse.far_left == wide.far_left / wide.horizon == 0.125
+        assert other.far_left == pytest.approx(1.0 / 3.0, rel=1e-15)
         _far_root.cache_clear()
         sample_chaos(ker, built, 8, seed=1)
         sample_chaos(KernelSpec(keys, horizon=4.0), wide, 8, seed=1)
+        sample_chaos(ker, fine, 8, seed=1)
         sample_chaos(ker, coarse, 8, seed=1)
         assert _far_root.cache_info().currsize == 1
         sample_chaos(ker, other, 8, seed=1)
-        root = _far_root(built.far_left, keys)
-        assert _far_root(coarse.far_left, keys) is root
-        assert _far_root(other.far_left, keys) is not root
+        assert _far_root.cache_info().currsize == 2
+        root = _far_root(0.125, keys)
+        assert _far_root(1.0 / 3.0, keys) is not root
         assert not root.flags.writeable
+
+    def test_one_root_for_every_horizon_of_one_mesh(self):
+        # the key is the far edge's ratio to t from the cell counts; as
+        # far_left / t it read one ulp off 57/455 at t = 17 and 1e100, and
+        # each such key built a root of its own, rotated near the rank cut
+        ker = KernelSpec((-0.7, -0.65))
+        _far_root.cache_clear()
+        for horizon in (1.0, 17.0, 1e100):
+            horizon_ker = KernelSpec(ker.gamma.entries, horizon=horizon)
+            sample_chaos(horizon_ker, build_grid(horizon_ker), 8, seed=1)
+        assert _far_root.cache_info().currsize == 1
 
     def test_threads_on_a_cold_grid_match_a_serial_run(self):
         # three callers, more than the cores of a small host, race to build
@@ -796,9 +859,9 @@ class TestSelfSimilarity:
         assert sample_chaos(ker, grid, 8, seed=1, interval=(hi, hi)).second_moment == 0.0
 
     def test_a_sub_interval_second_moment_in_range_is_kept(self):
-        # (0, 1e-150) is still a normal float64, and reads what it did
+        # (0, 1e-150) is still a normal float64, and is kept
         ker = KernelSpec((-0.7, -0.65))
-        assert discrete_second_moment(ker, build_grid(ker), (0.0, 1e-150)) == 7.865086110924961e-299
+        assert discrete_second_moment(ker, build_grid(ker), (0.0, 1e-150)) == 7.865087598391688e-299
 
     @pytest.mark.parametrize("t", [1e250, 1e-250])
     def test_order_three_second_moment_stays_finite(self, t):
