@@ -17,10 +17,33 @@ X_k).  This is the cell-averaged kernel's multiple integral with a
 Hermite factor per repeated cell, the discretization for which the chaos
 identities hold exactly (Nualart, The Malliavin Calculus and Related
 Topics, 2006, sec. 1.1; Janson, Gaussian Hilbert Spaces, 1997, ch. 3).
-A term with no unmatched factor is a constant; one with a single
-unmatched factor is linear in xi, so its weights fold into one mat-vec;
-only the rest need projections, one per distinct exponent.  For q = 1 the
-folded mat-vec is the whole estimator.
+The terms fold by their unmatched factors, over the n = r + live cells
+columns of a noise row: with none a term is a constant; with one it is
+linear in xi, and its weights fold into one vector; with two it is a
+quadratic form, and its weights c fold into one symmetric n x n matrix
+M, the sum of (b_i diag(c) b_j^T + b_j diag(c) b_i^T) / 2.  For q = 1
+the vector is the whole estimator.  For q = 2 the estimator is A (xi^T M
+xi - tr M), the quadratic form of Bai and Taqqu's Rosenblatt case, the
+form Veillette and Taqqu (Bernoulli, 2013) evaluate its law through.
+Where no term has three or more unmatched factors and the table is
+wider than tall, n < k S for k distinct exponents and S s-nodes, a chunk
+is assembled as xi @ M and a row-wise dot, with no projections: on the
+default q=2 grid that is a product with 522 columns rather than 910.
+Elsewhere, as at q >= 3, at equal exponents (k = 1) or on a narrow
+sub-interval such as (0.75, 1), the chunk is projected onto the table,
+one projection per distinct exponent, and each remaining term multiplies
+its unmatched factors' projections.  The rule reads the geometry alone,
+never n_samples or the worker count.  M is a pure function of
+(exponents, horizon, cells, lo, hi) and is cached by value under that
+key, up to _FORM_ENTRIES = 8 matrices of n^2 doubles, each smaller than
+the n x k S table it stands in for: 2.2 MB on the default q=2 grid, so
+at most 17.4 MB for that grid's intervals.  Its build, a second
+factorization, one n x S x n GEMM (5 to 7 ms) and a transpose, takes
+11 to 12 ms on the default q=2 grid on one core of a shared 2-core host.
+A cold call pays it once, so a cold draw of 64 realizations there took
+about 15 ms longer than the table route's 6 ms; later draws on the key
+skip it, and a warm draw of 2048 realizations took 26 to 30 ms against
+the table route's 50 ms.
 
 Far field.  Everything left of the grid's first edge -L, L >= t/8 with t
 the horizon, is the far field, and no cell covers it: its projections
@@ -64,7 +87,7 @@ table then holds every factor the sampler reads, one row per live noise
 column: the r latent rows, then the grid cells left of hi, with the
 exponent blocks side by side.  Cells entirely right of hi have zero
 factors and are skipped.  Its blocks b_i give the projections, the
-covariances C_ij and the folded mat-vec, and the second moment: Wick
+covariances C_ij, the folded vector and M, and the second moment: Wick
 products pair only across the two factors, so E[Z_hat^2] = A^2 w^T
 perm(G) w, with G the q x q matrix whose entry G_ij = b_i^T b_j is the
 S x S Gram over the table's rows, one block of the table's own Gram, and
@@ -364,6 +387,57 @@ def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) ->
     return _second_moment(kernel, _factorize(kernel, grid, interval))
 
 
+def _wick_terms(q: int, fac: _Factors) -> tuple:
+    """The Wick sum folded by unmatched factors (see the module
+    docstring): the constant, the vector over a noise row's live columns,
+    and the (exponent slots, s-weights) of each term with two or more."""
+
+    def cov(i: int, j: int) -> np.ndarray:
+        """C_ij(m) = sum_c b_i[c, m] b_j[c, m] over the table's rows."""
+        return np.einsum("cm,cm->m", fac.b(fac.slot[i]), fac.b(fac.slot[j]))
+
+    # each matching's s-weights and covariances form one vector over the
+    # s-nodes, which multiplies its unmatched factors
+    const, folded, products = 0.0, np.zeros(len(fac.table)), []
+    for pairs, free in _matchings(tuple(range(q))):
+        c = reduce(np.multiply, [cov(i, j) for i, j in pairs], (-1.0) ** len(pairs) * fac.s_w)
+        if not free:
+            const += float(c.sum())
+        elif len(free) == 1:
+            folded += fac.b(fac.slot[free[0]]) @ c
+        else:
+            products.append(([fac.slot[i] for i in free], c))
+    return const, folded, products
+
+
+def _takes_form(fac: _Factors, products: list) -> bool:
+    """Whether a draw assembles its product terms through M: each has two
+    unmatched factors, and the table is wider than tall, so xi @ M is
+    narrower than xi @ table."""
+    n, width = fac.table.shape
+    return bool(products) and all(len(slots) == 2 for slots, _ in products) and n < width
+
+
+# matrices M kept by _quadratic_form (see the module docstring)
+_FORM_ENTRIES = 8
+
+
+@lru_cache(maxsize=_FORM_ENTRIES)
+def _quadratic_form(gammas: tuple, horizon: float, cells: int, span: tuple) -> np.ndarray:
+    """M, the n x n symmetric matrix of the Wick terms with two unmatched
+    factors, for the kernel of `gammas` on GridSpec(horizon, cells) and
+    the s-interval `span`, n the table's rows.  A pure function of its
+    arguments, so it is cached by value, as _far_root is; two callers
+    racing on a cold key each build the same matrix."""
+    kernel = KernelSpec(gammas, horizon)
+    fac = _factorize(kernel, GridSpec(horizon, cells), span)
+    half = reduce(np.add, [(fac.b(i) * c) @ fac.b(j).T for (i, j), c in _wick_terms(kernel.q, fac)[2]])
+    form = half + half.T
+    form *= 0.5
+    form.flags.writeable = False
+    return form
+
+
 @dataclass(eq=False)
 class ChaosSampleBatch:
     """Realizations of one chaos functional plus the exact bookkeeping
@@ -443,7 +517,12 @@ def sample_chaos(
     about workers x 256 x (r + n_cells) x 8 bytes, r the latent rank
     (r + n_cells is 522 on the default q=2 grid, about 1 MB per worker),
     and for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
-    distinct exponent.  The far field's latent root, r x (distinct
+    distinct exponent.  A draw that assembles through the quadratic form
+    M (see the module docstring) takes workers x 256 x (r + live cells) x
+    8 bytes for xi @ M instead, and M itself, (r + live cells)^2 doubles,
+    2.2 MB on the default q=2 grid, stays cached by its key, up to 8 of
+    them; a cold call builds M in 11 to 12 ms there, so a small cold
+    draw is about 15 ms slower.  The far field's latent root, r x (distinct
     exponents) x 55 doubles (about 3 to 16 KB on the default grids), is
     built on the unit horizon and cached by the far edge over the horizon
     and the exponents, up to 256 of them, so later calls on any grid with
@@ -457,37 +536,25 @@ def sample_chaos(
     fac = _factorize(kernel, grid, interval)
     m2 = _second_moment(kernel, fac) if with_second_moment else math.nan
 
-    slot, r, table = fac.slot, fac.r, fac.table
-
-    def cov(i: int, j: int) -> np.ndarray:
-        """C_ij(m) = sum_c b_i[c, m] b_j[c, m] over the table's rows."""
-        return np.einsum("cm,cm->m", fac.b(slot[i]), fac.b(slot[j]))
-
-    # each matching's s-weights and covariances form one vector over the
-    # s-nodes; with no unmatched factor it sums to a constant, with one it
-    # folds into a single vector over a noise row's live columns, and with
-    # more it multiplies the unmatched factors' projections
-    const, folded, products = 0.0, np.zeros(len(table)), []
-    for pairs, free in _matchings(tuple(range(kernel.q))):
-        c = reduce(np.multiply, [cov(i, j) for i, j in pairs], (-1.0) ** len(pairs) * fac.s_w)
-        if not free:
-            const += float(c.sum())
-        elif len(free) == 1:
-            folded += fac.b(slot[free[0]]) @ c
-        else:
-            products.append(([slot[i] for i in free], c))
+    r, table = fac.r, fac.table
+    const, folded, products = _wick_terms(kernel.q, fac)
+    form = None
+    if _takes_form(fac, products):
+        form = _quadratic_form(kernel.gamma.entries, grid.horizon, grid.cells, fac.span)
 
     # the last `cells` cells, [0, horizon], carry the terminal Brownian
     # value; the product runs over every cell column, zeros left of 0
     sqrt_w_pos = np.sqrt(grid.widths)
     sqrt_w_pos[: grid.n_cells - grid.cells] = 0.0
-    n_s, k = len(fac.s_w), len(set(slot))
+    n_s, k = len(fac.s_w), len(set(fac.slot))
 
     def assemble(xi: np.ndarray) -> np.ndarray:
         """The Wick sum over a noise row's live columns, without the
         kernel constant."""
         out = xi @ folded + const
-        if products:
+        if form is not None:
+            out += np.einsum("ij,ij->i", xi @ form, xi)
+        elif products:
             m = len(xi)
             proj = (xi @ table).reshape(m, k, n_s)
             for slots, c in products:

@@ -19,11 +19,15 @@ from rosenblatt.grid import GridSpec, build_grid
 from rosenblatt.kernel import KernelSpec
 from rosenblatt.sampler import (
     _FAR_NODES,
+    _FORM_ENTRIES,
     ChaosSampleBatch,
     _factorize,
     _far_root,
     _noise,
+    _quadratic_form,
     _span,
+    _takes_form,
+    _wick_terms,
     discrete_second_moment,
     factor_matrix,
     load_npz,
@@ -179,6 +183,16 @@ class TestFarGramOracle:
 
 GAMMAS = [(-0.8,), (-0.7, -0.65), (-0.7, -0.7), (-0.7, -0.65, -0.6), (-0.65, -0.65, -0.6)]
 INTERVALS = [None, (0.0, 0.25), (0.75, 1.0)]
+# the (kernel, interval) pairs of the lists above whose default-grid draws
+# assemble through the quadratic form M: q = 2 with unequal exponents and
+# a table wider than tall, 522 rows and 910 columns on the whole interval
+# and 181 and 228 on (0, 0.25); (0.75, 1) has 522 rows and 228 columns
+FORM_CASES = {((-0.7, -0.65), None), ((-0.7, -0.65), (0.0, 0.25))}
+
+
+def takes_form(ker, grid, interval) -> bool:
+    fac = _factorize(ker, grid, interval)
+    return _takes_form(fac, _wick_terms(ker.q, fac)[2])
 
 
 class TestAssemblyVsDenseReference:
@@ -240,6 +254,7 @@ class TestAssemblyVsDenseReference:
         # moment against the plain Gram engine over the same columns
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
+        assert takes_form(ker, grid, interval) == ((gamma, interval) in FORM_CASES)
         fac = _factorize(ker, grid, interval)
         _, weights, b = dense_factors(ker, grid, interval, fac.table[: fac.r])
         n, seed = 64, 31
@@ -411,14 +426,17 @@ class TestReproducibility:
         # slices, so 1, 2 or 3 workers (more than the cores of a small
         # host) give the same bits; 800 realizations make 4 chunks of at
         # most 256, and a short switch interval makes the threads
-        # interleave often
-        grid = GridSpec(1.0, 4)
+        # interleave often.  The last two cases assemble through M.
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for gamma, interval in [((-0.6,), None), ((-0.6, -0.7), (0.75, 1.0)),
-                                    ((-0.7, -0.65, -0.6), (0.75, 1.0))]:
+            for gamma, cells, interval, form in [((-0.6,), 4, None, False), ((-0.6, -0.7), 4, (0.75, 1.0), False),
+                                                 ((-0.7, -0.65, -0.6), 4, (0.75, 1.0), False),
+                                                 ((-0.7, -0.65), None, None, True),
+                                                 ((-0.7, -0.65), None, (0.0, 0.25), True)]:
                 ker = KernelSpec(gamma)
+                grid = build_grid(ker, cells=cells)
+                assert takes_form(ker, grid, interval) == form
                 runs = []
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(sampler_module, "_usable_cpus", lambda w=workers: w)
@@ -451,13 +469,22 @@ class TestReproducibility:
                 (min(64, n - start), width))
             assert np.array_equal(rows[start : start + 64], fill)
 
-    def test_prefix_stability(self):
-        # first k realizations of a longer batch equal the shorter batch
-        ker = KernelSpec((-0.6,))
-        grid = GridSpec(1.0, 4)
-        a = sample_chaos(ker, grid, 100, seed=5)
-        b = sample_chaos(ker, grid, 40, seed=5)
-        assert np.array_equal(a.values[:40], b.values)
+    @pytest.mark.parametrize("gamma, cells, interval, n_long, n_short, form", [
+        ((-0.6,), 4, None, 100, 40, False),
+        ((-0.7, -0.65), None, None, 2048, 300, True),
+    ])
+    def test_prefix_stability(self, gamma, cells, interval, n_long, n_short, form):
+        # first k realizations of a longer batch equal the shorter batch;
+        # at 300 the last chunk has 44 rows, against 256 in the longer one.
+        # Bit equality across chunk heights is the BLAS's, not the
+        # sampler's: with two BLAS threads the 181-row (0, 0.25) products
+        # differ by an ulp between 44 and 256 rows on either route
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker, cells=cells)
+        assert takes_form(ker, grid, interval) == form
+        a = sample_chaos(ker, grid, n_long, seed=5, interval=interval, with_second_moment=False)
+        b = sample_chaos(ker, grid, n_short, seed=5, interval=interval, with_second_moment=False)
+        assert np.array_equal(a.values[:n_short], b.values)
 
     def test_different_seeds_differ(self):
         ker = KernelSpec((-0.6, -0.7))
@@ -572,6 +599,86 @@ class TestFarRootMemo:
         assert not any(th.is_alive() for th in threads)
         for got, want in zip(out, serial):
             assert_same_bits(got, want)
+
+
+def form_entries() -> int:
+    return _quadratic_form.cache_info().currsize
+
+
+class TestQuadraticForm:
+    # where the rule holds, a draw folds its two-factor terms into M and
+    # assembles xi^T M xi - tr M; the table route is the reference, forced
+    # by patching the rule, and M is cached by its value key
+    @pytest.mark.parametrize("interval", [None, (0.0, 0.25)])
+    def test_routes_agree_on_the_same_noise(self, interval, monkeypatch):
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        assert takes_form(ker, grid, interval)
+        _quadratic_form.cache_clear()
+        via_form = memo_draw(ker, grid, interval)
+        assert form_entries() == 1
+        monkeypatch.setattr(sampler_module, "_takes_form", lambda fac, products: False)
+        _quadratic_form.cache_clear()
+        via_table = memo_draw(ker, grid, interval)
+        assert form_entries() == 0
+        rms = np.sqrt(np.mean(via_table.values**2))
+        assert np.max(np.abs(via_form.values - via_table.values)) <= 1e-12 * rms
+        assert np.array_equal(via_form.brownian, via_table.brownian)
+
+    @pytest.mark.parametrize("gamma", [g for g in GAMMAS if len(g) == 2])
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_form_gives_the_second_moment_and_the_constant(self, gamma, interval):
+        # Z_hat = A (xi^T M xi - tr M) with M symmetric, so E[Z_hat^2] =
+        # 2 A^2 ||M||_F^2 and A tr M is minus the constant term; the
+        # permanent route stays the one discrete_second_moment takes
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        fac = _factorize(ker, grid, interval)
+        form = _quadratic_form(gamma, ker.horizon, grid.cells, fac.span)
+        a = ker.constant
+        m2 = discrete_second_moment(ker, grid, interval)
+        assert 2.0 * a**2 * np.sum(form**2) == pytest.approx(m2, rel=1e-12, abs=0.0)
+        const = _wick_terms(ker.q, fac)[0]
+        assert a * np.trace(form) == pytest.approx(-a * const, rel=1e-12, abs=0.0)
+        assert np.array_equal(form, form.T) and not form.flags.writeable
+
+    def test_a_warm_draw_matches_a_cold_one(self):
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        _quadratic_form.cache_clear()
+        cold, warm = memo_draw(ker, grid, None), memo_draw(ker, grid, None)
+        assert form_entries() == 1 and _quadratic_form.cache_info().hits == 1
+        _quadratic_form.cache_clear()
+        fresh = memo_draw(ker, build_grid(ker), None)
+        assert_same_bits(warm, cold)
+        assert_same_bits(fresh, cold)
+
+    def test_the_key_holds_the_interval_the_horizon_and_the_exponents(self):
+        # two draws of each case, one entry per case
+        cases = [((-0.7, -0.65), 1.0, None), ((-0.7, -0.65), 1.0, (0.0, 0.25)),
+                 ((-0.7, -0.65), 17.0, None), ((-0.7, -0.6), 1.0, None)]
+        _quadratic_form.cache_clear()
+        for gamma, horizon, interval in cases:
+            ker = KernelSpec(gamma, horizon=horizon)
+            grid = build_grid(ker)
+            assert takes_form(ker, grid, interval)
+            memo_draw(ker, grid, interval)
+            memo_draw(ker, grid, interval)
+        assert _quadratic_form.cache_info()[:] == (len(cases), len(cases), _FORM_ENTRIES, len(cases))
+
+    def test_the_entry_bound_holds(self):
+        # two keys more than the bound, each at its own horizon: the
+        # cache keeps the bound's count, and an evicted key builds again
+        gamma = (-0.7, -0.65)
+        _quadratic_form.cache_clear()
+        for horizon in range(1, _FORM_ENTRIES + 3):
+            ker = KernelSpec(gamma, horizon=float(horizon))
+            grid = GridSpec(float(horizon), 16)
+            assert takes_form(ker, grid, None)
+            sample_chaos(ker, grid, 8, seed=1, with_second_moment=False)
+        assert form_entries() == _FORM_ENTRIES == _quadratic_form.cache_info().maxsize
+        sample_chaos(KernelSpec(gamma), GridSpec(1.0, 16), 8, seed=1, with_second_moment=False)
+        assert _quadratic_form.cache_info().misses == _FORM_ENTRIES + 3
 
 
 class TestIncrements:
