@@ -22,28 +22,29 @@ columns of a noise row: with none a term is a constant; with one it is
 linear in xi, and its weights fold into one vector; with two it is a
 quadratic form, and its weights c fold into one symmetric n x n matrix
 M, the sum of (b_i diag(c) b_j^T + b_j diag(c) b_i^T) / 2.  For q = 1
-the vector is the whole estimator.  For q = 2 the estimator is A (xi^T M
-xi - tr M), the quadratic form of Bai and Taqqu's Rosenblatt case, the
-form Veillette and Taqqu (Bernoulli, 2013) evaluate its law through.
-Where no term has three or more unmatched factors and the table is
-wider than tall, n < k S for k distinct exponents and S s-nodes, a chunk
-is assembled as xi @ M and a row-wise dot, with no projections: on the
-default q=2 grid that is a product with 522 columns rather than 910.
-Elsewhere, as at q >= 3, at equal exponents (k = 1) or on a narrow
-sub-interval such as (0.75, 1), the chunk is projected onto the table,
-one projection per distinct exponent, and each remaining term multiplies
-its unmatched factors' projections.  The rule reads the geometry alone,
-never n_samples or the worker count.  M is a pure function of
-(exponents, horizon, cells, lo, hi) and is cached by value under that
-key, up to _FORM_ENTRIES = 8 matrices of n^2 doubles, each smaller than
-the n x k S table it stands in for: 2.2 MB on the default q=2 grid, so
-at most 17.4 MB for that grid's intervals.  Its build, a second
-factorization, one n x S x n GEMM (5 to 7 ms) and a transpose, takes
-11 to 12 ms on the default q=2 grid on one core of a shared 2-core host.
-A cold call pays it once, so a cold draw of 64 realizations there took
-about 15 ms longer than the table route's 6 ms; later draws on the key
-skip it, and a warm draw of 2048 realizations took 26 to 30 ms against
-the table route's 50 ms.
+the vector is the whole estimator.  For q = 2, the generalized
+Rosenblatt process of Bai and Taqqu, the estimator is A (xi^T M xi - tr
+M), the form through which Veillette and Taqqu (Bernoulli, 2013)
+evaluate the Rosenblatt law.  Where no term has three or more unmatched
+factors and the table is wider than tall, n < k S for k distinct
+exponents and S s-nodes, a chunk is assembled as xi @ M and a row-wise
+dot, with no projections: on the default q=2 grid that is a product with
+522 columns rather than 910.  Elsewhere, as at q >= 3, at equal
+exponents (k = 1) or on a short, late sub-interval such as (0.75, 1),
+the chunk is projected onto the table, one projection per distinct
+exponent, and each remaining term multiplies its unmatched factors'
+projections.  The rule reads the geometry alone, never n_samples or the
+worker count.  M is a pure function of (exponents, horizon, cells, lo,
+hi) and is cached by value under that key, up to _FORM_ENTRIES = 8
+matrices of n^2 doubles, each smaller than the n x k S table it stands
+in for: 2.2 MB on the default q=2 grid, so at most 17.4 MB for that
+grid's intervals.  An entry grows as n^2: at 1820 cells it is 34 MB, and
+eight such keys hold 271 MB.  Its build, a second factorization, one n x
+S x n GEMM (5 to 7 ms) and a transpose, takes 11 to 12 ms on the default
+q=2 grid on one core of a shared 2-core host.  A cold call pays it once,
+so a cold draw of 64 realizations there took about 15 ms longer than the
+table route's 6 ms; later draws on the key skip it, and a warm draw of
+2048 realizations took 26 to 30 ms against the table route's 50 ms.
 
 Far field.  Everything left of the grid's first edge -L, L >= t/8 with t
 the horizon, is the far field, and no cell covers it: its projections
