@@ -34,17 +34,18 @@ exponents (k = 1) or on a short, late sub-interval such as (0.75, 1),
 the chunk is projected onto the table, one projection per distinct
 exponent, and each remaining term multiplies its unmatched factors'
 projections.  The rule reads the geometry alone, never n_samples or the
-worker count.  M is a pure function of (exponents, horizon, cells, lo,
-hi) and is cached by value under that key, up to _FORM_ENTRIES = 8
-matrices of n^2 doubles, each smaller than the n x k S table it stands
-in for: 2.2 MB on the default q=2 grid, so at most 17.4 MB for that
-grid's intervals.  An entry grows as n^2: at 1820 cells it is 34 MB, and
-eight such keys hold 271 MB.  Its build, a second factorization, one n x
-S x n GEMM (5 to 7 ms) and a transpose, takes 11 to 12 ms on the default
-q=2 grid on one core of a shared 2-core host.  A cold call pays it once,
-so a cold draw of 64 realizations there took about 15 ms longer than the
-table route's 6 ms; later draws on the key skip it, and a warm draw of
-2048 realizations took 26 to 30 ms against the table route's 50 ms.
+worker count.  M is fixed by (exponents, horizon, cells, lo, hi), which
+fix the table, and the draws cache it by value under that key, up to
+_FORM_ENTRIES = 8 matrices of n^2 doubles, each smaller than the n x k S
+table it stands in for: 2.2 MB on the default q=2 grid, so at most 17.4
+MB for that grid's intervals.  An entry grows as n^2: at 1820 cells it
+is 34 MB, and eight such keys hold 271 MB.  A miss builds M from the
+draw's own table, one n x S x n GEMM and a transpose, 6 to 8 ms on the
+default q=2 grid on one core of a shared 2-core host.  A cold call pays
+it once, so a cold draw of 64 realizations there took 11 to 20 ms
+against the table route's 4 to 5 ms; later draws on the key skip it, and
+a warm draw of 2048 realizations took 26 to 30 ms against the table
+route's 32 to 42 ms.
 
 Far field.  Everything left of the grid's first edge -L, L >= t/8 with t
 the horizon, is the far field, and no cell covers it: its projections
@@ -95,6 +96,19 @@ S x S Gram over the table's rows, one block of the table's own Gram, and
 the permanent's products taken entrywise.  It is the variance of exactly
 the columns drawn, and the discrete twin of the continuum variance,
 which is A^2 times the permanent of the Beta matrix U (see `kernel`).
+Where the fold leaves no term with three or more unmatched factors, the
+same sum reads off the fold: the estimator is A (v . xi + xi^T M xi - tr
+M), whose two parts are uncorrelated, so E[Z_hat^2] = A^2 (|v|^2 + 2
+||M||_F^2).  At q = 1 that is the folded vector v alone; at q = 2 it is
+M, wherever the draw assembles through M (n < k S), at n^2 S
+multiply-adds for the GEMM against about k^2 S^2 n / 2 for the Gram and
+the permanent's S x S products.  On the default q=2 grid the second
+moment took 11 to 12 ms against the permanent's 21 to 25 ms, and at
+1820 cells 316 to 327 ms against 572 to 659 ms; on the default q=1 grid
+0.5 ms against 3.2 ms.  The two agree to 3.1e-15 relative on the test
+kernels and intervals.  The permanent stays the route for q >= 3, equal
+exponents and tables taller than wide, and it is the tests' oracle for
+the fold.
 
 Near table.  Every grid is a uniform mesh, so where a near cell c (a
 grid cell left of hi) meets a whole s-panel m (a panel that is the full
@@ -131,6 +145,8 @@ import hashlib
 import json
 import math
 import os
+import threading
+from collections import OrderedDict, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -358,36 +374,6 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
     return _Factors((lo, hi), s_w, r, tuple(keys.index(v) for v in g), table)
 
 
-def _second_moment(kernel: KernelSpec, fac: _Factors) -> float:
-    """E[Z_hat^2] from the factor table: one Gram over its rows, whose
-    exponent blocks are the G_ij.  It scales like t^(2H), H = 1 + sum(g)
-    + q/2, so where t^(2H) leaves float64's normal range it raises
-    DomainError; so does a nonempty interval whose second moment falls
-    below that range, as one much shorter than a cell can."""
-    t, g = kernel.horizon, kernel.gamma.entries
-    log_scale = (2.0 + 2.0 * sum(g) + len(g)) * math.log(t)
-    if not math.log(np.finfo(float).tiny) <= log_scale <= math.log(np.finfo(float).max):
-        raise DomainError(f"the second moment, of order t^(2H), leaves float64's normal range at horizon {t}")
-    n_s, k = len(fac.s_w), len(set(fac.slot))
-    gram = (fac.table.T @ fac.table).reshape(k, n_s, k, n_s)
-    grams_by_slot = [[gram[a, :, b] for b in fac.slot] for a in fac.slot]
-    m2 = float(kernel.constant**2 * (fac.s_w @ permanent(grams_by_slot) @ fac.s_w))
-    if n_s and m2 < np.finfo(float).tiny:
-        raise DomainError(f"the second moment over the interval {fac.span} falls below float64's normal range")
-    return m2
-
-
-def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) -> float:
-    """Exact E[Z_hat^2] of the sampled estimator on this grid.
-
-    Wick products of Gaussians pair only across the two factors, so the
-    second moment is the permanent of the matrix of s-node Grams, with
-    entrywise products.  No Monte Carlo, no continuum approximation: this
-    is the estimator's own variance to float precision.
-    """
-    return _second_moment(kernel, _factorize(kernel, grid, interval))
-
-
 def _wick_terms(q: int, fac: _Factors) -> tuple:
     """The Wick sum folded by unmatched factors (see the module
     docstring): the constant, the vector over a noise row's live columns,
@@ -419,24 +405,118 @@ def _takes_form(fac: _Factors, products: list) -> bool:
     return bool(products) and all(len(slots) == 2 for slots, _ in products) and n < width
 
 
-# matrices M kept by _quadratic_form (see the module docstring)
-_FORM_ENTRIES = 8
-
-
-@lru_cache(maxsize=_FORM_ENTRIES)
-def _quadratic_form(gammas: tuple, horizon: float, cells: int, span: tuple) -> np.ndarray:
+def _form(fac: _Factors, products: list) -> np.ndarray:
     """M, the n x n symmetric matrix of the Wick terms with two unmatched
-    factors, for the kernel of `gammas` on GridSpec(horizon, cells) and
-    the s-interval `span`, n the table's rows.  A pure function of its
-    arguments, so it is cached by value, as _far_root is; two callers
-    racing on a cold key each build the same matrix."""
-    kernel = KernelSpec(gammas, horizon)
-    fac = _factorize(kernel, GridSpec(horizon, cells), span)
-    half = reduce(np.add, [(fac.b(i) * c) @ fac.b(j).T for (i, j), c in _wick_terms(kernel.q, fac)[2]])
+    factors, n the table's rows, read-only; it leaves out the kernel
+    constant, as the assembly does."""
+    half = reduce(np.add, [(fac.b(i) * (0.5 * c)) @ fac.b(j).T for (i, j), c in products])
     form = half + half.T
-    form *= 0.5
     form.flags.writeable = False
     return form
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _FormCache:
+    """M by value key (exponents, horizon, cells, span), which fixes the
+    table, up to `maxsize` entries, the least recently used dropped
+    first.  A miss builds M from the caller's own table, so a cold draw
+    factorizes once.  cache_info and cache_clear read as lru_cache's do;
+    two callers racing on a cold key each build the same matrix."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def __call__(self, key: tuple, fac: _Factors, products: list) -> np.ndarray:
+        with self._lock:
+            form = self._entries.get(key)
+            if form is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return form
+            self._misses += 1
+        form = _form(fac, products)
+        with self._lock:
+            self._entries[key] = form
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        return form
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries, self._hits, self._misses = OrderedDict(), 0, 0
+
+
+# matrices M kept for the draws (see the module docstring)
+_FORM_ENTRIES = 8
+_quadratic_form = _FormCache(_FORM_ENTRIES)
+
+
+def _check_scale(kernel: KernelSpec) -> None:
+    """E[Z_hat^2] scales like t^(2H), H = 1 + sum(g) + q/2, so where
+    t^(2H) leaves float64's normal range this raises DomainError."""
+    t, g = kernel.horizon, kernel.gamma.entries
+    log_scale = (2.0 + 2.0 * sum(g) + len(g)) * math.log(t)
+    if not math.log(np.finfo(float).tiny) <= log_scale <= math.log(np.finfo(float).max):
+        raise DomainError(f"the second moment, of order t^(2H), leaves float64's normal range at horizon {t}")
+
+
+def _permanent_moment(kernel: KernelSpec, fac: _Factors) -> float:
+    """E[Z_hat^2] = A^2 w^T perm(G) w from one Gram over the table's rows,
+    whose exponent blocks are the G_ij: the route for every order, and
+    the one _second_moment takes where the fold does not give it."""
+    n_s, k = len(fac.s_w), len(set(fac.slot))
+    gram = (fac.table.T @ fac.table).reshape(k, n_s, k, n_s)
+    grams_by_slot = [[gram[a, :, b] for b in fac.slot] for a in fac.slot]
+    return float(kernel.constant**2 * (fac.s_w @ permanent(grams_by_slot) @ fac.s_w))
+
+
+def _second_moment(
+    kernel: KernelSpec, fac: _Factors, folded: np.ndarray, products: list, form: np.ndarray | None = None
+) -> float:
+    """E[Z_hat^2] over the factor table, after _check_scale.  Where no
+    Wick term has three or more unmatched factors and every product term
+    folds into M (see _takes_form), it is A^2 (|folded|^2 + 2 ||M||_F^2),
+    M `form` or built here from `fac`; elsewhere it is the permanent.  A
+    nonempty interval whose second moment falls below float64's normal
+    range, as one much shorter than a cell can, raises DomainError."""
+    if not products or _takes_form(fac, products):
+        if products and form is None:
+            form = _form(fac, products)
+        spread = 2.0 * float(np.vdot(form, form)) if products else 0.0
+        m2 = float(kernel.constant**2 * (folded @ folded + spread))
+    else:
+        m2 = _permanent_moment(kernel, fac)
+    if len(fac.s_w) and m2 < np.finfo(float).tiny:
+        raise DomainError(f"the second moment over the interval {fac.span} falls below float64's normal range")
+    return m2
+
+
+def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) -> float:
+    """Exact E[Z_hat^2] of the sampled estimator on this grid.
+
+    Wick products of Gaussians pair only across the two factors, so the
+    second moment is the permanent of the matrix of s-node Grams, with
+    entrywise products.  Where the draw folds the estimator into a
+    vector and a quadratic form M (q = 1, and q = 2 with a table wider
+    than tall), the same sum is A^2 (|folded|^2 + 2 ||M||_F^2), and M,
+    one n x S x n GEMM, is built here from this call's own table: no
+    k S x k S Gram (910^2 doubles on the default q=2 grid), and the
+    draws' cache of M is neither read nor filled.  No Monte Carlo, no
+    continuum approximation: this is the estimator's own variance to
+    float precision, and a draw's second moment is the same bits.
+    """
+    fac = _factorize(kernel, grid, interval)
+    _check_scale(kernel)
+    _, folded, products = _wick_terms(kernel.q, fac)
+    return _second_moment(kernel, fac, folded, products)
 
 
 @dataclass(eq=False)
@@ -522,12 +602,15 @@ def sample_chaos(
     M (see the module docstring) takes workers x 256 x (r + live cells) x
     8 bytes for xi @ M instead, and M itself, (r + live cells)^2 doubles,
     2.2 MB on the default q=2 grid, stays cached by its key, up to 8 of
-    them; a cold call builds M in 11 to 12 ms there, so a small cold
-    draw is about 15 ms slower.  The far field's latent root, r x (distinct
-    exponents) x 55 doubles (about 3 to 16 KB on the default grids), is
-    built on the unit horizon and cached by the far edge over the horizon
-    and the exponents, up to 256 of them, so later calls on any grid with
-    that ratio, at any horizon, skip its build.  The second moment scales
+    them; a cold call builds M from this call's table in 6 to 8 ms there.
+    The second moment reads off the same fold, so at q = 1 and on the
+    route through M it takes no k S x k S Gram (910^2 doubles, 6.6 MB, on
+    the default q=2 grid); elsewhere it does.  The far field's latent
+    root, r x (distinct exponents) x 55 doubles (about 3 to 16 KB on the
+    default grids), is built on the unit horizon and cached by the far
+    edge over the horizon and the exponents, up to 256 of them, so later
+    calls on any grid with that ratio, at any horizon, skip its build.
+    The second moment scales
     like t^(2H); outside float64's normal range it raises DomainError,
     as it does where a nonempty interval's falls below that range.
     """
@@ -535,13 +618,14 @@ def sample_chaos(
         if _integer(value, name) < 0:
             raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
     fac = _factorize(kernel, grid, interval)
-    m2 = _second_moment(kernel, fac) if with_second_moment else math.nan
-
+    if with_second_moment:
+        _check_scale(kernel)
     r, table = fac.r, fac.table
     const, folded, products = _wick_terms(kernel.q, fac)
     form = None
     if _takes_form(fac, products):
-        form = _quadratic_form(kernel.gamma.entries, grid.horizon, grid.cells, fac.span)
+        form = _quadratic_form((kernel.gamma.entries, grid.horizon, grid.cells, fac.span), fac, products)
+    m2 = _second_moment(kernel, fac, folded, products, form) if with_second_moment else math.nan
 
     # the last `cells` cells, [0, horizon], carry the terminal Brownian
     # value; the product runs over every cell column, zeros left of 0

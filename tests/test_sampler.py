@@ -23,7 +23,9 @@ from rosenblatt.sampler import (
     ChaosSampleBatch,
     _factorize,
     _far_root,
+    _form,
     _noise,
+    _permanent_moment,
     _quadratic_form,
     _span,
     _takes_form,
@@ -629,18 +631,37 @@ class TestQuadraticForm:
     @pytest.mark.parametrize("interval", INTERVALS)
     def test_form_gives_the_second_moment_and_the_constant(self, gamma, interval):
         # Z_hat = A (xi^T M xi - tr M) with M symmetric, so E[Z_hat^2] =
-        # 2 A^2 ||M||_F^2 and A tr M is minus the constant term; the
-        # permanent route stays the one discrete_second_moment takes
+        # 2 A^2 ||M||_F^2, against the permanent over the table's Gram, and
+        # A tr M is minus the constant term; M is built wherever the table
+        # has rows, tall or wide
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
         fac = _factorize(ker, grid, interval)
-        form = _quadratic_form(gamma, ker.horizon, grid.cells, fac.span)
+        const, _, products = _wick_terms(ker.q, fac)
+        form = _form(fac, products)
         a = ker.constant
-        m2 = discrete_second_moment(ker, grid, interval)
+        m2 = _permanent_moment(ker, fac)
         assert 2.0 * a**2 * np.sum(form**2) == pytest.approx(m2, rel=1e-12, abs=0.0)
-        const = _wick_terms(ker.q, fac)[0]
         assert a * np.trace(form) == pytest.approx(-a * const, rel=1e-12, abs=0.0)
         assert np.array_equal(form, form.T) and not form.flags.writeable
+
+    def test_a_cold_draw_factorizes_once(self, monkeypatch):
+        # a miss builds M from the draw's own table, and the second moment
+        # reads it off the same M
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _factorize(*args)
+
+        monkeypatch.setattr(sampler_module, "_factorize", counted)
+        _quadratic_form.cache_clear()
+        for interval in (None, (0.0, 0.25)):
+            batch = sample_chaos(ker, grid, 8, seed=1, interval=interval)
+            assert batch.second_moment > 0.0
+        assert len(calls) == 2 and _quadratic_form.cache_info().misses == 2
 
     def test_a_warm_draw_matches_a_cold_one(self):
         ker = KernelSpec((-0.7, -0.65))
@@ -679,6 +700,115 @@ class TestQuadraticForm:
         assert form_entries() == _FORM_ENTRIES == _quadratic_form.cache_info().maxsize
         sample_chaos(KernelSpec(gamma), GridSpec(1.0, 16), 8, seed=1, with_second_moment=False)
         assert _quadratic_form.cache_info().misses == _FORM_ENTRIES + 3
+
+    def test_threads_racing_on_the_cache_match_a_serial_run(self):
+        # four callers, more than the cores of a small host, draw on two
+        # keys more than the bound, each in its own order, so hits, misses
+        # and evictions interleave; every draw matches a serial run, and no
+        # count is lost
+        gamma = (-0.7, -0.65)
+        horizons = [float(h) for h in range(1, _FORM_ENTRIES + 3)]
+        cases = [(KernelSpec(gamma, horizon=h), GridSpec(h, 16)) for h in horizons]
+        serial = [memo_draw(ker, grid, None) for ker, grid in cases]
+        _quadratic_form.cache_clear()
+        n_threads = 4
+        start = threading.Barrier(n_threads, timeout=60)
+        out = [[None] * len(cases) for _ in range(n_threads)]
+
+        def run(j):
+            start.wait()
+            for i in np.random.default_rng(j).permutation(len(cases)):
+                out[j][i] = memo_draw(*cases[i], None)
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(n_threads)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        for got in out:
+            for one, want in zip(got, serial):
+                assert_same_bits(one, want)
+        info = _quadratic_form.cache_info()
+        assert info.hits + info.misses == n_threads * len(cases)
+        assert info.currsize == _FORM_ENTRIES
+
+
+FACE2_Q2_POINTS = [p.entries for p in path_points(
+    BoundaryPath(Face.SUM_TO_CRITICAL, GammaVector((-0.7, -0.65)), (0.4, 0.2, 0.1, 0.05, 0.01)))]
+
+
+def fold_route(ker, grid, interval) -> bool:
+    # whether the second moment is read off the fold: no Wick term with
+    # three or more unmatched factors, and M only where the draw uses it
+    fac = _factorize(ker, grid, interval)
+    products = _wick_terms(ker.q, fac)[2]
+    return not products or _takes_form(fac, products)
+
+
+class TestSecondMomentRoutes:
+    # where the draw folds the estimator into a vector and M, the second
+    # moment is A^2 (|folded|^2 + 2 ||M||_F^2); the permanent over the
+    # table's Gram is the oracle, forced by calling it directly
+    @pytest.mark.parametrize("gamma", [g for g in GAMMAS if len(g) <= 2])
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_fold_matches_the_permanent(self, gamma, interval):
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        assert fold_route(ker, grid, interval) == (len(gamma) == 1 or (gamma, interval) in FORM_CASES)
+        want = _permanent_moment(ker, _factorize(ker, grid, interval))
+        assert discrete_second_moment(ker, grid, interval) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", FACE2_Q2_POINTS)
+    def test_fold_matches_the_permanent_along_face_two(self, gamma):
+        # the sum-to-critical path from (-0.7, -0.65) at eps = 0.4, 0.2,
+        # 0.1, 0.05 and 0.01, where m2 falls to 0.173
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        assert fold_route(ker, grid, None)
+        want = _permanent_moment(ker, _factorize(ker, grid, None))
+        assert discrete_second_moment(ker, grid) == pytest.approx(want, rel=1e-12, abs=0.0)
+        if gamma == FACE2_Q2_POINTS[-1]:
+            assert want == pytest.approx(0.173, abs=5e-4)
+
+    def test_second_moment_leaves_the_form_cache_alone(self):
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        memo_draw(ker, grid, None)
+        before = _quadratic_form.cache_info()
+        for interval in INTERVALS:
+            discrete_second_moment(ker, grid, interval)
+        assert _quadratic_form.cache_info() == before
+
+    @pytest.mark.parametrize("gamma, interval", [((-0.8,), None), *sorted(FORM_CASES, key=str)])
+    def test_a_default_draw_skips_the_permanent(self, gamma, interval, monkeypatch):
+        # the draw's second moment comes off the fold it draws with, the
+        # same bits as discrete_second_moment's, cold and warm
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+
+        def no_permanent(*args):
+            raise AssertionError("the permanent route ran")
+
+        monkeypatch.setattr(sampler_module, "_permanent_moment", no_permanent)
+        _quadratic_form.cache_clear()
+        cold, warm = (sample_chaos(ker, grid, 64, seed=2, interval=interval) for _ in range(2))
+        assert cold.second_moment == warm.second_moment == discrete_second_moment(ker, grid, interval)
+
+    def test_an_order_one_sub_interval_below_float64_raises(self):
+        # the fold route keeps the check of a second moment that underflows
+        ker = KernelSpec((-0.8,))
+        grid = build_grid(ker)
+        assert fold_route(ker, grid, (0.0, 1e-250))
+        with pytest.raises(DomainError, match=re.escape("(0.0, 1e-250) falls below")):
+            discrete_second_moment(ker, grid, (0.0, 1e-250))
+        with pytest.raises(DomainError, match=re.escape("(0.0, 1e-250) falls below")):
+            sample_chaos(ker, grid, 8, seed=1, interval=(0.0, 1e-250))
 
 
 class TestIncrements:
