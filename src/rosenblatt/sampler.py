@@ -34,18 +34,17 @@ exponents (k = 1) or on a short, late sub-interval such as (0.75, 1),
 the chunk is projected onto the table, one projection per distinct
 exponent, and each remaining term multiplies its unmatched factors'
 projections.  The rule reads the geometry alone, never n_samples or the
-worker count.  M is fixed by (exponents, horizon, cells, lo, hi), which
-fix the table, and the draws cache it by value under that key, up to
-_FORM_ENTRIES = 8 matrices of n^2 doubles, each smaller than the n x k S
-table it stands in for: 2.2 MB on the default q=2 grid, so at most 17.4
-MB for that grid's intervals.  An entry grows as n^2: at 1820 cells it
-is 34 MB, and eight such keys hold 271 MB.  A miss builds M from the
-draw's own table, one n x S x n GEMM and a transpose, 6 to 8 ms on the
-default q=2 grid on one core of a shared 2-core host.  A cold call pays
-it once, so a cold draw of 64 realizations there took 11 to 20 ms
-against the table route's 4 to 5 ms; later draws on the key skip it, and
-a warm draw of 2048 realizations took 26 to 30 ms against the table
-route's 32 to 42 ms.
+worker count.  One builder, _build_estimator, makes the table, the fold
+and M into one record, and the draws and discrete_second_moment each
+call it once.  M is fixed by (exponents, horizon, cells, lo, hi), which
+fix the table, and the draws read it through a cache by value under that
+key, up to _FORM_ENTRIES = 8 matrices of n^2 doubles, each smaller than
+the n x k S table it stands in for: 2.2 MB on the default q=2 grid, so
+at most 17.4 MB for that grid's intervals.  An entry grows as n^2: at
+1820 cells it is 34 MB, and eight such keys hold 271 MB.  A miss builds
+M from the draw's own table, one n x S x n GEMM, so a cold draw
+factorizes once and later draws on the key skip the GEMM;
+discrete_second_moment builds its own M and leaves the cache alone.
 
 Far field.  Everything left of the grid's first edge -L, L >= t/8 with t
 the horizon, is the far field, and no cell covers it: its projections
@@ -71,9 +70,9 @@ the latent root built from it (below) is mapped to the nodes s/t by an
 R x S barycentric matrix; R puts rho^-R below 1e-16.  The root is a pure
 function of (L/t, distinct exponents), cached by value across horizons,
 with L/t taken from the cell counts: r x k x R doubles for k distinct
-exponents, about 3 to 16 KB on the default grids of q = 1, 2 and 3,
-built in 0.25 to 2 ms on one core.  Only its scale, the s-rule, the map
-and the near rows are built per call.
+exponents, about 3 to 16 KB on the default grids of q = 1, 2 and 3.
+Only its scale, the s-rule, the map and the near rows are built per
+call.
 
 The factor table.  With G = V diag(lam) V^T, the sampler keeps the
 eigenpairs with lam above (exponents x R) * eps * max(lam), the usual
@@ -85,9 +84,9 @@ grids of the test kernels, 6 to 9 at g1 = -0.5001).  Mapped to the
 s-nodes, the root gives r latent rows whose Gram matches an independent
 quadrature of the far Gram at the s-nodes to within 5.8e-14 of its
 largest entry on those grids, and to 3.5e-14 at g1 = -0.5001.  One
-table then holds every factor the sampler reads, one row per live noise
-column: the r latent rows, then the grid cells left of hi, with the
-exponent blocks side by side.  Cells entirely right of hi have zero
+table, the first part of the builder's record, then holds every factor
+the sampler reads, one row per live noise column: the r latent rows,
+then the grid cells left of hi, with the exponent blocks side by side.  Cells entirely right of hi have zero
 factors and are skipped.  Its blocks b_i give the projections, the
 covariances C_ij, the folded vector and M, and the second moment: Wick
 products pair only across the two factors, so E[Z_hat^2] = A^2 w^T
@@ -102,11 +101,8 @@ M), whose two parts are uncorrelated, so E[Z_hat^2] = A^2 (|v|^2 + 2
 ||M||_F^2).  At q = 1 that is the folded vector v alone; at q = 2 it is
 M, wherever the draw assembles through M (n < k S), at n^2 S
 multiply-adds for the GEMM against about k^2 S^2 n / 2 for the Gram and
-the permanent's S x S products.  On the default q=2 grid the second
-moment took 11 to 12 ms against the permanent's 21 to 25 ms, and at
-1820 cells 316 to 327 ms against 572 to 659 ms; on the default q=1 grid
-0.5 ms against 3.2 ms.  The two agree to 3.1e-15 relative on the test
-kernels and intervals.  The permanent stays the route for q >= 3, equal
+the permanent's S x S products.  The two agree to 3.1e-15 relative on
+the test kernels and intervals.  The permanent stays the route for q >= 3, equal
 exponents and tables taller than wide, and it is the tests' oracle for
 the fold.
 
@@ -149,7 +145,7 @@ import threading
 from collections import OrderedDict, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -243,13 +239,15 @@ def _matchings(items: tuple):
             yield ((head, other),) + pairs, free[:k] + free[k + 1 :]
 
 
-class _Factors(NamedTuple):
-    """The factor table of one kernel on one grid and s-interval.
+class _Estimator(NamedTuple):
+    """The sampled estimator of one kernel on one grid and s-interval.
 
     `table` has one row per live noise column, the r latent rows and then
     the grid cells left of hi, and holds b at the s-nodes for every
     distinct exponent side by side; coordinate i reads the exponent
-    block slot[i].  `span` is the s-interval (lo, hi).
+    block slot[i].  `span` is the s-interval (lo, hi).  _build_estimator
+    adds the fold (see the module docstring): the constant, the vector,
+    the product terms' (exponent slots, s-weights), and M or None.
     """
 
     span: tuple
@@ -257,6 +255,10 @@ class _Factors(NamedTuple):
     r: int
     slot: tuple
     table: np.ndarray
+    const: float | None = None
+    folded: np.ndarray | None = None
+    products: list | None = None
+    form: np.ndarray | None = None
 
     def b(self, j: int) -> np.ndarray:
         return self.table[:, j * len(self.s_w) : (j + 1) * len(self.s_w)]
@@ -339,9 +341,9 @@ def _far_root(far_left: float, keys: tuple) -> np.ndarray:
     return root
 
 
-def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
-    """The factor table both estimator paths read; an empty interval has
-    no s-node, so its table has no column."""
+def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Estimator:
+    """The factor table of _build_estimator's record; an empty interval
+    has no s-node, so its table has no column."""
     if kernel.q > 4:
         raise SizeError(f"the sampler supports orders 1..4, got {kernel.q}")
     if grid.horizon != kernel.horizon:
@@ -371,46 +373,26 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Factors:
     interp = _chebyshev_interpolation(s_nodes / t)
     table[:r] = (latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
     _near_rows(edges[: n_live + 1], keys, s_nodes, lo, hi, out=table[r:])
-    return _Factors((lo, hi), s_w, r, tuple(keys.index(v) for v in g), table)
+    return _Estimator((lo, hi), s_w, r, tuple(keys.index(v) for v in g), table)
 
 
-def _wick_terms(q: int, fac: _Factors) -> tuple:
-    """The Wick sum folded by unmatched factors (see the module
-    docstring): the constant, the vector over a noise row's live columns,
-    and the (exponent slots, s-weights) of each term with two or more."""
-
-    def cov(i: int, j: int) -> np.ndarray:
-        """C_ij(m) = sum_c b_i[c, m] b_j[c, m] over the table's rows."""
-        return np.einsum("cm,cm->m", fac.b(fac.slot[i]), fac.b(fac.slot[j]))
-
-    # each matching's s-weights and covariances form one vector over the
-    # s-nodes, which multiplies its unmatched factors
-    const, folded, products = 0.0, np.zeros(len(fac.table)), []
-    for pairs, free in _matchings(tuple(range(q))):
-        c = reduce(np.multiply, [cov(i, j) for i, j in pairs], (-1.0) ** len(pairs) * fac.s_w)
-        if not free:
-            const += float(c.sum())
-        elif len(free) == 1:
-            folded += fac.b(fac.slot[free[0]]) @ c
-        else:
-            products.append(([fac.slot[i] for i in free], c))
-    return const, folded, products
-
-
-def _takes_form(fac: _Factors, products: list) -> bool:
+def _takes_form(est: _Estimator) -> bool:
     """Whether a draw assembles its product terms through M: each has two
     unmatched factors, and the table is wider than tall, so xi @ M is
     narrower than xi @ table."""
-    n, width = fac.table.shape
-    return bool(products) and all(len(slots) == 2 for slots, _ in products) and n < width
+    n, width = est.table.shape
+    return bool(est.products) and all(len(slots) == 2 for slots, _ in est.products) and n < width
 
 
-def _form(fac: _Factors, products: list) -> np.ndarray:
+def _form(est: _Estimator) -> np.ndarray:
     """M, the n x n symmetric matrix of the Wick terms with two unmatched
     factors, n the table's rows, read-only; it leaves out the kernel
-    constant, as the assembly does."""
-    half = reduce(np.add, [(fac.b(i) * (0.5 * c)) @ fac.b(j).T for (i, j), c in products])
-    form = half + half.T
+    constant, as the assembly does.  M = half + half.T overwrites half one
+    block row at a time: the same sums, with no second n x n array."""
+    form = reduce(np.add, [(est.b(i) * (0.5 * c)) @ est.b(j).T for (i, j), c in est.products])
+    for a in range(0, len(form), 64):
+        both = form[a : a + 64, a:] + form[a:, a : a + 64].T
+        form[a : a + 64, a:], form[a:, a : a + 64] = both, both.T
     form.flags.writeable = False
     return form
 
@@ -421,16 +403,17 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 class _FormCache:
     """M by value key (exponents, horizon, cells, span), which fixes the
     table, up to `maxsize` entries, the least recently used dropped
-    first.  A miss builds M from the caller's own table, so a cold draw
-    factorizes once.  cache_info and cache_clear read as lru_cache's do;
-    two callers racing on a cold key each build the same matrix."""
+    first.  A miss calls `build`, which makes M from the caller's own
+    table, so a cold draw factorizes once.  cache_info and cache_clear
+    read as lru_cache's do; two callers racing on a cold key each build
+    the same matrix."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._lock = threading.Lock()
         self.cache_clear()
 
-    def __call__(self, key: tuple, fac: _Factors, products: list) -> np.ndarray:
+    def __call__(self, key: tuple, build) -> np.ndarray:
         with self._lock:
             form = self._entries.get(key)
             if form is not None:
@@ -438,7 +421,7 @@ class _FormCache:
                 self._hits += 1
                 return form
             self._misses += 1
-        form = _form(fac, products)
+        form = build()
         with self._lock:
             self._entries[key] = form
             while len(self._entries) > self.maxsize:
@@ -459,43 +442,67 @@ _FORM_ENTRIES = 8
 _quadratic_form = _FormCache(_FORM_ENTRIES)
 
 
-def _check_scale(kernel: KernelSpec) -> None:
-    """E[Z_hat^2] scales like t^(2H), H = 1 + sum(g) + q/2, so where
-    t^(2H) leaves float64's normal range this raises DomainError."""
+def _build_estimator(
+    kernel: KernelSpec, grid: GridSpec, interval, moment: bool = False, cached: bool = False
+) -> _Estimator:
+    """The one construction path of the estimator record.  It builds the
+    factor table; then, where `moment` asks for the second moment, whose
+    scale is t^(2H) with H = 1 + sum(g) + q/2, raises DomainError if that
+    leaves float64's normal range; then folds the Wick sum, and where
+    _takes_form holds reads M through the draws' cache when `cached`, or
+    builds it here."""
+    est = _factorize(kernel, grid, interval)
     t, g = kernel.horizon, kernel.gamma.entries
     log_scale = (2.0 + 2.0 * sum(g) + len(g)) * math.log(t)
-    if not math.log(np.finfo(float).tiny) <= log_scale <= math.log(np.finfo(float).max):
+    if moment and not math.log(np.finfo(float).tiny) <= log_scale <= math.log(np.finfo(float).max):
         raise DomainError(f"the second moment, of order t^(2H), leaves float64's normal range at horizon {t}")
 
+    def cov(i: int, j: int) -> np.ndarray:
+        """C_ij(m) = sum_c b_i[c, m] b_j[c, m] over the table's rows."""
+        return np.einsum("cm,cm->m", est.b(est.slot[i]), est.b(est.slot[j]))
 
-def _permanent_moment(kernel: KernelSpec, fac: _Factors) -> float:
+    # each matching's s-weights and covariances form one vector over the
+    # s-nodes, which multiplies its unmatched factors
+    const, folded, products = 0.0, np.zeros(len(est.table)), []
+    for pairs, free in _matchings(tuple(range(kernel.q))):
+        c = reduce(np.multiply, [cov(i, j) for i, j in pairs], (-1.0) ** len(pairs) * est.s_w)
+        if not free:
+            const += float(c.sum())
+        elif len(free) == 1:
+            folded += est.b(est.slot[free[0]]) @ c
+        else:
+            products.append(([est.slot[i] for i in free], c))
+    est = est._replace(const=const, folded=folded, products=products)
+    if _takes_form(est):
+        key = (g, grid.horizon, grid.cells, est.span)
+        est = est._replace(form=_quadratic_form(key, partial(_form, est)) if cached else _form(est))
+    return est
+
+
+def _permanent_moment(kernel: KernelSpec, est: _Estimator) -> float:
     """E[Z_hat^2] = A^2 w^T perm(G) w from one Gram over the table's rows,
     whose exponent blocks are the G_ij: the route for every order, and
     the one _second_moment takes where the fold does not give it."""
-    n_s, k = len(fac.s_w), len(set(fac.slot))
-    gram = (fac.table.T @ fac.table).reshape(k, n_s, k, n_s)
-    grams_by_slot = [[gram[a, :, b] for b in fac.slot] for a in fac.slot]
-    return float(kernel.constant**2 * (fac.s_w @ permanent(grams_by_slot) @ fac.s_w))
+    n_s, k = len(est.s_w), len(set(est.slot))
+    gram = (est.table.T @ est.table).reshape(k, n_s, k, n_s)
+    grams_by_slot = [[gram[a, :, b] for b in est.slot] for a in est.slot]
+    return float(kernel.constant**2 * (est.s_w @ permanent(grams_by_slot) @ est.s_w))
 
 
-def _second_moment(
-    kernel: KernelSpec, fac: _Factors, folded: np.ndarray, products: list, form: np.ndarray | None = None
-) -> float:
-    """E[Z_hat^2] over the factor table, after _check_scale.  Where no
-    Wick term has three or more unmatched factors and every product term
-    folds into M (see _takes_form), it is A^2 (|folded|^2 + 2 ||M||_F^2),
-    M `form` or built here from `fac`; elsewhere it is the permanent.  A
-    nonempty interval whose second moment falls below float64's normal
-    range, as one much shorter than a cell can, raises DomainError."""
-    if not products or _takes_form(fac, products):
-        if products and form is None:
-            form = _form(fac, products)
-        spread = 2.0 * float(np.vdot(form, form)) if products else 0.0
-        m2 = float(kernel.constant**2 * (folded @ folded + spread))
+def _second_moment(kernel: KernelSpec, est: _Estimator) -> float:
+    """E[Z_hat^2] of a record built with `moment`.  Where no Wick term has
+    three or more unmatched factors and every product term folds into M
+    (the record holds M), it is A^2 (|folded|^2 + 2 ||M||_F^2); elsewhere
+    it is the permanent.  A nonempty interval whose second moment falls
+    below float64's normal range, as one much shorter than a cell can,
+    raises DomainError."""
+    if not est.products or est.form is not None:
+        spread = 2.0 * float(np.vdot(est.form, est.form)) if est.products else 0.0
+        m2 = float(kernel.constant**2 * (est.folded @ est.folded + spread))
     else:
-        m2 = _permanent_moment(kernel, fac)
-    if len(fac.s_w) and m2 < np.finfo(float).tiny:
-        raise DomainError(f"the second moment over the interval {fac.span} falls below float64's normal range")
+        m2 = _permanent_moment(kernel, est)
+    if len(est.s_w) and m2 < np.finfo(float).tiny:
+        raise DomainError(f"the second moment over the interval {est.span} falls below float64's normal range")
     return m2
 
 
@@ -513,23 +520,21 @@ def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) ->
     continuum approximation: this is the estimator's own variance to
     float precision, and a draw's second moment is the same bits.
     """
-    fac = _factorize(kernel, grid, interval)
-    _check_scale(kernel)
-    _, folded, products = _wick_terms(kernel.q, fac)
-    return _second_moment(kernel, fac, folded, products)
+    return _second_moment(kernel, _build_estimator(kernel, grid, interval, moment=True))
 
 
 @dataclass(eq=False)
 class ChaosSampleBatch:
     """Realizations of one chaos functional plus the exact bookkeeping
-    needed to interpret them (grid, kernel, discrete second moment)."""
+    needed to interpret them (grid, kernel, discrete second moment, None
+    where the draw did not compute it; JSON null in `meta`)."""
 
     values: np.ndarray
     seed: int
     kernel: KernelSpec
     grid: GridSpec
     interval: tuple
-    second_moment: float
+    second_moment: float | None
     brownian: np.ndarray | None = None
 
     @property
@@ -548,7 +553,7 @@ class ChaosSampleBatch:
         }
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.meta(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.meta(), sort_keys=True, separators=(",", ":"), allow_nan=False)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -602,47 +607,40 @@ def sample_chaos(
     M (see the module docstring) takes workers x 256 x (r + live cells) x
     8 bytes for xi @ M instead, and M itself, (r + live cells)^2 doubles,
     2.2 MB on the default q=2 grid, stays cached by its key, up to 8 of
-    them; a cold call builds M from this call's table in 6 to 8 ms there.
-    The second moment reads off the same fold, so at q = 1 and on the
-    route through M it takes no k S x k S Gram (910^2 doubles, 6.6 MB, on
-    the default q=2 grid); elsewhere it does.  The far field's latent
-    root, r x (distinct exponents) x 55 doubles (about 3 to 16 KB on the
-    default grids), is built on the unit horizon and cached by the far
-    edge over the horizon and the exponents, up to 256 of them, so later
-    calls on any grid with that ratio, at any horizon, skip its build.
-    The second moment scales
+    them; a cold call builds M from this call's table.  The second moment
+    reads off the same fold, so at q = 1 and on the route through M it
+    takes no k S x k S Gram (910^2 doubles, 6.6 MB, on the default q=2
+    grid); elsewhere it does.  The far field's latent root, r x (distinct
+    exponents) x 55 doubles (about 3 to 16 KB on the default grids), is
+    built on the unit horizon and cached by the far edge over the horizon
+    and the exponents, up to 256 of them, so later calls on any grid with
+    that ratio, at any horizon, skip its build.  The second moment scales
     like t^(2H); outside float64's normal range it raises DomainError,
-    as it does where a nonempty interval's falls below that range.
+    as it does where a nonempty interval's falls below that range.  With
+    `with_second_moment=False` it is not computed, and the batch's
+    `second_moment` is None.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if _integer(value, name) < 0:
             raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
-    fac = _factorize(kernel, grid, interval)
-    if with_second_moment:
-        _check_scale(kernel)
-    r, table = fac.r, fac.table
-    const, folded, products = _wick_terms(kernel.q, fac)
-    form = None
-    if _takes_form(fac, products):
-        form = _quadratic_form((kernel.gamma.entries, grid.horizon, grid.cells, fac.span), fac, products)
-    m2 = _second_moment(kernel, fac, folded, products, form) if with_second_moment else math.nan
+    est = _build_estimator(kernel, grid, interval, moment=with_second_moment, cached=True)
+    m2 = _second_moment(kernel, est) if with_second_moment else None
 
     # the last `cells` cells, [0, horizon], carry the terminal Brownian
     # value; the product runs over every cell column, zeros left of 0
     sqrt_w_pos = np.sqrt(grid.widths)
     sqrt_w_pos[: grid.n_cells - grid.cells] = 0.0
-    n_s, k = len(fac.s_w), len(set(fac.slot))
+    n_s, k = len(est.s_w), len(set(est.slot))
 
     def assemble(xi: np.ndarray) -> np.ndarray:
         """The Wick sum over a noise row's live columns, without the
         kernel constant."""
-        out = xi @ folded + const
-        if form is not None:
-            out += np.einsum("ij,ij->i", xi @ form, xi)
-        elif products:
-            m = len(xi)
-            proj = (xi @ table).reshape(m, k, n_s)
-            for slots, c in products:
+        out = xi @ est.folded + est.const
+        if est.form is not None:
+            out += np.einsum("ij,ij->i", xi @ est.form, xi)
+        elif est.products:
+            proj = (xi @ est.table).reshape(len(xi), k, n_s)
+            for slots, c in est.products:
                 out += reduce(np.multiply, [proj[:, j] for j in slots]) @ c
         return out
 
@@ -652,10 +650,10 @@ def sample_chaos(
 
     def run_chunk(start: int) -> None:
         stop = min(start + _CHUNK, n_samples)
-        xi = _noise(streams, start, stop, r + grid.n_cells)
+        xi = _noise(streams, start, stop, est.r + grid.n_cells)
         if return_brownian:
-            brownian[start:stop] = xi[:, r:] @ sqrt_w_pos
-        values[start:stop] = kernel.constant * assemble(xi[:, : len(table)])
+            brownian[start:stop] = xi[:, est.r :] @ sqrt_w_pos
+        values[start:stop] = kernel.constant * assemble(xi[:, : len(est.table)])
 
     starts = range(0, n_samples, _CHUNK)
     # numpy's normal fill and BLAS release the GIL; each chunk writes only
@@ -664,7 +662,7 @@ def sample_chaos(
         list(pool.map(run_chunk, starts))  # re-raises a chunk's exception
     return ChaosSampleBatch(
         values=values, seed=int(seed), kernel=kernel, grid=grid,
-        interval=fac.span, second_moment=m2, brownian=brownian,
+        interval=est.span, second_moment=m2, brownian=brownian,
     )
 
 
@@ -683,7 +681,7 @@ def sample_process_increment(
 def save_npz(batch: ChaosSampleBatch, path) -> None:
     payload = {
         "values": batch.values,
-        "meta": np.array(json.dumps(batch.meta(), sort_keys=True)),
+        "meta": np.array(json.dumps(batch.meta(), sort_keys=True, allow_nan=False)),
         "hash": np.array(batch.content_hash()),
     }
     if batch.brownian is not None:

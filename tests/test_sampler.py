@@ -1,6 +1,7 @@
 """Sampler tests: exact second-moment engine against the independent
 Wick/Isserlis oracle on tiny grids, Monte Carlo moments, reproducibility,
 increment coupling, and NPZ serialization."""
+import json
 import math
 import re
 import sys
@@ -21,6 +22,7 @@ from rosenblatt.sampler import (
     _FAR_NODES,
     _FORM_ENTRIES,
     ChaosSampleBatch,
+    _build_estimator,
     _factorize,
     _far_root,
     _form,
@@ -28,8 +30,6 @@ from rosenblatt.sampler import (
     _permanent_moment,
     _quadratic_form,
     _span,
-    _takes_form,
-    _wick_terms,
     discrete_second_moment,
     factor_matrix,
     load_npz,
@@ -193,8 +193,8 @@ FORM_CASES = {((-0.7, -0.65), None), ((-0.7, -0.65), (0.0, 0.25))}
 
 
 def takes_form(ker, grid, interval) -> bool:
-    fac = _factorize(ker, grid, interval)
-    return _takes_form(fac, _wick_terms(ker.q, fac)[2])
+    # the record holds M exactly where the draw assembles through it
+    return _build_estimator(ker, grid, interval).form is not None
 
 
 class TestAssemblyVsDenseReference:
@@ -619,7 +619,7 @@ class TestQuadraticForm:
         _quadratic_form.cache_clear()
         via_form = memo_draw(ker, grid, interval)
         assert form_entries() == 1
-        monkeypatch.setattr(sampler_module, "_takes_form", lambda fac, products: False)
+        monkeypatch.setattr(sampler_module, "_takes_form", lambda est: False)
         _quadratic_form.cache_clear()
         via_table = memo_draw(ker, grid, interval)
         assert form_entries() == 0
@@ -636,18 +636,18 @@ class TestQuadraticForm:
         # has rows, tall or wide
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
-        fac = _factorize(ker, grid, interval)
-        const, _, products = _wick_terms(ker.q, fac)
-        form = _form(fac, products)
+        est = _build_estimator(ker, grid, interval)
+        form = _form(est)
         a = ker.constant
-        m2 = _permanent_moment(ker, fac)
+        m2 = _permanent_moment(ker, est)
         assert 2.0 * a**2 * np.sum(form**2) == pytest.approx(m2, rel=1e-12, abs=0.0)
-        assert a * np.trace(form) == pytest.approx(-a * const, rel=1e-12, abs=0.0)
+        assert a * np.trace(form) == pytest.approx(-a * est.const, rel=1e-12, abs=0.0)
         assert np.array_equal(form, form.T) and not form.flags.writeable
 
     def test_a_cold_draw_factorizes_once(self, monkeypatch):
         # a miss builds M from the draw's own table, and the second moment
-        # reads it off the same M
+        # reads it off the same M; discrete_second_moment, which builds its
+        # own M, factorizes once per call as well
         ker = KernelSpec((-0.7, -0.65))
         grid = build_grid(ker)
         calls = []
@@ -662,6 +662,22 @@ class TestQuadraticForm:
             batch = sample_chaos(ker, grid, 8, seed=1, interval=interval)
             assert batch.second_moment > 0.0
         assert len(calls) == 2 and _quadratic_form.cache_info().misses == 2
+        for interval in (None, (0.0, 0.25), (0.75, 1.0)):
+            calls.clear()
+            assert discrete_second_moment(ker, grid, interval) > 0.0
+            assert len(calls) == 1
+        assert _quadratic_form.cache_info().misses == 2
+
+    @pytest.mark.parametrize("gamma", [(-0.8,), (-0.7, -0.65), (-0.7, -0.65, -0.6)])
+    def test_a_draw_out_of_range_raises_before_m(self, gamma):
+        # the scale check fires after the table and before the fold, M and
+        # any noise, so the draws' cache of M is neither read nor filled
+        ker = KernelSpec(gamma, horizon=1e-300)
+        grid = build_grid(ker)
+        before = _quadratic_form.cache_info()
+        with pytest.raises(DomainError, match=re.escape("normal range at horizon 1e-300")):
+            sample_chaos(ker, grid, 8, seed=1)
+        assert _quadratic_form.cache_info() == before
 
     def test_a_warm_draw_matches_a_cold_one(self):
         ker = KernelSpec((-0.7, -0.65))
@@ -746,9 +762,8 @@ FACE2_Q2_POINTS = [p.entries for p in path_points(
 def fold_route(ker, grid, interval) -> bool:
     # whether the second moment is read off the fold: no Wick term with
     # three or more unmatched factors, and M only where the draw uses it
-    fac = _factorize(ker, grid, interval)
-    products = _wick_terms(ker.q, fac)[2]
-    return not products or _takes_form(fac, products)
+    est = _build_estimator(ker, grid, interval)
+    return not est.products or est.form is not None
 
 
 class TestSecondMomentRoutes:
@@ -1126,3 +1141,24 @@ class TestSerialization:
             assert loaded["meta"]["n"] == n
             assert loaded["meta"]["interval"] == [0.0, 1.0]
             assert loaded["meta"]["version"] == batch.meta()["version"] == rosenblatt.__version__
+
+    def test_a_draw_without_its_second_moment_writes_null(self, tmp_path):
+        # the second moment not computed is None, JSON null, never a bare
+        # NaN, which a strict parser rejects
+        def strict(text):
+            return json.loads(text, parse_constant=lambda name: pytest.fail(f"non-finite {name} in meta"))
+
+        ker = KernelSpec((-0.6, -0.7))
+        batch = sample_chaos(ker, GridSpec(1.0, 4), 25, seed=4, with_second_moment=False)
+        assert batch.second_moment is None
+        assert strict(json.dumps(batch.meta()))["second_moment"] is None
+        save_npz(batch, tmp_path / "batch.npz")
+        with np.load(tmp_path / "batch.npz") as data:
+            assert strict(str(data["meta"]))["second_moment"] is None
+        loaded = load_npz(tmp_path / "batch.npz")
+        assert loaded["meta"]["second_moment"] is None
+        assert loaded["hash"] == batch.content_hash()
+        assert np.array_equal(loaded["values"], batch.values)
+        nan_batch = ChaosSampleBatch(batch.values, 4, ker, batch.grid, batch.interval, math.nan)
+        with pytest.raises(ValueError):
+            save_npz(nan_batch, tmp_path / "nan.npz")
