@@ -84,15 +84,16 @@ grids of the test kernels, 6 to 9 at g1 = -0.5001).  Mapped to the
 s-nodes, the root gives r latent rows whose Gram matches an independent
 quadrature of the far Gram at the s-nodes to within 5.8e-14 of its
 largest entry on those grids, and to 3.5e-14 at g1 = -0.5001.  One
-table, the first part of the builder's record, then holds every factor
-the sampler reads, one row per live noise column: the r latent rows,
-then the grid cells left of hi, with the exponent blocks side by side.  Cells entirely right of hi have zero
-factors and are skipped.  Its blocks b_i give the projections, the
-covariances C_ij, the folded vector and M, and the second moment: Wick
-products pair only across the two factors, so E[Z_hat^2] = A^2 w^T
-perm(G) w, with G the q x q matrix whose entry G_ij = b_i^T b_j is the
-S x S Gram over the table's rows, one block of the table's own Gram, and
-the permanent's products taken entrywise.  It is the variance of exactly
+table, the first part of _build_estimator's record, then holds every
+factor the sampler reads, one row per live noise column: the r latent
+rows, then the grid cells left of hi, with the exponent blocks side by
+side.  Cells entirely right of hi have zero factors and are skipped.
+Its blocks b_i give the projections, the covariances C_ij, the folded
+vector and M, and the second moment: Wick products pair only across the
+two factors, so E[Z_hat^2] = A^2 w^T perm(G) w, with G the q x q matrix
+whose entry G_ij = b_i^T b_j is the S x S Gram over the table's rows,
+one block of the table's own Gram, and the permanent's products taken
+entrywise.  It is the variance of exactly
 the columns drawn, and the discrete twin of the continuum variance,
 which is A^2 times the permanent of the Beta matrix U (see `kernel`).
 Where the fold leaves no term with three or more unmatched factors, the
@@ -102,9 +103,9 @@ M), whose two parts are uncorrelated, so E[Z_hat^2] = A^2 (|v|^2 + 2
 M, wherever the draw assembles through M (n < k S), at n^2 S
 multiply-adds for the GEMM against about k^2 S^2 n / 2 for the Gram and
 the permanent's S x S products.  The two agree to 3.1e-15 relative on
-the test kernels and intervals.  The permanent stays the route for q >= 3, equal
-exponents and tables taller than wide, and it is the tests' oracle for
-the fold.
+the test kernels and intervals.  The permanent stays the route for q
+>= 3, equal exponents and tables taller than wide, and it is the tests'
+oracle for the fold.
 
 Near table.  Every grid is a uniform mesh, so where a near cell c (a
 grid cell left of hi) meets a whole s-panel m (a panel that is the full
