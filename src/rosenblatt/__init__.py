@@ -7,7 +7,7 @@ sampler is checked against (Wick moments, the isometry and the product
 formula) live with the tests, in tests/wick_oracle.py.
 """
 # set before the submodules load: sampler records it in every batch's meta
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .domain import BoundaryPath, DomainReport, Face, GammaVector, TrendTable, path_points, validate
 from .errors import (

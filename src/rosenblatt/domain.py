@@ -138,6 +138,9 @@ class BoundaryPath:
     floor_epsilon: float = 0.05
 
     def __post_init__(self):
+        # path_points reads any other face as face 2
+        if not isinstance(self.face, Face):
+            raise InvalidInputError(f"face must be a Face member, got {self.face!r}")
         try:
             given = tuple(self.epsilons)
         except TypeError:

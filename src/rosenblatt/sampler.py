@@ -171,22 +171,20 @@ __all__ = [
 ]
 
 
-def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray) -> np.ndarray:
     """Cell-averaged, width-normalized kernel factors, side by side:
-    cells x (exponents x s-nodes), written into `out` when given.
+    cells x (exponents x s-nodes).
 
     b[c, m] = (integral of (s_m - x)_+^g over cell c) / (width_c) * sqrt(width_c),
     i.e. the coefficient multiplying a standard normal in the cell-c
     contribution.  Closed form via the antiderivative; edge powers are
     differenced directly (cell widths never shrink relative to the
     distance from s, so cancellation stays below ~1e-12 here).  Each
-    exponent's block is written straight into the table, and `out` lets
-    a caller place the table inside a larger one: on large grids a
-    table-sized copy costs about as much as the powers.
+    exponent's block is written straight into the table: on large grids
+    a table-sized copy costs about as much as the powers.
     """
     n_s = len(s_nodes)
-    if out is None:
-        out = np.empty((len(edges) - 1, len(gammas) * n_s))
+    out = np.empty((len(edges) - 1, len(gammas) * n_s))
     ahead = np.maximum(s_nodes[None, :] - edges[:, None], 0.0)  # (n_edges, S)
     root_w = np.sqrt(np.diff(edges))[:, None]
     for j, g in enumerate(gammas):
@@ -203,11 +201,10 @@ def factor_matrix(edges: np.ndarray, gammas, s_nodes: np.ndarray, out: np.ndarra
 # [0, 1].  A far edge at or left of -t/8 puts the nearest singularity at
 # -1 - 2/8 = -1.25 in [0, 1]'s [-1, 1] coordinates, so rho = 2 and R = 55.
 # Each near cell costs one normal and one table row per realization, so
-# the edge sits at t/8 rather than t/2: the default tables shrink from
-# 692 to 522 rows at q=2 and from 181 to 141 at q=3, for 26 more
-# Chebyshev points (29 at rho = 2 + sqrt(3)) and a rank of 10 rather
-# than 9 at q=2 and 12 rather than 10 at q=3.  At t/16 the q=3 latent
-# rows' error would reach 1.0e-13, the tests' bound.
+# the far edge sits close to 0, at -t/8: a nearer edge leaves fewer near
+# cells but brings the singularity closer, which takes more Chebyshev
+# points and a larger latent rank.  At -t/16 the q=3 latent rows' error
+# would reach 1.0e-13, the tests' bound.
 _FAR_RHO = (1.0 + 2.0 / _FAR_DIVISOR) + math.sqrt((1.0 + 2.0 / _FAR_DIVISOR) ** 2 - 1.0)
 _FAR_NODES = math.ceil(16.0 / math.log10(_FAR_RHO)) | 1
 # the R Chebyshev points of the second kind on the unit horizon [0, 1]
@@ -284,11 +281,12 @@ def _span(grid: GridSpec, interval) -> tuple:
 
 
 def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: float, out: np.ndarray) -> None:
-    """factor_matrix(edges, keys, s_nodes, out) for the near cells, built
-    by lag (see the module docstring): s-panel p lies in cell first + p,
-    first the cell holding lo, each exponent block's whole panels are one
-    lag column, at the last whole panel, read through a sliding window,
-    and the cut panels are evaluated directly."""
+    """factor_matrix(edges, keys, s_nodes) for the near cells, written
+    into `out` and built by lag (see the module docstring): s-panel p
+    lies in cell first + p, first the cell holding lo, each exponent
+    block's whole panels are one lag column, at the last whole panel,
+    read through a sliding window, and the cut panels are evaluated
+    directly."""
     n_s = len(s_nodes)
     first = int(np.searchsorted(edges, lo, side="right")) - 1
     # panels p0..p1-1 are whole grid cells; at most the two end panels are cut

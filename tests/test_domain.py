@@ -87,6 +87,9 @@ Q2 = GammaVector((-0.7, -0.65))
     pytest.param(lambda: required_window((-0.7,), "x"), "tolerance must be a real number", id="tolerance_str"),
     pytest.param(lambda: required_window((-0.7,), 1e-3, horizon=True), "horizon must be a real number",
                  id="window_horizon_bool"),
+    pytest.param(lambda: BoundaryPath("first-exponent-to-half", GammaVector((-0.65,)), (0.1,)),
+                 "face must be a Face member", id="face_str"),
+    pytest.param(lambda: BoundaryPath(None, Q2, (0.1,)), "face must be a Face member", id="face_none"),
     pytest.param(lambda: rc.ContractionSpec(2, 2, 1, 2), "slot must be an iterable of integers", id="bare_slot"),
     pytest.param(lambda: rc.ContractionSpec(2, 2, (1,), 2), "image must be an iterable of integers", id="bare_image"),
 ])

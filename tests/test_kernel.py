@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -224,9 +225,17 @@ class TestConstantFaceRatio:
         assert all(0.0 < r < 10.0 for r in table.values())
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test oracle only; the package's runtime is numpy alone
+def test_import_loads_no_test_only_module():
+    # scipy, mpmath and pytest are test oracles and tooling only; the
+    # package's runtime is numpy alone, in every submodule (import
+    # rosenblatt alone never loads contractions)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rosenblatt.__file__)))
-    code = "import sys, rosenblatt; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys, rosenblatt
+        for module in pkgutil.iter_modules(rosenblatt.__path__):
+            importlib.import_module("rosenblatt." + module.name)
+        assert "rosenblatt.contractions" in sys.modules
+        print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath", "pytest")))
+    """)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -332,26 +332,31 @@ def near_rows(ker, grid, interval):
 
 class TestNearTable:
     # the near rows are built from one lag vector per exponent, with only
-    # the cut panels evaluated directly
+    # the cut panels evaluated directly; on the default grids at t = 1 and
+    # on the horizon-2 grid of 18 cells, width 1/9, GridSpec(2.0, 18)
     @pytest.mark.parametrize("gamma", GAMMAS)
-    @pytest.mark.parametrize("interval", INTERVALS + [(0.3, 0.31)])
-    def test_near_rows_match_factor_matrix(self, gamma, interval):
-        # (0.3, 0.31) is cut at both ends; (0.75, 1) at its left end; the
-        # largest error in each exponent block relative to that block's
-        # largest entry
-        ker = KernelSpec(gamma)
-        near, direct = near_rows(ker, build_grid(ker), interval)
+    @pytest.mark.parametrize("horizon, cells, interval", [
+        *((1.0, None, interval) for interval in INTERVALS + [(0.3, 0.31)]), (2.0, 18, (0.3, 1.7))])
+    def test_near_rows_match_factor_matrix(self, gamma, horizon, cells, interval):
+        # (0.3, 0.31) is cut at both ends; (0.75, 1) at its left end; at
+        # t = 2, (0.3, 1.7) cuts both end panels of 14 and builds the 12
+        # whole ones between by lag; the largest error in each exponent
+        # block relative to that block's largest entry
+        ker = KernelSpec(gamma, horizon=horizon)
+        near, direct = near_rows(ker, build_grid(ker, cells=cells), interval)
         err = np.max(np.abs(near - direct), axis=(0, 2)) / np.max(np.abs(direct), axis=(0, 2))
         assert np.max(err) <= 1e-13
 
     @pytest.mark.parametrize("gamma", GAMMAS)
-    def test_no_whole_panel_is_factor_matrix_bit_for_bit(self, gamma):
+    @pytest.mark.parametrize("horizon, cells", [(1.0, None), (2.0, 18)])
+    def test_no_whole_panel_is_factor_matrix_bit_for_bit(self, gamma, horizon, cells):
         # with no whole panel every column is a cut panel's, evaluated
         # directly: (0.6, 0.6001) and (0.3, 0.3001) lie inside one cell of
-        # width 1/455 (1/114 at q=3), the second cut at both ends, and the
-        # last interval holds the two cut panels on either side of one edge
-        ker = KernelSpec(gamma)
-        grid = build_grid(ker)
+        # width 1/455 (1/114 at q=3; 1/9 at t = 2), the second cut at both
+        # ends, and the last interval holds the two cut panels on either
+        # side of one edge
+        ker = KernelSpec(gamma, horizon=horizon)
+        grid = build_grid(ker, cells=cells)
         edge, h = grid.edges[-grid.cells // 3], grid.widths[-1]
         for interval, n_panels in (((0.6, 0.6001), 1), ((0.3, 0.3001), 1), ((edge - h / 3, edge + h / 4), 2)):
             near, direct = near_rows(ker, grid, interval)
