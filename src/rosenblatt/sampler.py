@@ -133,8 +133,12 @@ and its Brownian value is still B(t).
 One stream per block, not per realization, because a stream's set-up
 costs about as much as drawing a row of normals on a coarse grid and
 holds the GIL, which the parallel chunks would otherwise queue on.
-Chunks are whole blocks, so no row is drawn twice, and assembled values
-are the same bits whatever the worker count.
+Chunks are whole blocks, _CHUNK = 256 realizations, so no row is drawn
+twice.  A draw of one chunk (n_samples <= 256), or any draw on a host
+with one usable CPU, runs in the calling thread and starts no pool; more
+chunks run on min(usable CPUs, chunks) pool threads.  The chunks are
+fixed by _CHUNK, not by the thread count, so assembled values are the
+same bits whichever way they run.
 """
 from __future__ import annotations
 
@@ -597,8 +601,11 @@ def sample_chaos(
     A degenerate interval a == b gives 0, with the same B(t) as any other
     interval; B(t) sums the grid's last `cells` cells, which tile [0, t].
 
-    Chunks of 256 realizations are drawn and assembled on min(usable
-    CPUs, number of chunks) worker threads.  The noise in flight takes
+    Chunks of 256 realizations are drawn and assembled in the calling
+    thread when there is one chunk (n_samples <= 256) or one usable CPU,
+    and otherwise on min(usable CPUs, number of chunks) pool threads; the
+    values are the same bits either way.  "Workers" below counts the
+    threads that draw, 1 in the first case.  The noise in flight takes
     about workers x 256 x (r + n_cells) x 8 bytes, r the latent rank
     (r + n_cells is 522 on the default q=2 grid, about 1 MB per worker),
     and for q >= 2 the projections workers x 256 x s-nodes x 8 bytes per
@@ -655,10 +662,16 @@ def sample_chaos(
         values[start:stop] = kernel.constant * assemble(xi[:, : len(est.table)])
 
     starts = range(0, n_samples, _CHUNK)
+    workers = min(_usable_cpus(), len(starts))
     # numpy's normal fill and BLAS release the GIL; each chunk writes only
-    # its own slices, so the values do not depend on the worker count
-    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
-        list(pool.map(run_chunk, starts))  # re-raises a chunk's exception
+    # its own slices, so the values do not depend on the worker count, and
+    # one worker is the calling thread itself, with no pool to start
+    if workers <= 1:
+        for start in starts:
+            run_chunk(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_chunk, starts))  # re-raises a chunk's exception
     return ChaosSampleBatch(
         values=values, seed=int(seed), kernel=kernel, grid=grid,
         interval=est.span, second_moment=m2, brownian=brownian,

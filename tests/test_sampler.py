@@ -432,8 +432,9 @@ class TestReproducibility:
         # each chunk is drawn and assembled alone and writes only its own
         # slices, so 1, 2 or 3 workers (more than the cores of a small
         # host) give the same bits; 800 realizations make 4 chunks of at
-        # most 256, and a short switch interval makes the threads
-        # interleave often.  The last two cases assemble through M.
+        # most 256 and 256 make one, which runs in the calling thread, and
+        # a short switch interval makes the threads interleave often.  The
+        # last two cases assemble through M.
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -444,16 +445,80 @@ class TestReproducibility:
                 ker = KernelSpec(gamma)
                 grid = build_grid(ker, cells=cells)
                 assert takes_form(ker, grid, interval) == form
-                runs = []
-                for workers in (1, 2, 3):
-                    monkeypatch.setattr(sampler_module, "_usable_cpus", lambda w=workers: w)
-                    runs.append(sample_chaos(ker, grid, 800, seed=17, interval=interval,
-                                             return_brownian=True, with_second_moment=False))
-                for run in runs[1:]:
-                    assert np.array_equal(run.values, runs[0].values)
-                    assert np.array_equal(run.brownian, runs[0].brownian)
+                for n in (256, 800):
+                    runs = []
+                    for workers in (1, 2, 3):
+                        monkeypatch.setattr(sampler_module, "_usable_cpus", lambda w=workers: w)
+                        runs.append(sample_chaos(ker, grid, n, seed=17, interval=interval,
+                                                 return_brownian=True, with_second_moment=False))
+                    for run in runs[1:]:
+                        assert np.array_equal(run.values, runs[0].values)
+                        assert np.array_equal(run.brownian, runs[0].brownian)
         finally:
             sys.setswitchinterval(switch)
+
+    def test_one_chunk_or_one_cpu_starts_no_threads(self, monkeypatch):
+        # one chunk (n <= 256), or one usable CPU, runs in the calling
+        # thread and constructs no pool; more chunks on more CPUs construct
+        # one.  A chunk's exception reaches the caller on both paths.
+        pools, drawn_in = [], set()
+        pool_class, noise = sampler_module.ThreadPoolExecutor, sampler_module._noise
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return pool_class(*args, **kwargs)
+
+        def traced_noise(*args):
+            drawn_in.add(threading.get_ident())
+            return noise(*args)
+
+        monkeypatch.setattr(sampler_module, "ThreadPoolExecutor", counting_pool)
+        monkeypatch.setattr(sampler_module, "_noise", traced_noise)
+        ker, grid = KernelSpec((-0.6, -0.7)), GridSpec(1.0, 4)
+        for cpus, n, want in [(2, 0, []), (2, 256, []), (1, 800, []), (2, 800, [{"max_workers": 2}])]:
+            monkeypatch.setattr(sampler_module, "_usable_cpus", lambda c=cpus: c)
+            pools.clear()
+            drawn_in.clear()
+            batch = sample_chaos(ker, grid, n, seed=3, with_second_moment=False)
+            assert pools == want
+            assert batch.n == n
+            if n and not want:
+                assert drawn_in == {threading.get_ident()}
+            elif want:
+                assert threading.get_ident() not in drawn_in
+
+        class ChunkFault(RuntimeError):
+            pass
+
+        def failing_noise(*args):
+            raise ChunkFault("noise")
+
+        monkeypatch.setattr(sampler_module, "_noise", failing_noise)
+        for cpus, n in [(2, 256), (1, 800), (2, 800)]:
+            monkeypatch.setattr(sampler_module, "_usable_cpus", lambda c=cpus: c)
+            with pytest.raises(ChunkFault):
+                sample_chaos(ker, grid, n, seed=3, with_second_moment=False)
+
+    @pytest.mark.parametrize("gamma, interval, route", [
+        ((-0.6,), None, "fold"),
+        ((-0.7, -0.65), None, "form"),
+        ((-0.7, -0.65, -0.6), (0.75, 1.0), "table"),
+    ])
+    def test_one_chunk_equals_the_first_chunk_of_a_pooled_draw(self, gamma, interval, route, monkeypatch):
+        # a one-chunk draw, in the calling thread, gives the bits of the
+        # first chunk of an 800-realization draw on a pool of two threads:
+        # the same 256 noise rows through the same products
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        est = _build_estimator(ker, grid, interval)
+        assert route == ("table" if est.form is None and est.products else "form" if est.products else "fold")
+        one = sample_chaos(ker, grid, 256, seed=23, interval=interval, return_brownian=True,
+                           with_second_moment=False)
+        monkeypatch.setattr(sampler_module, "_usable_cpus", lambda: 2)
+        pooled = sample_chaos(ker, grid, 800, seed=23, interval=interval, return_brownian=True,
+                              with_second_moment=False)
+        assert np.array_equal(one.values, pooled.values[:256])
+        assert np.array_equal(one.brownian, pooled.brownian[:256])
 
     def test_noise_streams_chunk_invariant_bitwise(self):
         # drawing the rows in pieces split at block edges, as the chunks
