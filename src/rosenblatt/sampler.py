@@ -36,15 +36,22 @@ exponent, and each remaining term multiplies its unmatched factors'
 projections.  The rule reads the geometry alone, never n_samples or the
 worker count.  One builder, _build_estimator, makes the table, the fold
 and M into one record, and the draws and discrete_second_moment each
-call it once.  M is fixed by (exponents, horizon, cells, lo, hi), which
-fix the table, and the draws read it through a cache by value under that
-key, up to _FORM_ENTRIES = 8 matrices of n^2 doubles, each smaller than
-the n x k S table it stands in for: 2.2 MB on the default q=2 grid, so
-at most 17.4 MB for that grid's intervals.  An entry grows as n^2: at
-1820 cells it is 34 MB, and eight such keys hold 271 MB.  A miss builds
-M from the draw's own table, one n x S x n GEMM, so a cold draw
-factorizes once and later draws on the key skip the GEMM;
-discrete_second_moment builds its own M and leaves the cache alone.
+call it once.  M comes from its upper block rows M[a:a+64, a:], built
+one at a time from the table, each over the s-panels where its rows can
+be nonzero: near row c is exactly 0 left of panel c - first, first the
+cell holding lo (see Near table), and the latent rows are dense.  A
+draw writes M from the blocks and their mirrors and adds up ||M||_F^2
+in the same pass; discrete_second_moment sums the same blocks' squares,
+the same bits, with no n x n array and no n x S scaled copy of the
+table.  M is fixed by (exponents, horizon, cells, lo, hi), which fix
+the table, and the draws read M and its norm through a cache by value
+under that key, up to _FORM_ENTRIES = 8 entries of n^2 doubles, each
+smaller than the n x k S table it stands in for: 2.2 MB on the default
+q=2 grid, so at most 17.4 MB for that grid's intervals.  An entry grows
+as n^2: at 1820 cells it is 34 MB, and eight such keys hold 271 MB.  A
+miss builds M from the draw's own table, so a cold draw factorizes once
+and later draws on the key skip the products; discrete_second_moment
+leaves the cache alone.
 
 Far field.  Everything left of the grid's first edge -L, L >= t/8 with t
 the horizon, is the far field, and no cell covers it: its projections
@@ -100,12 +107,12 @@ Where the fold leaves no term with three or more unmatched factors, the
 same sum reads off the fold: the estimator is A (v . xi + xi^T M xi - tr
 M), whose two parts are uncorrelated, so E[Z_hat^2] = A^2 (|v|^2 + 2
 ||M||_F^2).  At q = 1 that is the folded vector v alone; at q = 2 it is
-M, wherever the draw assembles through M (n < k S), at n^2 S
-multiply-adds for the GEMM against about k^2 S^2 n / 2 for the Gram and
-the permanent's S x S products.  The two agree to 3.1e-15 relative on
-the test kernels and intervals.  The permanent stays the route for q
->= 3, equal exponents and tables taller than wide, and it is the tests'
-oracle for the fold.
+M, wherever the draw assembles through M (n < k S), at most n^2 S
+multiply-adds for the block rows against about k^2 S^2 n / 2 for the
+Gram and the permanent's S x S products.  The two agree to 3.1e-15
+relative on the test kernels and intervals.  The permanent stays the
+route for q >= 3, equal exponents and tables taller than wide, and it is
+the tests' oracle for the fold.
 
 Near table.  Every grid is a uniform mesh, so where a near cell c (a
 grid cell left of hi) meets a whole s-panel m (a panel that is the full
@@ -138,7 +145,13 @@ twice.  A draw of one chunk (n_samples <= 256), or any draw on a host
 with one usable CPU, runs in the calling thread and starts no pool; more
 chunks run on min(usable CPUs, chunks) pool threads.  The chunks are
 fixed by _CHUNK, not by the thread count, so assembled values are the
-same bits whichever way they run.
+same bits whichever way they run.  A one-chunk draw's rows depend on
+(seed, n_samples, width) alone, so it keeps them, read-only, in a
+one-entry memo under that key: the next same-seed one-chunk draw on the
+grid, such as the next increment of a path, reads them rather than
+drawing them again, and no value changes by a bit.  The memo holds at
+most 256 x (r + n_cells) x 8 bytes, 1.07 MB on the default q=2 grid.
+Draws of two or more chunks neither read nor write it.
 """
 from __future__ import annotations
 
@@ -247,20 +260,23 @@ class _Estimator(NamedTuple):
     `table` has one row per live noise column, the r latent rows and then
     the grid cells left of hi, and holds b at the s-nodes for every
     distinct exponent side by side; coordinate i reads the exponent
-    block slot[i].  `span` is the s-interval (lo, hi).  _build_estimator
-    adds the fold (see the module docstring): the constant, the vector,
-    the product terms' (exponent slots, s-weights), and M or None.
+    block slot[i].  `span` is the s-interval (lo, hi), and s-panel p lies
+    in grid cell first + p.  _build_estimator adds the fold (see the
+    module docstring): the constant, the vector, the product terms'
+    (exponent slots, s-weights), M or None, and ||M||_F^2 or None.
     """
 
     span: tuple
     s_w: np.ndarray
     r: int
+    first: int
     slot: tuple
     table: np.ndarray
     const: float | None = None
     folded: np.ndarray | None = None
     products: list | None = None
     form: np.ndarray | None = None
+    form_sq: float | None = None
 
     def b(self, j: int) -> np.ndarray:
         return self.table[:, j * len(self.s_w) : (j + 1) * len(self.s_w)]
@@ -284,7 +300,7 @@ def _span(grid: GridSpec, interval) -> tuple:
     return min(lo, t), min(hi, t)
 
 
-def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: float, out: np.ndarray) -> None:
+def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: float, first: int, out: np.ndarray) -> None:
     """factor_matrix(edges, keys, s_nodes) for the near cells, written
     into `out` and built by lag (see the module docstring): s-panel p
     lies in cell first + p, first the cell holding lo, each exponent
@@ -292,7 +308,6 @@ def _near_rows(edges: np.ndarray, keys, s_nodes: np.ndarray, lo: float, hi: floa
     read through a sliding window, and the cut panels are evaluated
     directly."""
     n_s = len(s_nodes)
-    first = int(np.searchsorted(edges, lo, side="right")) - 1
     # panels p0..p1-1 are whole grid cells; at most the two end panels are cut
     p0, p1 = int(edges[first] != lo), n_s - int(edges[-1] != hi)
     cut = [p for p in range(n_s) if not p0 <= p < p1]
@@ -375,8 +390,9 @@ def _factorize(kernel: KernelSpec, grid: GridSpec, interval) -> _Estimator:
     table = np.empty((r + n_live, k * n_s))
     interp = _chebyshev_interpolation(s_nodes / t)
     table[:r] = (latent.reshape(r * k, _FAR_NODES) @ interp).reshape(r, k * n_s)
-    _near_rows(edges[: n_live + 1], keys, s_nodes, lo, hi, out=table[r:])
-    return _Estimator((lo, hi), s_w, r, tuple(keys.index(v) for v in g), table)
+    first = int(np.searchsorted(edges, lo, side="right")) - 1
+    _near_rows(edges[: n_live + 1], keys, s_nodes, lo, hi, first, out=table[r:])
+    return _Estimator((lo, hi), s_w, r, first, tuple(keys.index(v) for v in g), table)
 
 
 def _takes_form(est: _Estimator) -> bool:
@@ -387,49 +403,86 @@ def _takes_form(est: _Estimator) -> bool:
     return bool(est.products) and all(len(slots) == 2 for slots, _ in est.products) and n < width
 
 
-def _form(est: _Estimator) -> np.ndarray:
-    """M, the n x n symmetric matrix of the Wick terms with two unmatched
-    factors, n the table's rows, read-only; it leaves out the kernel
-    constant, as the assembly does.  M = half + half.T overwrites half one
-    block row at a time: the same sums, with no second n x n array."""
-    form = reduce(np.add, [(est.b(i) * (0.5 * c)) @ est.b(j).T for (i, j), c in est.products])
-    for a in range(0, len(form), 64):
-        both = form[a : a + 64, a:] + form[a:, a : a + 64].T
-        form[a : a + 64, a:], form[a:, a : a + 64] = both, both.T
+# rows per block row of M
+_FORM_ROWS = 64
+
+
+def _form_blocks(est: _Estimator):
+    """M's upper block rows M[a:a+64, a:], a = 0, 64, ..., in order, M the
+    n x n symmetric matrix of the Wick terms with two unmatched factors,
+    n the table's rows; it leaves out the kernel constant, as the
+    assembly does.  Each is the sum over those terms of (b_i diag(c)
+    b_j^T + b_j diag(c) b_i^T) / 2 on its rows, over the s-panels from
+    max(a - r - first, 0) on: near row c (grid cell c) is exactly 0 left
+    of panel c - first, where b[c, p] = tau(first + p - c) has a negative
+    lag, and the latent rows are dense, so the sums are M's own less
+    exact zeros.  The diagonal square is H + H^T from one half H (numpy
+    reads an overlapping operand as a copy), so M is exactly symmetric."""
+    terms = [(0.5 * c, est.b(i), est.b(j)) for (i, j), c in est.products]
+    n = len(est.table)
+    for a in range(0, n, _FORM_ROWS):
+        m, p = min(_FORM_ROWS, n - a), max(a - est.r - est.first, 0)
+        block = reduce(np.add, [(x[a : a + m, p:] * h[p:]) @ y[a:, p:].T for h, x, y in terms])
+        block[:, m:] += reduce(np.add, [(y[a : a + m, p:] * h[p:]) @ x[a + m :, p:].T for h, x, y in terms])
+        block[:, :m] += block[:, :m].T
+        yield block
+
+
+def _block_sq(block: np.ndarray) -> float:
+    """A block row's share of ||M||_F^2: the part right of its diagonal
+    square counts twice, for its mirror below the diagonal."""
+    diag, right = block[:, : len(block)], block[:, len(block) :]
+    return float(np.einsum("ij,ij->", diag, diag)) + 2.0 * float(np.einsum("ij,ij->", right, right))
+
+
+def _form(est: _Estimator) -> tuple:
+    """(M, ||M||_F^2), M read-only, written from its block rows and their
+    mirrors, the norm added up in the same pass."""
+    n = len(est.table)
+    form, form_sq = np.empty((n, n)), 0.0
+    for block in _form_blocks(est):
+        a = n - block.shape[1]
+        form[a : a + len(block), a:], form[a:, a : a + len(block)] = block, block.T
+        form_sq += _block_sq(block)
     form.flags.writeable = False
-    return form
+    return form, form_sq
+
+
+def _form_sq(est: _Estimator) -> float:
+    """||M||_F^2 from the same block rows as _form, the same bits, with no
+    n x n array: one block row is alive at a time."""
+    return sum(map(_block_sq, _form_blocks(est)))
 
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
-class _FormCache:
-    """M by value key (exponents, horizon, cells, span), which fixes the
-    table, up to `maxsize` entries, the least recently used dropped
-    first.  A miss calls `build`, which makes M from the caller's own
-    table, so a cold draw factorizes once.  cache_info and cache_clear
-    read as lru_cache's do; two callers racing on a cold key each build
-    the same matrix."""
+class _ValueCache:
+    """Values by a value key, up to `maxsize` entries, the least recently
+    used dropped first.  A miss calls `build`, which makes the value from
+    the caller's own inputs.  cache_info and cache_clear read as
+    lru_cache's do; two callers racing on a cold key each build the same
+    value."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._lock = threading.Lock()
         self.cache_clear()
 
-    def __call__(self, key: tuple, build) -> np.ndarray:
+    def __call__(self, key: tuple, build):
         with self._lock:
-            form = self._entries.get(key)
-            if form is not None:
+            value = self._entries.get(key)
+            if value is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return form
+                return value
             self._misses += 1
-        form = build()
+        value = build()
         with self._lock:
-            self._entries[key] = form
+            self._entries[key] = value
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-        return form
+        return value
 
     def cache_info(self) -> _CacheInfo:
         with self._lock:
@@ -440,9 +493,12 @@ class _FormCache:
             self._entries, self._hits, self._misses = OrderedDict(), 0, 0
 
 
-# matrices M kept for the draws (see the module docstring)
+# (M, ||M||_F^2) kept for the draws by (exponents, horizon, cells, span),
+# and the noise rows of the last one-chunk draw by (seed, n_samples,
+# width); see the module docstring
 _FORM_ENTRIES = 8
-_quadratic_form = _FormCache(_FORM_ENTRIES)
+_quadratic_form = _ValueCache(_FORM_ENTRIES)
+_noise_memo = _ValueCache(1)
 
 
 def _build_estimator(
@@ -452,8 +508,8 @@ def _build_estimator(
     factor table; then, where `moment` asks for the second moment, whose
     scale is t^(2H) with H = 1 + sum(g) + q/2, raises DomainError if that
     leaves float64's normal range; then folds the Wick sum, and where
-    _takes_form holds reads M through the draws' cache when `cached`, or
-    builds it here."""
+    _takes_form holds reads M and ||M||_F^2 through the draws' cache when
+    `cached`, or else sums ||M||_F^2 alone over M's block rows."""
     est = _factorize(kernel, grid, interval)
     t, g = kernel.horizon, kernel.gamma.entries
     log_scale = (2.0 + 2.0 * sum(g) + len(g)) * math.log(t)
@@ -476,10 +532,12 @@ def _build_estimator(
         else:
             products.append(([est.slot[i] for i in free], c))
     est = est._replace(const=const, folded=folded, products=products)
-    if _takes_form(est):
-        key = (g, grid.horizon, grid.cells, est.span)
-        est = est._replace(form=_quadratic_form(key, partial(_form, est)) if cached else _form(est))
-    return est
+    if not _takes_form(est):
+        return est
+    if cached:
+        form, form_sq = _quadratic_form((g, grid.horizon, grid.cells, est.span), partial(_form, est))
+        return est._replace(form=form, form_sq=form_sq)
+    return est._replace(form_sq=_form_sq(est))
 
 
 def _permanent_moment(kernel: KernelSpec, est: _Estimator) -> float:
@@ -499,8 +557,8 @@ def _second_moment(kernel: KernelSpec, est: _Estimator) -> float:
     it is the permanent.  A nonempty interval whose second moment falls
     below float64's normal range, as one much shorter than a cell can,
     raises DomainError."""
-    if not est.products or est.form is not None:
-        spread = 2.0 * float(np.vdot(est.form, est.form)) if est.products else 0.0
+    if not est.products or est.form_sq is not None:
+        spread = 2.0 * est.form_sq if est.products else 0.0
         m2 = float(kernel.constant**2 * (est.folded @ est.folded + spread))
     else:
         m2 = _permanent_moment(kernel, est)
@@ -516,12 +574,15 @@ def discrete_second_moment(kernel: KernelSpec, grid: GridSpec, interval=None) ->
     second moment is the permanent of the matrix of s-node Grams, with
     entrywise products.  Where the draw folds the estimator into a
     vector and a quadratic form M (q = 1, and q = 2 with a table wider
-    than tall), the same sum is A^2 (|folded|^2 + 2 ||M||_F^2), and M,
-    one n x S x n GEMM, is built here from this call's own table: no
-    k S x k S Gram (910^2 doubles on the default q=2 grid), and the
-    draws' cache of M is neither read nor filled.  No Monte Carlo, no
-    continuum approximation: this is the estimator's own variance to
-    float precision, and a draw's second moment is the same bits.
+    than tall), the same sum is A^2 (|folded|^2 + 2 ||M||_F^2), and
+    ||M||_F^2 is summed here over M's 64-row block rows, built one at a
+    time from this call's own table: no k S x k S Gram (910^2 doubles on
+    the default q=2 grid), no M and no n x S scaled copy of the table, so
+    beside the table the call holds well under 1 MB there, and the draws'
+    cache of M is neither read nor filled.  No Monte Carlo, no continuum
+    approximation: this is the estimator's own variance to float
+    precision, and a draw's second moment, summed over the same blocks,
+    is the same bits.
     """
     return _second_moment(kernel, _build_estimator(kernel, grid, interval, moment=True))
 
@@ -612,11 +673,17 @@ def sample_chaos(
     distinct exponent.  A draw that assembles through the quadratic form
     M (see the module docstring) takes workers x 256 x (r + live cells) x
     8 bytes for xi @ M instead, and M itself, (r + live cells)^2 doubles,
-    2.2 MB on the default q=2 grid, stays cached by its key, up to 8 of
-    them; a cold call builds M from this call's table.  The second moment
-    reads off the same fold, so at q = 1 and on the route through M it
-    takes no k S x k S Gram (910^2 doubles, 6.6 MB, on the default q=2
-    grid); elsewhere it does.  The far field's latent root, r x (distinct
+    2.2 MB on the default q=2 grid, stays cached with its norm by its
+    key, up to 8 of them; a cold call builds M from this call's table one
+    64-row block row at a time, with no n x S scaled copy of the table.
+    The second moment reads off the same fold, so at q = 1 and on the
+    route through M it takes no k S x k S Gram (910^2 doubles, 6.6 MB, on
+    the default q=2 grid), and on that route it reads the cached norm;
+    elsewhere it takes the Gram.  A one-chunk draw keeps its noise rows,
+    256 x (r + n_cells) x 8 bytes at most (1.07 MB on the default q=2
+    grid), in a one-entry memo for the next same-seed one-chunk draw on
+    the grid, which reads them instead of drawing (see the module
+    docstring).  The far field's latent root, r x (distinct
     exponents) x 55 doubles (about 3 to 16 KB on the default grids), is
     built on the unit horizon and cached by the far edge over the horizon
     and the exponents, up to 256 of them, so later calls on any grid with
@@ -654,14 +721,24 @@ def sample_chaos(
     values = np.empty(n_samples)
     brownian = np.empty(n_samples) if return_brownian else None
 
+    width = est.r + grid.n_cells
+    starts = range(0, n_samples, _CHUNK)
+
+    def shared_rows() -> np.ndarray:
+        rows = _noise(streams, 0, n_samples, width)
+        rows.flags.writeable = False
+        return rows
+
     def run_chunk(start: int) -> None:
         stop = min(start + _CHUNK, n_samples)
-        xi = _noise(streams, start, stop, est.r + grid.n_cells)
+        if len(starts) == 1:
+            xi = _noise_memo((int(seed), n_samples, width), shared_rows)
+        else:
+            xi = _noise(streams, start, stop, width)
         if return_brownian:
             brownian[start:stop] = xi[:, est.r :] @ sqrt_w_pos
         values[start:stop] = kernel.constant * assemble(xi[:, : len(est.table)])
 
-    starts = range(0, n_samples, _CHUNK)
     workers = min(_usable_cpus(), len(starts))
     # numpy's normal fill and BLAS release the GIL; each chunk writes only
     # its own slices, so the values do not depend on the worker count, and

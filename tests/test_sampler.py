@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -26,7 +27,9 @@ from rosenblatt.sampler import (
     _factorize,
     _far_root,
     _form,
+    _form_sq,
     _noise,
+    _noise_memo,
     _permanent_moment,
     _quadratic_form,
     _span,
@@ -193,8 +196,8 @@ FORM_CASES = {((-0.7, -0.65), None), ((-0.7, -0.65), (0.0, 0.25))}
 
 
 def takes_form(ker, grid, interval) -> bool:
-    # the record holds M exactly where the draw assembles through it
-    return _build_estimator(ker, grid, interval).form is not None
+    # the record holds ||M||_F^2 exactly where the draw assembles through M
+    return _build_estimator(ker, grid, interval).form_sq is not None
 
 
 class TestAssemblyVsDenseReference:
@@ -460,7 +463,9 @@ class TestReproducibility:
     def test_one_chunk_or_one_cpu_starts_no_threads(self, monkeypatch):
         # one chunk (n <= 256), or one usable CPU, runs in the calling
         # thread and constructs no pool; more chunks on more CPUs construct
-        # one.  A chunk's exception reaches the caller on both paths.
+        # one.  A chunk's exception reaches the caller on both paths.  The
+        # noise memo is cleared first, so the one-chunk draws fill their rows.
+        _noise_memo.cache_clear()
         pools, drawn_in = [], set()
         pool_class, noise = sampler_module.ThreadPoolExecutor, sampler_module._noise
 
@@ -494,6 +499,7 @@ class TestReproducibility:
             raise ChunkFault("noise")
 
         monkeypatch.setattr(sampler_module, "_noise", failing_noise)
+        _noise_memo.cache_clear()
         for cpus, n in [(2, 256), (1, 800), (2, 800)]:
             monkeypatch.setattr(sampler_module, "_usable_cpus", lambda c=cpus: c)
             with pytest.raises(ChunkFault):
@@ -511,7 +517,7 @@ class TestReproducibility:
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
         est = _build_estimator(ker, grid, interval)
-        assert route == ("table" if est.form is None and est.products else "form" if est.products else "fold")
+        assert route == ("table" if est.form_sq is None and est.products else "form" if est.products else "fold")
         one = sample_chaos(ker, grid, 256, seed=23, interval=interval, return_brownian=True,
                            with_second_moment=False)
         monkeypatch.setattr(sampler_module, "_usable_cpus", lambda: 2)
@@ -564,6 +570,70 @@ class TestReproducibility:
         a = sample_chaos(ker, grid, 100, seed=1)
         b = sample_chaos(ker, grid, 100, seed=2)
         assert not np.allclose(a.values, b.values)
+
+    @pytest.mark.parametrize("gamma", [(-0.7, -0.65), (-0.7, -0.65, -0.6)])
+    def test_one_chunk_quarter_draws_fill_the_noise_once(self, gamma, monkeypatch):
+        # four same-seed quarter increments of one chunk, as along a
+        # boundary path, read the rows the first one filled; each matches
+        # a cold draw, with the memo cleared first, bit for bit
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        fills, noise = [], sampler_module._noise
+
+        def counted_noise(*args):
+            fills.append(args[1:])
+            return noise(*args)
+
+        monkeypatch.setattr(sampler_module, "_noise", counted_noise)
+        spans = [(j / 4, (j + 1) / 4) for j in range(4)]
+        _noise_memo.cache_clear()
+        warm = [sample_process_increment(ker, grid, span, 256, seed=41, return_brownian=True,
+                                         with_second_moment=False) for span in spans]
+        assert len(fills) == 1 and _noise_memo.cache_info()[:2] == (3, 1)
+        for span, got in zip(spans, warm):
+            _noise_memo.cache_clear()
+            cold = sample_process_increment(ker, grid, span, 256, seed=41, return_brownian=True,
+                                            with_second_moment=False)
+            assert_same_bits(got, cold)
+        assert len(fills) == 5
+
+    def test_a_change_of_seed_count_or_width_misses_the_memo(self):
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        _noise_memo.cache_clear()
+        for n, seed, g in [(256, 5, grid), (256, 6, grid), (255, 6, grid), (255, 6, build_grid(ker, cells=57))]:
+            misses = _noise_memo.cache_info().misses
+            sample_chaos(ker, g, n, seed, with_second_moment=False)
+            assert _noise_memo.cache_info().misses == misses + 1
+        assert _noise_memo.cache_info()[:] == (0, 4, 1, 1)
+
+    def test_multi_chunk_draws_leave_the_memo_alone(self, monkeypatch):
+        # 257 and 800 realizations make two and four chunks, on the calling
+        # thread and on a pool; neither reads nor writes the memo
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        _noise_memo.cache_clear()
+        sample_chaos(ker, grid, 256, seed=9, with_second_moment=False)
+        before = _noise_memo.cache_info()
+        for cpus in (1, 2):
+            monkeypatch.setattr(sampler_module, "_usable_cpus", lambda c=cpus: c)
+            for n in (257, 800):
+                sample_chaos(ker, grid, n, seed=9, with_second_moment=False)
+        assert _noise_memo.cache_info() == before
+
+    def test_the_memo_rows_are_read_only(self):
+        # the memo is keyed by (seed, n_samples, width), and every same-seed
+        # draw of that size on the grid shares the one array it holds
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        _noise_memo.cache_clear()
+        sample_chaos(ker, grid, 64, seed=4, with_second_moment=False)
+        width = _factorize(ker, grid, None).r + grid.n_cells
+        rows = _noise_memo((4, 64, width), lambda: pytest.fail("the memo missed"))
+        assert rows.shape == (64, width)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
 
 
 def memo_draw(ker, grid, interval, seed=12):
@@ -703,16 +773,71 @@ class TestQuadraticForm:
         # Z_hat = A (xi^T M xi - tr M) with M symmetric, so E[Z_hat^2] =
         # 2 A^2 ||M||_F^2, against the permanent over the table's Gram, and
         # A tr M is minus the constant term; M is built wherever the table
-        # has rows, tall or wide
+        # has rows, tall or wide, and its norm, summed over the same block
+        # rows, is the record's own wherever the record holds one
         ker = KernelSpec(gamma)
         grid = build_grid(ker)
         est = _build_estimator(ker, grid, interval)
-        form = _form(est)
+        form, form_sq = _form(est)
         a = ker.constant
         m2 = _permanent_moment(ker, est)
         assert 2.0 * a**2 * np.sum(form**2) == pytest.approx(m2, rel=1e-12, abs=0.0)
         assert a * np.trace(form) == pytest.approx(-a * est.const, rel=1e-12, abs=0.0)
         assert np.array_equal(form, form.T) and not form.flags.writeable
+        assert est.form_sq in (None, form_sq)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("interval", INTERVALS + [(0.3, 0.7), (0.3, 0.3001)])
+    def test_near_rows_are_zero_left_of_their_first_panel(self, gamma, interval):
+        # M's block row at table row a runs over the s-panels from
+        # max(a - r - first, 0) on, so near row c (grid cell c) must be
+        # exactly 0 left of panel c - first in every exponent block, first
+        # the grid cell holding lo; (0.3, 0.3001) lies inside one cell
+        ker = KernelSpec(gamma)
+        grid = build_grid(ker)
+        est = _factorize(ker, grid, interval)
+        lo = 0.0 if interval is None else interval[0]
+        assert grid.edges[est.first] <= lo < grid.edges[est.first + 1]
+        n_s = len(est.s_w)
+        near = est.table[est.r :].reshape(-1, len(set(est.slot)), n_s).transpose(0, 2, 1)
+        left = np.arange(n_s) < np.arange(len(near))[:, None] - est.first
+        assert left.any() == (interval != (0.3, 0.3001))
+        assert not near[left].any()
+
+    @pytest.mark.parametrize("gamma", [g for g in GAMMAS if len(g) == 2])
+    @pytest.mark.parametrize("interval", INTERVALS + [(0.3, 0.7), (0.3, 0.3001)])
+    def test_block_rows_match_the_dense_form(self, gamma, interval):
+        # M from one dense GEMM over every panel, then symmetrized, against
+        # _form's block rows and the norm summed over them, with and
+        # without M, the same bits
+        ker = KernelSpec(gamma)
+        est = _build_estimator(ker, build_grid(ker), interval)
+        ((i, j), c), = est.products
+        half = (est.b(i) * (0.5 * c)) @ est.b(j).T
+        dense = half + half.T
+        form, form_sq = _form(est)
+        assert np.max(np.abs(form - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert form_sq == pytest.approx(float(np.vdot(dense, dense)), rel=1e-13, abs=0.0)
+        assert _form_sq(est) == form_sq
+
+    def test_the_second_moment_builds_no_n_by_n_array(self):
+        # on the default q=2 grid, M (522^2 doubles) and the n x S scaled
+        # copy of the table would take 2.2 and 1.9 MB; the call peaks
+        # below its own table plus 1 MB.  A first call fills the far
+        # root's cache.
+        ker = KernelSpec((-0.7, -0.65))
+        grid = build_grid(ker)
+        assert fold_route(ker, grid, None)
+        discrete_second_moment(ker, grid)
+        table = _factorize(ker, grid, None).table.nbytes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            discrete_second_moment(ker, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table + 1e6
 
     def test_a_cold_draw_factorizes_once(self, monkeypatch):
         # a miss builds M from the draw's own table, and the second moment
@@ -833,7 +958,7 @@ def fold_route(ker, grid, interval) -> bool:
     # whether the second moment is read off the fold: no Wick term with
     # three or more unmatched factors, and M only where the draw uses it
     est = _build_estimator(ker, grid, interval)
-    return not est.products or est.form is not None
+    return not est.products or est.form_sq is not None
 
 
 class TestSecondMomentRoutes:
